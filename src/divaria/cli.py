@@ -9,7 +9,6 @@ inputs and seed; elapsed time goes to stderr only.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
@@ -19,14 +18,13 @@ from pathlib import Path
 from . import __version__
 from .conformal import build_rho, embed_associative, verify_representation
 from .envelope import (build_envelope, build_var_quotient, check_var_pseudo,
-                       closed_form_eval, coefficient_dialgebra, eval_term)
+                       coefficient_dialgebra, oracle_sweep)
 from .errors import InputError, ResourceError
 from .fd import FDAlgebra, FDDialgebra, is_var_dialgebra, leibniz_to_dialgebra
 from .operads import ALGS, ALGSE, DIALGS, E, SYM, axiom_check
-from .perms import from_cycles, sym_compose, symmetric_group
+from .perms import from_cycles, sym_compose
 from .translate import derive_variety, rewrite_single_op
 from .varieties import load_variety
-from .words import all_shapes
 
 OPERADS = (SYM, E, ALGS, DIALGS, ALGSE)
 
@@ -38,10 +36,11 @@ OPERADS = (SYM, E, ALGS, DIALGS, ALGSE)
 def _fraction(x) -> Fraction:
     if isinstance(x, bool):
         raise InputError(f"bad rational {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"bad rational {x!r}") from None
     raise InputError(f"bad rational {x!r} (use ints or 'p/q' strings)")
 
 
@@ -86,9 +85,12 @@ def _read_json(path: str) -> dict:
         else:
             raise InputError(f"file not found: {path}")
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: not a JSON object")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +160,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_envelope(args) -> int:
+    if args.verify and args.max_arity < 1:
+        raise InputError("--max-arity must be at least 1")
     d = load_dialgebra_data(_read_json(args.dialgebra))
     rep = Report("envelope", seed=args.seed)
     env = build_envelope(d)
@@ -192,41 +196,15 @@ def cmd_envelope(args) -> int:
         else:
             rep.fail("embedding into the coefficient dialgebra is not operation-preserving")
     if args.verify:
-        bad = _verify_envelope_oracles(env, max_arity=args.max_arity)
-        rep.data["oracle_checked"] = bad[1]
-        if bad[0]:
-            rep.fail(f"oracle mismatch at {bad[0]}")
+        bad, checked = oracle_sweep(
+            env, args.max_arity, lambda n: [(pr, (0,) * (n - 1)) for pr in env.c1_basis[:2]])
+        rep.data["oracle_checked"] = checked
+        if bad:
+            rep.fail(f"oracle mismatch at {bad}")
         else:
-            rep.line(f"oracle equalities hold on {bad[1]} instances"
+            rep.line(f"oracle equalities hold on {checked} instances"
                      f" (words of degree <= {args.max_arity})")
     return rep.emit(args.json)
-
-
-def _verify_envelope_oracles(env, max_arity: int = 3):
-    checked = 0
-    for n in range(1, max_arity + 1):
-        for shape in all_shapes(n):
-            for perm in symmetric_group(n):
-                for idx in itertools.product(range(env.A.dim), repeat=n):
-                    args = [env.basis_a(i) for i in idx]
-                    a = eval_term(env, (shape, perm), args)
-                    b = closed_form_eval(env, (shape, perm), args)
-                    checked += 1
-                    if not a.eq(b):
-                        return (f"word {shape.key} perm {perm} tuple {idx}", checked)
-                for slot in range(1, n + 1):
-                    for pr in env.c1_basis[:2]:
-                        idx = (0,) * (n - 1)
-                        args = []
-                        it = iter(idx)
-                        for pos in range(1, n + 1):
-                            args.append(env.pair(*pr) if pos == slot else env.basis_a(next(it)))
-                        a = eval_term(env, (shape, perm), args)
-                        b = closed_form_eval(env, (shape, perm), args)
-                        checked += 1
-                        if not a.eq(b):
-                            return (f"one-pair word {shape.key} perm {perm} slot {slot}", checked)
-    return (None, checked)
 
 
 def cmd_represent(args) -> int:

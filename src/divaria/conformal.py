@@ -25,7 +25,7 @@ from .current import CurrentPA, PolyMat
 from .envelope import coefficient_dialgebra
 from .errors import InputError
 from .fd import FDAlgebra, FDDialgebra, Vec, leibniz_to_dialgebra
-from .linalg import RowSpace
+from .linalg import RowSpace, add_term, vec_axpy
 from .translate import derive_variety, zero_dialgebra_axioms
 
 _ZERO = Fraction(0)
@@ -158,13 +158,7 @@ class ConformalRep:
     def rho_of(self, vec: Vec) -> PolyMat:
         out: PolyMat = {}
         for i, c in enumerate(vec):
-            if c:
-                for k, v in self.rho[i].items():
-                    s = out.get(k, 0) + c * v
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
+            vec_axpy(out, c, self.rho[i])
         return out
 
 
@@ -200,17 +194,11 @@ def build_rho(bracket: FDAlgebra, module: str = "trivial") -> ConformalRep:
                 col = gv_index(i, alpha)
                 for beta in range(nv):
                     if act[beta][alpha]:
-                        key = (0, gv_index(i, beta), col)
-                        m0[key] = m0.get(key, _ZERO) + act[beta][alpha]
+                        add_term(m0, (0, gv_index(i, beta), col), act[beta][alpha])
                 br = g.product(g.basis(t), g.basis(i))
                 for j, c in enumerate(br):
                     if c:
-                        key = (0, gv_index(j, alpha), col)
-                        s = m0.get(key, _ZERO) + c
-                        if s:
-                            m0[key] = s
-                        else:
-                            m0.pop(key, None)
+                        add_term(m0, (0, gv_index(j, alpha), col), c)
         m1: PolyMat = {}
         for alpha in range(nv):
             m1[(0, gv_index(t, alpha), v_index(alpha))] = _ONE

@@ -14,20 +14,11 @@ from typing import Iterable
 
 from .envelope import PseudoAlgebra
 from .errors import InputError
+from .linalg import add_term, vec_axpy
 
 _ONE = Fraction(1)
 
 PolyMat = dict  # {(k, r, c): Fraction}
-
-
-def pm_from_matrix(rows, power: int = 0) -> PolyMat:
-    out = {}
-    for r, row in enumerate(rows):
-        for c, v in enumerate(row):
-            v = Fraction(v)
-            if v:
-                out[(power, r, c)] = v
-    return out
 
 
 def pm_unit(dim: int, r: int, c: int, power: int = 0) -> PolyMat:
@@ -50,12 +41,7 @@ def _mat_mult(a: dict, b: dict) -> dict:
         bt.setdefault(r, []).append((c, v))
     for (r, c), va in a.items():
         for c2, vb in bt.get(c, ()):  # a[r,c] * b[c,c2]
-            key = (r, c2)
-            s = out.get(key, 0) + va * vb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            add_term(out, (r, c2), va * vb)
     return out
 
 
@@ -80,12 +66,7 @@ class CurrentPA(PseudoAlgebra):
 
     def add(self, a: PolyMat, b: PolyMat) -> PolyMat:
         out = dict(a)
-        for k, v in b.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        vec_axpy(out, _ONE, b)
         return out
 
     def scale(self, a: PolyMat, coeff) -> PolyMat:
@@ -112,13 +93,7 @@ class CurrentPA(PseudoAlgebra):
             for l, ym in ys.items():
                 prod = _mat_mult(xm, ym)
                 if self.bracket:
-                    rev = _mat_mult(ym, xm)
-                    for key, v in rev.items():
-                        s = prod.get(key, 0) - v
-                        if s:
-                            prod[key] = s
-                        else:
-                            prod.pop(key, None)
+                    vec_axpy(prod, -_ONE, _mat_mult(ym, xm))
                 if prod:
                     out.append((k, l, {(0, r, c): v for (r, c), v in prod.items()}))
         return out
@@ -147,10 +122,5 @@ class CurrentPA(PseudoAlgebra):
         a = pm_component(x, 0)
         b = pm_component(y, 0)
         out = _mat_mult(a, b)
-        for key, v in _mat_mult(b, a).items():
-            s = out.get(key, 0) - v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        vec_axpy(out, -_ONE, _mat_mult(b, a))
         return {(0, r, c): v for (r, c), v in out.items()}

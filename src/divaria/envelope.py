@@ -35,10 +35,10 @@ from . import perms
 from .errors import InputError, ResourceError
 from .fd import FDDialgebra, Vec, is_zero_dialgebra, vec_add, vec_is_zero, vec_scale
 from .hopf import coproduct_splits
-from .linalg import RowSpace
+from .linalg import RowSpace, add_term, vec_axpy
 from .operads import IdentitySet
 from .translate import derive_variety
-from .words import (MultilinearPoly, Shape, TensorPoly, section_dishape,
+from .words import (MultilinearPoly, Shape, TensorPoly, all_shapes, section_dishape,
                     eval_shape_tree)
 
 DEFAULT_DEGREE_CAP = 16
@@ -49,7 +49,11 @@ _ONE = Fraction(1)
 
 def degree_cap() -> int:
     raw = os.environ.get("DIVARIA_MAX_DEGREE")
-    return int(raw) if raw else DEFAULT_DEGREE_CAP
+    if not raw:
+        return DEFAULT_DEGREE_CAP
+    if not raw.isdecimal():
+        raise InputError(f"DIVARIA_MAX_DEGREE must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -442,19 +446,9 @@ class EnvelopePA(PseudoAlgebra):
 
     def add(self, a: CElement, b: CElement) -> CElement:
         c0 = dict(a.c0)
-        for k, v in b.c0.items():
-            s = c0.get(k, 0) + v
-            if s:
-                c0[k] = s
-            else:
-                c0.pop(k, None)
+        vec_axpy(c0, _ONE, b.c0)
         c1 = dict(a.c1)
-        for k, v in b.c1.items():
-            s = c1.get(k, 0) + v
-            if s:
-                c1[k] = s
-            else:
-                c1.pop(k, None)
+        vec_axpy(c1, _ONE, b.c1)
         return CElement(c0, c1)
 
     def scale(self, a: CElement, coeff) -> CElement:
@@ -480,11 +474,7 @@ class EnvelopePA(PseudoAlgebra):
         if a.c1:
             for i, x in enumerate(self._t_of_pairs(a.c1)):
                 if x:
-                    s = c0.get((0, i), 0) + x
-                    if s:
-                        c0[(0, i)] = s
-                    else:
-                        c0.pop((0, i), None)
+                    add_term(c0, (0, i), x)
         return CElement(c0, {})
 
     def base_product(self, x: CElement, y: CElement) -> list:
@@ -589,12 +579,7 @@ def _plain_closed(env: EnvelopePA, shape: Shape, avecs: list):
 
 def _pair_sub(a: dict, b: dict) -> dict:
     out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) - v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
+    vec_axpy(out, -_ONE, b)
     return out
 
 
@@ -687,6 +672,37 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
     if val:
         terms[(0,) * (n - 1)] = env.from_c1(val)
     return Spread(env, n, terms)
+
+
+def oracle_sweep(env: EnvelopePA, max_arity: int, one_pair) -> tuple[str | None, int]:
+    """Compare eval_term with closed_form_eval on every word of degree <= max_arity.
+
+    Each word is checked on every basis tuple of A, then, slot by slot, on
+    the arguments listed by one_pair(n): (pair, idx) puts the tensor
+    generator of the index pair in the slot and the basis elements idx in
+    the other n - 1 slots.  one_pair is called once per word and slot, in
+    that order.  Returns the first mismatch (None if there is none) and the
+    number of instances checked.
+    """
+    checked = 0
+    for n in range(1, max_arity + 1):
+        for shape in all_shapes(n):
+            for perm in perms.symmetric_group(n):
+                word = (shape, perm)
+                for idx in itertools.product(range(env.A.dim), repeat=n):
+                    args = [env.basis_a(i) for i in idx]
+                    checked += 1
+                    if not eval_term(env, word, args).eq(closed_form_eval(env, word, args)):
+                        return f"word {shape.key} perm {perm} tuple {idx}", checked
+                for slot in range(1, n + 1):
+                    for pr, idx in one_pair(n):
+                        it = iter(idx)
+                        args = [env.pair(*pr) if pos == slot else env.basis_a(next(it))
+                                for pos in range(1, n + 1)]
+                        checked += 1
+                        if not eval_term(env, word, args).eq(closed_form_eval(env, word, args)):
+                            return f"one-pair word {shape.key} perm {perm} slot {slot}", checked
+    return None, checked
 
 
 # ---------------------------------------------------------------------------

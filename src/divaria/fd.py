@@ -33,6 +33,14 @@ def _as_vec(v, dim: int) -> Vec:
     return t
 
 
+def _labels(labels: Sequence[str] | None, dim: int) -> tuple:
+    if not labels:
+        return tuple(f"b{i + 1}" for i in range(dim))
+    if len(labels) != dim:
+        raise InputError(f"{len(labels)} labels for dimension {dim}")
+    return tuple(labels)
+
+
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -90,7 +98,7 @@ class FDAlgebra:
     def __init__(self, table, labels: Sequence[str] | None = None):
         self.dim = len(table)
         self.table = _table(table, self.dim)
-        self.labels = tuple(labels) if labels else tuple(f"b{i + 1}" for i in range(self.dim))
+        self.labels = _labels(labels, self.dim)
 
     def basis(self, i: int) -> Vec:
         return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
@@ -121,7 +129,7 @@ class FDDialgebra:
             raise InputError("left/right tables disagree on dimension")
         self.left = _table(left, self.dim)
         self.right = _table(right, self.dim)
-        self.labels = tuple(labels) if labels else tuple(f"b{i + 1}" for i in range(self.dim))
+        self.labels = _labels(labels, self.dim)
 
     def basis(self, i: int) -> Vec:
         return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
@@ -148,9 +156,6 @@ class FDDialgebra:
             val = eval_shape_tree(shape, leaves, None, (self.lprod, self.rprod))
             acc = vec_add(acc, vec_scale(val, coeff))
         return acc
-
-
-bracket_defect = FDDialgebra.defect
 
 
 def _scan(alg, p: TermPoly, evaluate) -> Witness | None:

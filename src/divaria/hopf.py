@@ -2,13 +2,11 @@
 eps(T) = 0, S(T) = -T, extended multiplicatively.
 
 Only the combinatorial shadows are needed downstream: iterated-coproduct
-exponent splits with multinomial weights, and the antipode sign.  A tiny
-symbolic layer over tensor powers backs the axiom self-tests.
+exponent splits with multinomial weights, and the antipode sign.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -16,11 +14,6 @@ from math import comb
 def antipode_sign(k: int) -> int:
     """S(T^k) = (-1)^k T^k."""
     return -1 if k & 1 else 1
-
-
-def counit_keeps(k: int) -> bool:
-    """eps(T^k) != 0 only for k = 0."""
-    return k == 0
 
 
 @lru_cache(maxsize=None)
@@ -37,84 +30,3 @@ def coproduct_splits(k: int, slots: int) -> tuple:
         for rest, cr in coproduct_splits(k - head, slots - 1):
             out.append(((head,) + rest, c * cr))
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# symbolic tensor powers of k[T], used by the axiom self-tests
-# ---------------------------------------------------------------------------
-
-def tensor_monomial(*exps: int) -> dict:
-    return {tuple(exps): Fraction(1)}
-
-
-def tensor_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def tensor_scale(a: dict, c) -> dict:
-    return {k: Fraction(c) * v for k, v in a.items()} if c else {}
-
-
-def tensor_mult(a: dict, b: dict) -> dict:
-    """Slotwise product (T^i)(T^j) = T^{i+j}."""
-    out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            s = out.get(key, 0) + va * vb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
-
-
-def delta_slot(a: dict, slot: int) -> dict:
-    """Apply the coproduct in one slot (0-based), raising the tensor degree."""
-    out: dict = {}
-    for key, v in a.items():
-        for (i, j), c in [((s[0], s[1]), c) for s, c in coproduct_splits(key[slot], 2)]:
-            nk = key[:slot] + (i, j) + key[slot + 1:]
-            s = out.get(nk, 0) + v * c
-            if s:
-                out[nk] = s
-            else:
-                out.pop(nk, None)
-    return out
-
-
-def antipode_slot(a: dict, slot: int) -> dict:
-    return {k: v * antipode_sign(k[slot]) for k, v in a.items()}
-
-
-def counit_slot(a: dict, slot: int) -> dict:
-    out: dict = {}
-    for key, v in a.items():
-        if key[slot] == 0:
-            nk = key[:slot] + key[slot + 1:]
-            s = out.get(nk, 0) + v
-            if s:
-                out[nk] = s
-            else:
-                out.pop(nk, None)
-    return out
-
-
-def mult_slots(a: dict, slot: int) -> dict:
-    """Multiply slots slot and slot+1 together."""
-    out: dict = {}
-    for key, v in a.items():
-        nk = key[:slot] + (key[slot] + key[slot + 1],) + key[slot + 2:]
-        s = out.get(nk, 0) + v
-        if s:
-            out[nk] = s
-        else:
-            out.pop(nk, None)
-    return out

@@ -29,16 +29,13 @@ def vec_axpy(target: Vec, coeff: Fraction, source: Vec) -> None:
             target.pop(k, None)
 
 
-def vec_scale(v: Vec, coeff: Fraction) -> Vec:
-    if not coeff:
-        return {}
-    return {k: coeff * x for k, x in v.items()}
-
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    vec_axpy(out, Fraction(-1), b)
-    return out
+def add_term(target: Vec, key: Hashable, value: Fraction) -> None:
+    """target[key] += value, dropping a cancellation."""
+    new = target.get(key, ZERO) + value
+    if new:
+        target[key] = new
+    else:
+        target.pop(key, None)
 
 
 class RowSpace:
@@ -98,17 +95,9 @@ class RowSpace:
             return NotImplemented
         return self._rows == other._rows
 
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __le__(self, other: "RowSpace") -> bool:
         """Subspace test."""
         return all(other.contains(r) for r in self._rows.values())
 
     def __repr__(self) -> str:
         return f"RowSpace(rank={self.rank})"
-
-
-def span_equal(a: Iterable[Vec], b: Iterable[Vec]) -> bool:
-    return RowSpace(a) == RowSpace(b)

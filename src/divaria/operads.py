@@ -7,8 +7,6 @@ Element conventions:
 - E: elements are pairs (n, i) naming the i-th standard basis vector.
 - AlgS / DialgS: elements are MultilinearPoly / DiPoly.
 - AlgS(x)E: elements are TensorPoly.
-- Tensor(...): generic componentwise product of monomial operads, used
-  only when an explicit tensor tag is requested.
 """
 
 from __future__ import annotations
@@ -221,53 +219,6 @@ class AlgSEOperad(Operad):
         return TensorPoly(n, {mono: Fraction(rng.randint(1, 3))})
 
 
-class TensorOperad(Operad):
-    """Componentwise product of two operads whose elements compose monomially.
-
-    Elements are dicts mapping pairs of component elements to coefficients.
-    Only used for explicitly requested tensor tags beyond AlgS(x)E.
-    """
-
-    def __init__(self, first: Operad, second: Operad):
-        self.first = first
-        self.second = second
-        self.name = f"{first.name}(x){second.name}"
-
-    def unit(self):
-        return {(self.first.unit(), self.second.unit()): Fraction(1)}
-
-    def arity(self, f):
-        a, _ = next(iter(f))
-        return self.first.arity(a)
-
-    def compose(self, f, pi, gs):
-        out: dict = {}
-        for (a, b), coeff in f.items():
-            for combo in itertools.product(*[g.items() for g in gs]):
-                total = coeff
-                for _, c in combo:
-                    total *= c
-                pair = (self.first.compose(a, pi, [mc[0][0] for mc in combo]),
-                        self.second.compose(b, pi, [mc[0][1] for mc in combo]))
-                new = out.get(pair, 0) + total
-                if new:
-                    out[pair] = new
-                else:
-                    out.pop(pair, None)
-        return out
-
-    def act(self, f, sigma):
-        out: dict = {}
-        for (a, b), coeff in f.items():
-            pair = (self.first.act(a, sigma), self.second.act(b, sigma))
-            out[pair] = out.get(pair, 0) + coeff
-        return {k: v for k, v in out.items() if v}
-
-    def random_element(self, n, rng):
-        return {(self.first.random_element(n, rng),
-                 self.second.random_element(n, rng)): Fraction(1)}
-
-
 SYM = SymOperad()
 E = EOperad()
 ALGS = AlgSOperad()
@@ -277,22 +228,12 @@ ALGSE = AlgSEOperad()
 _REGISTRY = {"Sym": SYM, "E": E, "AlgS": ALGS, "DialgS": DIALGS, "AlgS(x)E": ALGSE}
 
 
-def get_operad(tag) -> Operad:
-    """Resolve an operad tag; tuples ('Tensor', (tag, ...)) nest pairwise."""
-    if isinstance(tag, str):
-        try:
-            return _REGISTRY[tag]
-        except KeyError:
-            raise InputError(f"unknown operad tag {tag!r}") from None
-    kind, factors = tag
-    if kind != "Tensor" or len(factors) < 2:
-        raise InputError(f"bad operad tag {tag!r}")
-    if tuple(factors) == ("AlgS", "E"):
-        return ALGSE
-    op = get_operad(factors[0])
-    for t in factors[1:]:
-        op = TensorOperad(op, get_operad(t))
-    return op
+def get_operad(tag: str) -> Operad:
+    """Resolve an operad tag: Sym, E, AlgS, DialgS or AlgS(x)E."""
+    try:
+        return _REGISTRY[tag]
+    except KeyError:
+        raise InputError(f"unknown operad tag {tag!r}") from None
 
 
 # ---------------------------------------------------------------------------

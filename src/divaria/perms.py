@@ -33,14 +33,6 @@ Partition = tuple[int, ...]
 # permutations
 # ---------------------------------------------------------------------------
 
-def check_perm(p: Sequence[int]) -> Perm:
-    """Validate one-line data and return it as a tuple."""
-    t = tuple(p)
-    if sorted(t) != list(range(1, len(t) + 1)):
-        raise InputError(f"not a permutation of 1..{len(t)}: {t!r}")
-    return t
-
-
 def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
@@ -90,25 +82,6 @@ def from_cycles(n: int, cycles: Sequence[Sequence[int]]) -> Perm:
     return tuple(images)
 
 
-def to_cycles(p: Perm) -> list[tuple[int, ...]]:
-    """Disjoint cycles of length >= 2, each starting at its least element."""
-    out = []
-    seen = [False] * len(p)
-    for i in range(1, len(p) + 1):
-        if seen[i - 1]:
-            continue
-        cyc = [i]
-        seen[i - 1] = True
-        j = p[i - 1]
-        while j != i:
-            cyc.append(j)
-            seen[j - 1] = True
-            j = p[j - 1]
-        if len(cyc) > 1:
-            out.append(tuple(cyc))
-    return out
-
-
 @lru_cache(maxsize=None)
 def symmetric_group(n: int) -> tuple[Perm, ...]:
     """All of S_n in lexicographic one-line order."""
@@ -124,17 +97,6 @@ def random_perm(n: int, rng: Random) -> Perm:
 # ---------------------------------------------------------------------------
 # partitions
 # ---------------------------------------------------------------------------
-
-def check_partition(parts: Sequence[int]) -> Partition:
-    t = tuple(parts)
-    if not t or any(m < 1 for m in t):
-        raise InputError(f"partition parts must be positive: {t!r}")
-    return t
-
-
-def partition_total(pi: Partition) -> int:
-    return sum(pi)
-
 
 def pair_to_index(pi: Partition, i: int, j: int) -> int:
     """The bijection (i, j) -> m_1 + ... + m_{i-1} + j.

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 
 from . import perms
 from .errors import InputError
+from .linalg import vec_axpy
 from .perms import Perm
 
 LPROD = 0  # the product written  -|
@@ -195,15 +196,17 @@ def section_dishape(shape: Shape, p: int) -> DiShape:
     """
     if not 1 <= p <= shape.arity:
         raise InputError(f"leaf position {p} out of range")
+    return _section(shape, p, 1)
 
-    def rec(s: Shape, lo: int) -> DiShape:
-        if s.is_leaf:
-            return DILEAF
-        mid = lo + s.left.arity - 1
-        label = LPROD if p <= mid else RPROD
-        return dinode(label, rec(s.left, lo), rec(s.right, mid + 1))
 
-    return rec(shape, 1)
+def _section(s: Shape, p: int, lo: int) -> DiShape:
+    """section_dishape on the subtree s whose leftmost leaf is position lo
+    (module level for the reason given at _fold)."""
+    if s.is_leaf:
+        return DILEAF
+    mid = lo + s.left.arity - 1
+    label = LPROD if p <= mid else RPROD
+    return dinode(label, _section(s.left, p, lo), _section(s.right, p, mid + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +252,7 @@ class TermPoly:
     def __add__(self, other):
         self._binary_check(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            new = out.get(m, 0) + c
-            if new:
-                out[m] = new
-            else:
-                out.pop(m, None)
+        vec_axpy(out, _ONE, other.terms)
         return type(self)(self.arity, out)
 
     def __sub__(self, other):
@@ -284,9 +282,6 @@ class TermPoly:
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and other.arity == self.arity
                 and other.terms == self.terms)
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash((type(self).__name__, self.arity, frozenset(self.terms.items())))
@@ -464,22 +459,16 @@ def eval_shape_tree(shape, leaves: list, product: Callable, diproducts=None):
     For a DiShape pass diproducts=(left_product, right_product) and
     product=None.
     """
-    it = iter(leaves)
-
-    def rec(s):
-        if s.is_leaf:
-            return next(it)
-        lv = rec(s.left)
-        rv = rec(s.right)
-        if diproducts is not None:
-            return diproducts[s.label](lv, rv)
-        return product(lv, rv)
-
-    return rec(shape)
+    return _fold(shape, iter(leaves), product, diproducts)
 
 
-def eval_monomial(mono, args: Sequence, product=None, diproducts=None):
-    """Evaluate a monomial on args (args[i-1] substituted for x_i)."""
-    shape, perm = mono[0], mono[1]
-    leaves = [args[perm[k] - 1] for k in range(shape.arity)]
-    return eval_shape_tree(shape, leaves, product, diproducts)
+def _fold(s, it, product, diproducts):
+    # module level: a nested closure that calls itself is a reference
+    # cycle, and every call would leave one for the cyclic collector
+    if s.is_leaf:
+        return next(it)
+    lv = _fold(s.left, it, product, diproducts)
+    rv = _fold(s.right, it, product, diproducts)
+    if diproducts is not None:
+        return diproducts[s.label](lv, rv)
+    return product(lv, rv)

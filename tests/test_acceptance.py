@@ -13,15 +13,14 @@ from divaria.conformal import build_rho, embed_associative, verify_representatio
 from divaria.current import CurrentPA, pm_unit
 from divaria.dsl import parse_expression
 from divaria.envelope import (build_envelope, build_var_quotient, check_var_pseudo,
-                              closed_form_eval, coefficient_dialgebra, eval_term,
-                              extend_hom)
+                              coefficient_dialgebra, extend_hom, oracle_sweep)
 from divaria.fd import corpus, leibniz2, leibniz_to_dialgebra
 from divaria.operads import (ALGS, ALGSE, DIALGS, E, IdentitySet, SYM, axiom_check,
                              consequence_space)
 from divaria.perms import from_cycles, random_partition, random_perm, sym_compose, symmetric_group
 from divaria.translate import derive_variety, psi, psi_section, rewrite_single_op, zero_dialgebra_axioms
 from divaria.varieties import builtin_identity_set
-from divaria.words import DiPoly, all_dishapes, all_shapes
+from divaria.words import DiPoly, all_dishapes
 
 DP = parse_expression
 
@@ -169,38 +168,24 @@ def test_criterion_08_envelope_oracle_equality():
     t0 = time.time()
     members = corpus()
     assert members[0][0] == "leibniz2" and len(members) >= 6
-    ok = True
     rng = random.Random(88)
     for name, d in members:
         env = build_envelope(d)
-        for n in range(1, 5):
-            shapes = all_shapes(n)
-            group = symmetric_group(n)
-            for shape in shapes:
-                for sigma in group:
-                    for idx in itertools.product(range(d.dim), repeat=n):
-                        args = [env.basis_a(i) for i in idx]
-                        if not eval_term(env, (shape, sigma), args).eq(
-                                closed_form_eval(env, (shape, sigma), args)):
-                            ok = False
+
+        def one_pair(n):
+            # three seeded (pair, basis tuple) draws per word and slot
             if not env.c1_basis:
-                continue
-            for shape in shapes:
-                for sigma in group:
-                    for slot in range(1, n + 1):
-                        for _ in range(3):
-                            pr = env.c1_basis[rng.randrange(len(env.c1_basis))]
-                            idx = tuple(rng.randrange(d.dim) for _ in range(n - 1))
-                            args, it = [], iter(idx)
-                            for pos in range(1, n + 1):
-                                args.append(env.pair(*pr) if pos == slot
-                                            else env.basis_a(next(it)))
-                            if not eval_term(env, (shape, sigma), args).eq(
-                                    closed_form_eval(env, (shape, sigma), args)):
-                                ok = False
-        assert ok, f"oracle mismatch in {name}"
+                return []
+            return [(env.c1_basis[rng.randrange(len(env.c1_basis))],
+                     tuple(rng.randrange(d.dim) for _ in range(n - 1))) for _ in range(3)]
+
+        bad, checked = oracle_sweep(env, 4, one_pair)
+        assert bad is None, f"oracle mismatch in {name}: {bad}"
+        # every basis tuple of every word of degree <= 4, plus 3 one-pair
+        # tuples per word and slot (1563 in all)
+        assert checked == {2: 2026, 3: 10065}[d.dim] + 1563, name
     _report(8, "envelope: recursive evaluation equals the closed forms for all "
-               "words of degree <= 4 over the whole corpus", ok, t0)
+               "words of degree <= 4 over the whole corpus", True, t0)
 
 
 def test_criterion_09_variety_quotient_instance():

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from divaria.cli import main
 from divaria.dsl import parse_expression
@@ -88,7 +91,67 @@ def test_json_reports_are_deterministic(capsys):
     assert payload["status"] == "pass" and payload["command"] == "derive"
 
 
-def test_max_degree_env_guard(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DIVARIA_MAX_DEGREE", "0")
-    # any envelope verification needs degree 1 terms; the guard trips to exit 2
+@pytest.mark.parametrize("cap,message", [
+    ("0", "exceeds cap 0"),  # any envelope verification needs degree 1 terms
+    ("abc", "DIVARIA_MAX_DEGREE must be a non-negative integer"),
+    ("-1", "DIVARIA_MAX_DEGREE must be a non-negative integer"),
+], ids=["0", "abc", "-1"])
+def test_max_degree_env_guard(tmp_path, capsys, monkeypatch, cap, message):
+    monkeypatch.setenv("DIVARIA_MAX_DEGREE", cap)
     assert main(["envelope", "--dialgebra", "leibniz2.json", "--verify"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_verify_refuses_empty_sweep(capsys):
+    assert main(["envelope", "--dialgebra", "leibniz2.json", "--verify",
+                 "--max-arity", "0", "--json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--max-arity must be at least 1" in out.err
+
+
+LEIBNIZ2 = {"dim": 2, "labels": ["e1", "e2"], "bracket": [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]}
+
+
+@pytest.mark.parametrize("data,message", [
+    ({**LEIBNIZ2, "bracket": [[[0, "1/0"], [0, 0]], [[0, 0], [0, 0]]]}, "bad rational '1/0'"),
+    ({**LEIBNIZ2, "bracket": [[[0, "abc"], [0, 0]], [[0, 0], [0, 0]]]}, "bad rational 'abc'"),
+    ([LEIBNIZ2], "not a JSON object"),
+    ({**LEIBNIZ2, "labels": ["e1"]}, "1 labels for dimension 2"),
+], ids=["zero-denominator", "not-a-number", "array", "label-count"])
+def test_malformed_dialgebra_exits_2(tmp_path, capsys, data, message):
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps(data))
+    assert main(["envelope", "--dialgebra", str(f), "--variety", "lie"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
+
+
+# SHA-256 of the --json stdout of each command on shipped inputs; reports
+# are byte-stable, so a changed digest is a changed behaviour
+GOLDEN_SHA256 = {
+    "derive --variety associative --json":
+        "b59d4a10ce6e3e333ad5ba78103bb7283a01a3d1c3998158cc40fa5e596bbfdf",
+    "derive --variety commutative --single-op --json":
+        "8b4d44b946bd2303ff1955db19675b92eb00b93fa88976a60a401a3baf90ecb5",
+    "derive --variety alternative --json":
+        "6d56769f4e44664e8041a90e3643f162f6b7cece2e9f806bf41634d88e5ebde5",
+    "derive --variety lie --single-op --json":
+        "41f0abb12da3bcf4ca86896ba11aa5075e666c20d5b923489070a65f5c491c40",
+    "derive --variety jordan --json":
+        "b9dd75938684bb8f60c8215f1bca77a399e8db23ac8ff4f82a354c1da018fd3c",
+    "check --dialgebra leibniz2.json --variety lie --json":
+        "998473b3f1a37420f6924a9bf86a230ecf35595226101c34599c449f79acfbb3",
+    "envelope --dialgebra leibniz2.json --variety lie --verify --json":
+        "ff2fbc5952b76bde7e6d50ad1c6b17f258605da43ac95c5715b8643949672939",
+    "represent --leibniz leibniz2.json --json":
+        "243bb6ec3612fa5b178ff4652d1b5949f187426e1c7d9ad6863732fc17c94743",
+    "operad-selftest --trials 60 --seed 5 --json":
+        "4f1c84b6232e47a847770159e9fcb4a1b765051c823badc3a49a74530a6498f7",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_SHA256))
+def test_json_reports_are_byte_identical(capsys, argv):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[argv]

@@ -1,8 +1,49 @@
-from divaria.hopf import (antipode_slot, antipode_sign, coproduct_splits,
-                          counit_slot, delta_slot, mult_slots, tensor_monomial)
+from fractions import Fraction
+
+from divaria.hopf import antipode_sign, coproduct_splits
+from divaria.linalg import add_term
 
 DEGREES = range(7)
 
+
+# ---------------------------------------------------------------------------
+# symbolic tensor powers of k[T]: {exponent tuple: coeff}, one slot per factor
+# ---------------------------------------------------------------------------
+
+def tensor_monomial(*exps: int) -> dict:
+    return {tuple(exps): Fraction(1)}
+
+
+def delta_slot(a: dict, slot: int) -> dict:
+    """Apply the coproduct in one slot (0-based), raising the tensor degree."""
+    out: dict = {}
+    for key, v in a.items():
+        for split, c in coproduct_splits(key[slot], 2):
+            add_term(out, key[:slot] + split + key[slot + 1:], v * c)
+    return out
+
+
+def antipode_slot(a: dict, slot: int) -> dict:
+    return {k: v * antipode_sign(k[slot]) for k, v in a.items()}
+
+
+def counit_slot(a: dict, slot: int) -> dict:
+    out: dict = {}
+    for key, v in a.items():
+        if key[slot] == 0:
+            add_term(out, key[:slot] + key[slot + 1:], v)
+    return out
+
+
+def mult_slots(a: dict, slot: int) -> dict:
+    """Multiply slots slot and slot+1 together."""
+    out: dict = {}
+    for key, v in a.items():
+        add_term(out, key[:slot] + (key[slot] + key[slot + 1],) + key[slot + 2:], v)
+    return out
+
+
+# ---------------------------------------------------------------------------
 
 def test_coproduct_splits_are_multinomial():
     assert coproduct_splits(2, 2) == (((0, 2), 1), ((1, 1), 2), ((2, 0), 1))
