@@ -45,8 +45,11 @@ def _fraction(x) -> Fraction:
 
 
 def _load_table(raw, dim):
-    if len(raw) != dim or any(len(row) != dim for row in raw):
+    if (not isinstance(raw, list) or len(raw) != dim
+            or any(not isinstance(row, list) or len(row) != dim for row in raw)):
         raise InputError("structure table is not dim x dim")
+    if not all(isinstance(cell, list) for row in raw for cell in row):
+        raise InputError("structure table cells must be lists of rationals")
     return [[[_fraction(c) for c in cell] for cell in row] for row in raw]
 
 

@@ -38,8 +38,7 @@ from .hopf import coproduct_splits
 from .linalg import RowSpace, add_term, vec_axpy
 from .operads import IdentitySet
 from .translate import derive_variety
-from .words import (MultilinearPoly, Shape, TensorPoly, all_shapes, section_dishape,
-                    eval_shape_tree)
+from .words import MultilinearPoly, Shape, TensorPoly, all_shapes, eval_shape_tree
 
 DEFAULT_DEGREE_CAP = 16
 
@@ -372,6 +371,11 @@ class CElement:
         return f"CElement(c0={self.c0}, c1={self.c1})"
 
 
+def _outer(x: Vec, y: Vec) -> dict:
+    """x (x) y in (A (x) A) coordinates."""
+    return {(i, j): a * b for i, a in enumerate(x) if a for j, b in enumerate(y) if b}
+
+
 class EnvelopePA(PseudoAlgebra):
     """(k[T] (x) A) (+) (A (x) A)/W with the four base products.
 
@@ -397,13 +401,7 @@ class EnvelopePA(PseudoAlgebra):
                         dk = self.defects[k][l]
                         if vec_is_zero(dk):
                             continue
-                        vec = {}
-                        for s, x in enumerate(di):
-                            if x:
-                                for t, y in enumerate(dk):
-                                    if y:
-                                        vec[(s, t)] = x * y
-                        rel.add(vec)
+                        rel.add(_outer(di, dk))
         for row in rel.rows():
             if not vec_is_zero(self._t_of_pairs(row)):
                 raise InputError("defect tensors are not killed by T; input is inconsistent")
@@ -431,13 +429,7 @@ class EnvelopePA(PseudoAlgebra):
         return CElement({}, self.rel.reduce(dict(vec)))
 
     def tensor_pair(self, x: Vec, y: Vec) -> dict:
-        out = {}
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    if b:
-                        out[(i, j)] = a * b
-        return self.rel.reduce(out)
+        return self.rel.reduce(_outer(x, y))
 
     # -- element protocol ----------------------------------------------------
 
@@ -547,40 +539,45 @@ def build_envelope(a: FDDialgebra) -> EnvelopePA:
 # closed forms (the independent oracle)
 # ---------------------------------------------------------------------------
 
-def _word_e_eval(env: EnvelopePA, shape: Shape, pos: int, avecs: list) -> Vec:
-    """Dialgebra value of the word labeled toward leaf position pos."""
-    ds = section_dishape(shape, pos)
-    return eval_shape_tree(ds, avecs, None, (env.A.lprod, env.A.rprod))
+def _word_values(env: EnvelopePA, shape: Shape, avecs: list) -> list:
+    """Dialgebra values of the word labeled toward each leaf position in turn
+    (the section_dishape labelings), from one bottom-up fold."""
+    if shape.is_leaf:
+        return [avecs[0]]
+    m = shape.left.arity
+    left = _word_values(env, shape.left, avecs[:m])
+    right = _word_values(env, shape.right, avecs[m:])
+    r1, lm = right[0], left[-1]
+    return [env.A.lprod(x, r1) for x in left] + [env.A.rprod(lm, y) for y in right]
+
+
+def _word_last(env: EnvelopePA, shape: Shape, avecs: list) -> Vec:
+    """The last entry of _word_values alone: every product is |-."""
+    if shape.is_leaf:
+        return avecs[0]
+    m = shape.left.arity
+    return env.A.rprod(_word_last(env, shape.left, avecs[:m]),
+                       _word_last(env, shape.right, avecs[m:]))
 
 
 def _plain_closed(env: EnvelopePA, shape: Shape, avecs: list):
     """(x0, {i: c1 pair dict}) for a plain word on A arguments."""
-    n = shape.arity
-    x0 = _word_e_eval(env, shape, n, avecs)
+    if shape.is_leaf:
+        return avecs[0], {}
+    m = shape.left.arity
+    left = _word_values(env, shape.left, avecs[:m])
+    right = _word_values(env, shape.right, avecs[m:])
+    x0l, y0 = left[-1], right[-1]
     xs: dict = {}
-    if n > 1:
-        m = shape.left.arity
-        left_args, right_args = avecs[:m], avecs[m:]
-        y0 = _word_e_eval(env, shape.right, n - m, right_args)
-        for i in range(1, m + 1):
-            li = _word_e_eval(env, shape.left, i, left_args)
-            pair = env.tensor_pair(li, y0)
-            if pair:
-                xs[i] = pair
-        x0l = _word_e_eval(env, shape.left, m, left_args)
-        for j in range(1, n - m):
-            vj = vec_add(_word_e_eval(env, shape.right, n - m, right_args),
-                         vec_scale(_word_e_eval(env, shape.right, j, right_args), Fraction(-1)))
-            pair = env.tensor_pair(x0l, vj)
-            if pair:
-                xs[m + j] = pair
-    return x0, xs
-
-
-def _pair_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    vec_axpy(out, -_ONE, b)
-    return out
+    for i, li in enumerate(left, start=1):
+        pair = env.tensor_pair(li, y0)
+        if pair:
+            xs[i] = pair
+    for j, rj in enumerate(right[:-1], start=1):
+        pair = env.tensor_pair(x0l, vec_add(y0, vec_scale(rj, Fraction(-1))))
+        if pair:
+            xs[m + j] = pair
+    return env.A.rprod(x0l, y0), xs
 
 
 def _closed_mono_a(env: EnvelopePA, mono, avecs: list) -> Spread:
@@ -603,7 +600,8 @@ def _closed_mono_a(env: EnvelopePA, mono, avecs: list) -> Spread:
             if j == nsig:
                 val = {k: -v for k, v in yq.items()}
             else:
-                val = _pair_sub(ys.get(inv[j - 1], {}), yq)
+                val = dict(ys.get(inv[j - 1], {}))
+                vec_axpy(val, -_ONE, yq)
             if val:
                 xs[j] = val
     terms = {}
@@ -620,13 +618,11 @@ def _closed_d_plain(env: EnvelopePA, shape: Shape, args: list, s: int) -> dict:
     if shape.is_leaf:
         return args[0]
     m = shape.left.arity
-    n = shape.arity
     if s <= m:
         x = _closed_d_plain(env, shape.left, args[:m], s)
-        y0 = _word_e_eval(env, shape.right, n - m, args[m:])
-        tx = env._t_of_pairs(x)
-        return env.tensor_pair(vec_scale(tx, Fraction(-1)), y0)
-    x0l = _word_e_eval(env, shape.left, m, args[:m])
+        y0 = _word_last(env, shape.right, args[m:])
+        return env.tensor_pair(vec_scale(env._t_of_pairs(x), Fraction(-1)), y0)
+    x0l = _word_last(env, shape.left, args[:m])
     x = _closed_d_plain(env, shape.right, args[m:], s - m)
     return env.tensor_pair(x0l, env._t_of_pairs(x))
 

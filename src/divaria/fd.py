@@ -36,17 +36,20 @@ def _as_vec(v, dim: int) -> Vec:
 def _labels(labels: Sequence[str] | None, dim: int) -> tuple:
     if not labels:
         return tuple(f"b{i + 1}" for i in range(dim))
+    if not isinstance(labels, (list, tuple)) or not all(isinstance(x, str) for x in labels):
+        raise InputError("labels must be a list of strings")
     if len(labels) != dim:
         raise InputError(f"{len(labels)} labels for dimension {dim}")
     return tuple(labels)
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
+    # zero coordinates pass through: most coordinates are zero
+    return tuple(x + y if x and y else x or y for x, y in zip(a, b))
 
 
 def vec_scale(a: Vec, c: Fraction) -> Vec:
-    return tuple(c * x for x in a)
+    return tuple(c * x if x else x for x in a)
 
 
 def vec_is_zero(a: Vec) -> bool:

@@ -60,16 +60,12 @@ class RowSpace:
     def reduce(self, v: Vec) -> Vec:
         """Normal form of v modulo the row space."""
         out = dict(v)
-        while out:
-            lead = min(out)
-            row = self._rows.get(lead)
-            if row is None:
-                break
-            vec_axpy(out, -out[lead], row)
-        # eliminate any later pivots too
-        for p in sorted(self._rows):
-            if p in out:
-                vec_axpy(out, -out[p], self._rows[p])
+        # the basis is fully reduced, so clearing one pivot never brings
+        # back another: one pass over the pivots of v itself suffices
+        for k, c in v.items():
+            row = self._rows.get(k)
+            if row is not None:
+                vec_axpy(out, -c, row)
         return out
 
     def contains(self, v: Vec) -> bool:

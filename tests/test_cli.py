@@ -117,7 +117,11 @@ LEIBNIZ2 = {"dim": 2, "labels": ["e1", "e2"], "bracket": [[[0, 1], [0, 0]], [[0,
     ({**LEIBNIZ2, "bracket": [[[0, "abc"], [0, 0]], [[0, 0], [0, 0]]]}, "bad rational 'abc'"),
     ([LEIBNIZ2], "not a JSON object"),
     ({**LEIBNIZ2, "labels": ["e1"]}, "1 labels for dimension 2"),
-], ids=["zero-denominator", "not-a-number", "array", "label-count"])
+    ({**LEIBNIZ2, "bracket": [[1, 2], [3, 4]]}, "cells must be lists of rationals"),
+    ({**LEIBNIZ2, "labels": 5}, "labels must be a list of strings"),
+    ({**LEIBNIZ2, "labels": [1, 2]}, "labels must be a list of strings"),
+], ids=["zero-denominator", "not-a-number", "array", "label-count", "table-cells",
+        "labels-not-a-list", "labels-not-strings"])
 def test_malformed_dialgebra_exits_2(tmp_path, capsys, data, message):
     f = tmp_path / "d.json"
     f.write_text(json.dumps(data))

@@ -1,23 +1,24 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from divaria.envelope import (EnvelopePA, Spread, build_envelope,
-                              build_var_quotient, check_var_pseudo,
+from divaria.envelope import (EnvelopePA, Spread, _word_last, _word_values,
+                              build_envelope, build_var_quotient, check_var_pseudo,
                               closed_form_eval, coefficient_dialgebra,
                               epsilon_eval, eval_term, extend_hom, leaf_spread,
                               n_product, pseudo_product)
 from divaria.errors import InputError, ResourceError
-from divaria.fd import (abelian, diagonal_lift, dual_numbers, leibniz2,
+from divaria.fd import (abelian, corpus, diagonal_lift, dual_numbers, leibniz2,
                         leibniz_to_dialgebra)
 from divaria.operads import IdentitySet
 from divaria.perms import random_perm, symmetric_group
 from divaria.translate import psi
 from divaria.varieties import builtin_identity_set
-from divaria.words import (DiPoly, LEAF, TensorPoly,
-                           all_dishapes, all_shapes, node)
+from divaria.words import (DiPoly, LEAF, TensorPoly, all_dishapes, all_shapes,
+                           eval_shape_tree, node, section_dishape)
 from divaria.dsl import parse_expression
 
 LIE = builtin_identity_set("lie")
@@ -168,6 +169,58 @@ def test_oracle_equality_one_pair_sweep(env2):
                         args.append(env2.pair(*pr) if pos == slot else env2.basis_a(next(it)))
                     assert eval_term(env2, (shape, sigma), args).eq(
                         closed_form_eval(env2, (shape, sigma), args))
+
+
+@pytest.mark.parametrize("name", ["sl2", "bar-unit"])
+def test_word_values_match_section_labelings(name):
+    # the one fold gives, at index p - 1, the word labeled toward leaf p
+    env = build_envelope(dict(corpus())[name])
+    a = env.A
+    rng = random.Random(7)
+    for n in range(1, 6):
+        for shape in all_shapes(n):
+            vs = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(a.dim))
+                  for _ in range(n)]
+            values = _word_values(env, shape, vs)
+            assert len(values) == n
+            for p in range(1, n + 1):
+                want = eval_shape_tree(section_dishape(shape, p), vs, None, (a.lprod, a.rprod))
+                assert values[p - 1] == want, (shape.key, p)
+            assert _word_last(env, shape, vs) == values[-1]
+
+
+def _forbid(*_args, **_kwargs):
+    raise AssertionError("the closed forms called the recursive evaluator")
+
+
+def test_closed_forms_never_reach_the_recursive_evaluator(monkeypatch):
+    # the closed forms are the oracle for eval_term; a speed-up must not
+    # route them through the evaluator they check
+    envs = [build_envelope(a) for _name, a in corpus()]
+    cases = []
+    for env in envs:
+        d = env.A.dim
+        for n in range(1, 4):
+            for shape in all_shapes(n):
+                for perm in symmetric_group(n):
+                    for idx in itertools.product(range(d), repeat=n):
+                        cases.append((env, (shape, perm), [env.basis_a(i) for i in idx]))
+                    for slot, pr in itertools.product(range(1, n + 1), env.c1_basis):
+                        args = [env.pair(*pr) if pos == slot else env.basis_a((pos + pr[0]) % d)
+                                for pos in range(1, n + 1)]
+                        cases.append((env, (shape, perm), args))
+    with monkeypatch.context() as mp:
+        for mod in [m for k, m in sys.modules.items() if k.startswith("divaria")]:
+            for fn in ("eval_term", "_eval_plain", "pseudo_product"):
+                if hasattr(mod, fn):
+                    mp.setattr(mod, fn, _forbid)
+        mp.setattr(EnvelopePA, "base_product", _forbid)
+        env, word, args = cases[0]
+        with pytest.raises(AssertionError):
+            eval_term(env, word, args)
+        closed = [closed_form_eval(env, word, args) for env, word, args in cases]
+    for (env, word, args), value in zip(cases, closed):
+        assert eval_term(env, word, args).eq(value)
 
 
 def test_closed_form_rejects_mixed_arguments(env2):
