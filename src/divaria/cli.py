@@ -55,7 +55,7 @@ def _load_table(raw, dim):
 
 def load_dialgebra_data(data: dict) -> FDDialgebra:
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # a bool is an int too, but not a dimension
         raise InputError("'dim' must be a positive integer")
     labels = data.get("labels")
     if "bracket" in data:
@@ -69,7 +69,7 @@ def load_dialgebra_data(data: dict) -> FDDialgebra:
 
 def load_leibniz_data(data: dict) -> FDAlgebra:
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise InputError("'dim' must be a positive integer")
     if "bracket" not in data:
         raise InputError("a Leibniz algebra file needs a 'bracket' table")

@@ -18,18 +18,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .current import CurrentPA, PolyMat
 from .envelope import coefficient_dialgebra
-from .errors import InputError
+from .errors import InputError, guard_tuples
 from .fd import FDAlgebra, FDDialgebra, Vec, leibniz_to_dialgebra
 from .linalg import RowSpace, add_term, vec_axpy
 from .translate import derive_variety, zero_dialgebra_axioms
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class LeibnizData:
@@ -74,7 +70,7 @@ class LeibnizData:
         self.module = module
 
     def _row_vec(self, row: dict) -> Vec:
-        out = [_ZERO] * self.g.dim
+        out = [0] * self.g.dim
         for k, v in row.items():
             out[k] = v
         return tuple(out)
@@ -82,19 +78,19 @@ class LeibnizData:
     def project_l(self, vec: Vec) -> tuple:
         """Coordinates of the image of vec in the quotient Lie algebra."""
         red = self.squares.reduce({k: v for k, v in enumerate(vec) if v})
-        return tuple(red.get(i, _ZERO) for i in self.l_basis)
+        return tuple(red.get(i, 0) for i in self.l_basis)
 
     def l_bracket(self, cx: tuple, cy: tuple) -> tuple:
         d = self.g.dim
-        x = [_ZERO] * d
-        y = [_ZERO] * d
+        x = [0] * d
+        y = [0] * d
         for pos, i in enumerate(self.l_basis):
             x[i] = cx[pos]
             y[i] = cy[pos]
         return self.project_l(self.g.product(tuple(x), tuple(y)))
 
     def _check_quotient_lie(self):
-        basis = [tuple(_ONE if k == pos else _ZERO for k in range(len(self.l_basis)))
+        basis = [tuple(1 if k == pos else 0 for k in range(len(self.l_basis)))
                  for pos in range(len(self.l_basis))]
         for x in basis:
             if any(self.l_bracket(x, x)):
@@ -108,14 +104,14 @@ class LeibnizData:
                 raise InputError("quotient bracket fails the Jacobi identity")
 
     def _zero_mat(self, n: int) -> list:
-        return [[_ZERO] * n for _ in range(n)]
+        return [[0] * n for _ in range(n)]
 
     def _adjoint_action(self, t: int) -> list:
         n = len(self.l_basis)
         xbar = self.project_l(self.g.basis(t))
         mat = self._zero_mat(n)
         for col in range(n):
-            v = tuple(_ONE if k == col else _ZERO for k in range(n))
+            v = tuple(1 if k == col else 0 for k in range(n))
             img = self.l_bracket(xbar, v)
             for row in range(n):
                 mat[row][col] = img[row]
@@ -132,10 +128,10 @@ class LeibnizData:
             for t in range(d):
                 br = self.g.product(self.g.basis(s), self.g.basis(t))
                 for col in range(n):
-                    v = tuple(_ONE if k == col else _ZERO for k in range(n))
+                    v = tuple(1 if k == col else 0 for k in range(n))
                     lhs = tuple(a - b for a, b in zip(act(s, act(t, v)), act(t, act(s, v))))
                     xy = self.project_l(br)
-                    g_lift = [_ZERO] * d
+                    g_lift = [0] * d
                     for pos, i in enumerate(self.l_basis):
                         g_lift[i] = xy[pos]
                     rhs_mat = [[sum(self.action[i][r][c] * g_lift[i] for i in range(d))
@@ -201,7 +197,7 @@ def build_rho(bracket: FDAlgebra, module: str = "trivial") -> ConformalRep:
                         add_term(m0, (0, gv_index(j, alpha), col), c)
         m1: PolyMat = {}
         for alpha in range(nv):
-            m1[(0, gv_index(t, alpha), v_index(alpha))] = _ONE
+            m1[(0, gv_index(t, alpha), v_index(alpha))] = 1
         rho0.append(m0)
         rho1.append(m1)
         full = dict(m0)
@@ -326,6 +322,7 @@ def embed_associative(bracket: FDAlgebra, module: str = "trivial",
     dv_axioms = list(zero_dialgebra_axioms())
     from .varieties import builtin_identity_set
     diass = derive_variety(builtin_identity_set("associative")).derived
+    guard_tuples(len(basis_mats) ** 3, f"{len(basis_mats)}^3 triples of the generated subspace")
     bad = None
     for p in itertools.chain(dv_axioms, diass):
         for combo in itertools.product(basis_mats, repeat=3):

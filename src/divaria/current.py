@@ -9,20 +9,17 @@ degree-bounded truncations closed under both.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
 from .envelope import PseudoAlgebra
 from .errors import InputError
 from .linalg import add_term, vec_axpy
 
-_ONE = Fraction(1)
-
-PolyMat = dict  # {(k, r, c): Fraction}
+PolyMat = dict  # {(k, r, c): coeff}, coeff an int or a Fraction, never a float
 
 
 def pm_unit(dim: int, r: int, c: int, power: int = 0) -> PolyMat:
-    return {(power, r, c): _ONE}
+    return {(power, r, c): 1}
 
 
 def pm_degrees(m: PolyMat) -> list[int]:
@@ -66,11 +63,10 @@ class CurrentPA(PseudoAlgebra):
 
     def add(self, a: PolyMat, b: PolyMat) -> PolyMat:
         out = dict(a)
-        vec_axpy(out, _ONE, b)
+        vec_axpy(out, 1, b)
         return out
 
     def scale(self, a: PolyMat, coeff) -> PolyMat:
-        coeff = Fraction(coeff)
         if not coeff:
             return {}
         return {k: coeff * v for k, v in a.items()}
@@ -93,7 +89,7 @@ class CurrentPA(PseudoAlgebra):
             for l, ym in ys.items():
                 prod = _mat_mult(xm, ym)
                 if self.bracket:
-                    vec_axpy(prod, -_ONE, _mat_mult(ym, xm))
+                    vec_axpy(prod, -1, _mat_mult(ym, xm))
                 if prod:
                     out.append((k, l, {(0, r, c): v for (r, c), v in prod.items()}))
         return out
@@ -122,5 +118,5 @@ class CurrentPA(PseudoAlgebra):
         a = pm_component(x, 0)
         b = pm_component(y, 0)
         out = _mat_mult(a, b)
-        vec_axpy(out, -_ONE, _mat_mult(b, a))
+        vec_axpy(out, -1, _mat_mult(b, a))
         return {(0, r, c): v for (r, c), v in out.items()}

@@ -26,24 +26,21 @@ term in the test suite before the closed forms are trusted anywhere.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import perms
-from .errors import InputError, ResourceError
+from .errors import InputError, ResourceError, guard_tuples
 from .fd import FDDialgebra, Vec, is_zero_dialgebra, vec_add, vec_is_zero, vec_scale
 from .hopf import coproduct_splits
-from .linalg import RowSpace, add_term, vec_axpy
+from .linalg import RowSpace, add_term, rational, vec_axpy
 from .operads import IdentitySet
 from .translate import derive_variety
 from .words import MultilinearPoly, Shape, TensorPoly, all_shapes, eval_shape_tree
 
 DEFAULT_DEGREE_CAP = 16
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def degree_cap() -> int:
@@ -155,7 +152,7 @@ class Spread:
         return " + ".join(bits)
 
 
-def _accumulate(alg, acc: dict, key: tuple, elem, coeff=_ONE):
+def _accumulate(alg, acc: dict, key: tuple, elem, coeff=1):
     if coeff != 1:
         elem = alg.scale(elem, coeff)
     if alg.is_zero(elem):
@@ -168,7 +165,7 @@ def _accumulate(alg, acc: dict, key: tuple, elem, coeff=_ONE):
         acc[key] = s
 
 
-def _normalize_into(alg, acc: dict, full_exps: tuple, elem, coeff=_ONE):
+def _normalize_into(alg, acc: dict, full_exps: tuple, elem, coeff=1):
     """Add the unnormalized term T^{full_exps} (x)_H elem (slot count n =
     len(full_exps)); the slot-n power is eliminated via the coproduct."""
     cap = degree_cap()
@@ -198,9 +195,7 @@ def normalize(alg, hs: Sequence[Sequence], c) -> Spread:
         raise InputError("need at least one tensor slot")
     acc: dict = {}
     for exps in itertools.product(*[range(len(h)) for h in hs]):
-        coeff = Fraction(1)
-        for h, e in zip(hs, exps):
-            coeff *= Fraction(h[e])
+        coeff = math.prod(rational(h[e]) for h, e in zip(hs, exps))
         if coeff:
             _normalize_into(alg, acc, tuple(exps), c, coeff)
     return Spread(alg, n, acc)
@@ -223,7 +218,7 @@ def pseudo_product(alg, f: Spread, g: Spread) -> Spread:
                     for qs, m2 in coproduct_splits(q, m):
                         full = (tuple(mu[i] + ps[i] for i in range(k - 1)) + (ps[-1],)
                                 + tuple(nu[i] + qs[i] for i in range(m - 1)) + (qs[-1],))
-                        _normalize_into(alg, acc, full, c, Fraction(m1 * m2))
+                        _normalize_into(alg, acc, full, c, m1 * m2)
     return Spread(alg, k + m, acc)
 
 
@@ -334,7 +329,7 @@ def epsilon_eval(alg, f, args) -> object:
     return out
 
 
-def check_var_pseudo(alg: PseudoAlgebra, sigma: IdentitySet, max_tuples: int = 200_000):
+def check_var_pseudo(alg: PseudoAlgebra, sigma: IdentitySet):
     """Evaluate every defining identity on all generator tuples.
 
     Returns None on success or a (identity, generator names, spread)
@@ -344,8 +339,7 @@ def check_var_pseudo(alg: PseudoAlgebra, sigma: IdentitySet, max_tuples: int = 2
     gens = alg.generators()
     for t in sigma:
         n = t.arity
-        if len(gens) ** n > max_tuples:
-            raise ResourceError("generator tuple enumeration too large")
+        guard_tuples(len(gens) ** n, f"{len(gens)}^{n} generator tuples")
         for combo in itertools.product(gens, repeat=n):
             names = tuple(name for name, _ in combo)
             spread = eval_term(alg, t, [el for _, el in combo])
@@ -420,10 +414,10 @@ class EnvelopePA(PseudoAlgebra):
         return CElement({(power, i): x for i, x in enumerate(vec) if x}, {})
 
     def basis_a(self, i: int) -> CElement:
-        return CElement({(0, i): _ONE}, {})
+        return CElement({(0, i): 1}, {})
 
     def pair(self, i: int, j: int) -> CElement:
-        return CElement({}, self.rel.reduce({(i, j): _ONE}))
+        return CElement({}, self.rel.reduce({(i, j): 1}))
 
     def from_c1(self, vec: dict) -> CElement:
         return CElement({}, self.rel.reduce(dict(vec)))
@@ -438,13 +432,12 @@ class EnvelopePA(PseudoAlgebra):
 
     def add(self, a: CElement, b: CElement) -> CElement:
         c0 = dict(a.c0)
-        vec_axpy(c0, _ONE, b.c0)
+        vec_axpy(c0, 1, b.c0)
         c1 = dict(a.c1)
-        vec_axpy(c1, _ONE, b.c1)
+        vec_axpy(c1, 1, b.c1)
         return CElement(c0, c1)
 
     def scale(self, a: CElement, coeff) -> CElement:
-        coeff = Fraction(coeff)
         if not coeff:
             return CElement()
         return CElement({k: coeff * v for k, v in a.c0.items()},
@@ -454,7 +447,7 @@ class EnvelopePA(PseudoAlgebra):
         return not a.c0 and not a.c1
 
     def _t_of_pairs(self, c1: dict) -> Vec:
-        out = [_ZERO] * self.A.dim
+        out = [0] * self.A.dim
         for (i, j), coeff in c1.items():
             for s, x in enumerate(self.defects[i][j]):
                 if x:
@@ -522,7 +515,7 @@ class EnvelopePA(PseudoAlgebra):
     def pure_a(self, x: CElement) -> Vec | None:
         if x.c1 or any(k for (k, _i) in x.c0):
             return None
-        out = [_ZERO] * self.A.dim
+        out = [0] * self.A.dim
         for (_k, i), v in x.c0.items():
             out[i] = v
         return tuple(out)
@@ -574,7 +567,7 @@ def _plain_closed(env: EnvelopePA, shape: Shape, avecs: list):
         if pair:
             xs[i] = pair
     for j, rj in enumerate(right[:-1], start=1):
-        pair = env.tensor_pair(x0l, vec_add(y0, vec_scale(rj, Fraction(-1))))
+        pair = env.tensor_pair(x0l, vec_add(y0, vec_scale(rj, -1)))
         if pair:
             xs[m + j] = pair
     return env.A.rprod(x0l, y0), xs
@@ -593,7 +586,7 @@ def _closed_mono_a(env: EnvelopePA, mono, avecs: list) -> Spread:
     else:
         q = inv[n - 1]
         yq = ys.get(q, {})
-        x0 = vec_add(y0, vec_scale(env._t_of_pairs(yq), Fraction(-1)))
+        x0 = vec_add(y0, vec_scale(env._t_of_pairs(yq), -1))
         xs = {}
         nsig = sigma[n - 1]
         for j in range(1, n):
@@ -601,7 +594,7 @@ def _closed_mono_a(env: EnvelopePA, mono, avecs: list) -> Spread:
                 val = {k: -v for k, v in yq.items()}
             else:
                 val = dict(ys.get(inv[j - 1], {}))
-                vec_axpy(val, -_ONE, yq)
+                vec_axpy(val, -1, yq)
             if val:
                 xs[j] = val
     terms = {}
@@ -621,7 +614,7 @@ def _closed_d_plain(env: EnvelopePA, shape: Shape, args: list, s: int) -> dict:
     if s <= m:
         x = _closed_d_plain(env, shape.left, args[:m], s)
         y0 = _word_last(env, shape.right, args[m:])
-        return env.tensor_pair(vec_scale(env._t_of_pairs(x), Fraction(-1)), y0)
+        return env.tensor_pair(vec_scale(env._t_of_pairs(x), -1), y0)
     x0l = _word_last(env, shape.left, args[:m])
     x = _closed_d_plain(env, shape.right, args[m:], s - m)
     return env.tensor_pair(x0l, env._t_of_pairs(x))
@@ -680,6 +673,9 @@ def oracle_sweep(env: EnvelopePA, max_arity: int, one_pair) -> tuple[str | None,
     that order.  Returns the first mismatch (None if there is none) and the
     number of instances checked.
     """
+    n, d = max(max_arity, 1), env.A.dim  # the top degree costs most: refuse it up front
+    guard_tuples(math.comb(2 * n - 2, n - 1) // n * math.factorial(n) * d ** n,
+                 f"words of degree {n} on {d}^{n} basis tuples")
     checked = 0
     for n in range(1, max_arity + 1):
         for shape in all_shapes(n):
@@ -723,9 +719,12 @@ def build_var_quotient(env: EnvelopePA, sigma: IdentitySet, derived=None) -> Var
     w = is_var_dialgebra(a, sigma, dv)
     if w is not None:
         raise InputError(f"dialgebra fails the variety: {w.describe(a.labels)}")
+    c1 = len(env.c1_basis)
     rows = RowSpace()
     for t in sigma:
         n = t.arity
+        guard_tuples(d ** n + n * d ** (n - 1) * c1,
+                     f"{d}^{n} basis tuples and {n}*{d}^{n - 1}*{c1} one-pair tuples")
         for idx in itertools.product(range(d), repeat=n):
             args = [env.basis_a(i) for i in idx]
             spread = closed_form_eval(env, t, args)

@@ -1,9 +1,9 @@
 """Finite-dimensional (di)algebras given by structure constants over Q.
 
 Structure tables: ``table[i][j]`` is the coordinate vector of the product
-of basis elements i and j (0-based indices, vectors as tuples of
-Fraction).  Identity checking enumerates basis tuples, which suffices by
-multilinearity; the d^n cost is guarded.
+of basis elements i and j (0-based indices; an entry is an int when
+integral, a Fraction otherwise).  Identity checks enumerate basis tuples,
+which suffices by multilinearity; the d^n cost is guarded.
 
 Leibniz conventions: brackets are LEFT Leibniz, x(yz) = (xy)z + y(xz).
 The induced dialgebra is a |- b = [ab], a -| b = -[ba]; the mirror (right
@@ -15,19 +15,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .errors import InputError, ResourceError
+from .errors import InputError, guard_tuples
+from .linalg import rational
 from .words import DiPoly, MultilinearPoly, TermPoly, eval_shape_tree
 
-Vec = tuple[Fraction, ...]
-
-EVAL_TUPLE_BOUND = 200_000  # d^n enumeration guard
+Vec = tuple  # of int or Fraction
 
 
 def _as_vec(v, dim: int) -> Vec:
-    t = tuple(Fraction(x) for x in v)
+    t = tuple(rational(x) for x in v)
     if len(t) != dim:
         raise InputError(f"vector of length {len(t)}, expected {dim}")
     return t
@@ -48,7 +46,7 @@ def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y if x and y else x or y for x, y in zip(a, b))
 
 
-def vec_scale(a: Vec, c: Fraction) -> Vec:
+def vec_scale(a: Vec, c) -> Vec:
     return tuple(c * x if x else x for x in a)
 
 
@@ -65,7 +63,7 @@ def _table(raw, dim: int):
 
 def _bilinear(table, x: Vec, y: Vec) -> Vec:
     dim = len(table)
-    out = [Fraction(0)] * dim
+    out = [0] * dim
     for i, xi in enumerate(x):
         if not xi:
             continue
@@ -104,7 +102,7 @@ class FDAlgebra:
         self.labels = _labels(labels, self.dim)
 
     def basis(self, i: int) -> Vec:
-        return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
+        return tuple(1 if j == i else 0 for j in range(self.dim))
 
     def product(self, x: Vec, y: Vec) -> Vec:
         return _bilinear(self.table, x, y)
@@ -112,8 +110,7 @@ class FDAlgebra:
     def eval_poly(self, p: MultilinearPoly, args: Sequence[Vec]) -> Vec:
         if len(args) != p.arity:
             raise InputError("argument count does not match arity")
-        zero = tuple(Fraction(0) for _ in range(self.dim))
-        acc = zero
+        acc = (0,) * self.dim
         for (shape, perm), coeff in p.terms.items():
             leaves = [args[perm[k] - 1] for k in range(shape.arity)]
             acc = vec_add(acc, vec_scale(eval_shape_tree(shape, leaves, self.product), coeff))
@@ -135,7 +132,7 @@ class FDDialgebra:
         self.labels = _labels(labels, self.dim)
 
     def basis(self, i: int) -> Vec:
-        return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
+        return tuple(1 if j == i else 0 for j in range(self.dim))
 
     def lprod(self, x: Vec, y: Vec) -> Vec:
         """x -| y"""
@@ -152,8 +149,7 @@ class FDDialgebra:
     def eval_poly(self, p: DiPoly, args: Sequence[Vec]) -> Vec:
         if len(args) != p.arity:
             raise InputError("argument count does not match arity")
-        zero = tuple(Fraction(0) for _ in range(self.dim))
-        acc = zero
+        acc = (0,) * self.dim
         for (shape, perm), coeff in p.terms.items():
             leaves = [args[perm[k] - 1] for k in range(shape.arity)]
             val = eval_shape_tree(shape, leaves, None, (self.lprod, self.rprod))
@@ -163,8 +159,7 @@ class FDDialgebra:
 
 def _scan(alg, p: TermPoly, evaluate) -> Witness | None:
     n = p.arity
-    if alg.dim ** n > EVAL_TUPLE_BOUND:
-        raise ResourceError(f"{alg.dim}^{n} basis tuples exceed the evaluation bound")
+    guard_tuples(alg.dim ** n, f"{alg.dim}^{n} basis tuples")
     basis = [alg.basis(i) for i in range(alg.dim)]
     for idx in itertools.product(range(alg.dim), repeat=n):
         val = evaluate([basis[i] for i in idx])
@@ -217,7 +212,7 @@ def leibniz_to_dialgebra(bracket: FDAlgebra) -> FDDialgebra:
         raise InputError(f"not a left Leibniz algebra: {w.describe(bracket.labels)}")
     d = bracket.dim
     right = [[bracket.table[i][j] for j in range(d)] for i in range(d)]
-    left = [[vec_scale(bracket.table[j][i], Fraction(-1)) for j in range(d)] for i in range(d)]
+    left = [[vec_scale(bracket.table[j][i], -1) for j in range(d)] for i in range(d)]
     return FDDialgebra(left, right, bracket.labels)
 
 
@@ -287,7 +282,7 @@ def abelian(d: int) -> FDDialgebra:
 def bar_unit(weights: Sequence) -> FDDialgebra:
     """a|-b = eps(a) b, a-|b = a eps(b) for the functional eps; a 0-dialgebra
     for any weights with distinct left and right products."""
-    w = [Fraction(x) for x in weights]
+    w = [rational(x) for x in weights]
     d = len(w)
     right = [[tuple(w[i] if k == j else 0 for k in range(d)) for j in range(d)] for i in range(d)]
     left = [[tuple(w[j] if k == i else 0 for k in range(d)) for j in range(d)] for i in range(d)]

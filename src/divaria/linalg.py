@@ -1,9 +1,11 @@
 """Exact rational linear algebra on sparse vectors.
 
 Vectors are dicts mapping a hashable, totally ordered column key to a
-nonzero Fraction.  RowSpace maintains a reduced row echelon basis
-incrementally; the basis is canonical (independent of insertion order),
-which makes row spaces directly comparable.
+nonzero exact rational, an int or a Fraction, never a float.  Integral
+data stay int: a Fraction comes in only with a non-integral input or a
+division by a pivot other than 1 or -1.  RowSpace maintains a reduced row
+echelon basis incrementally; the basis is canonical (independent of
+insertion order), which makes row spaces directly comparable.
 """
 
 from __future__ import annotations
@@ -13,8 +15,14 @@ from typing import Hashable, Iterable
 
 Vec = dict
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = Fraction(1)  # the divisor: ONE / x is exact for an int x too
+
+
+def rational(x):
+    """x as an exact rational: an int when integral, else a Fraction."""
+    q = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    return q.numerator if q.denominator == 1 else q
 
 
 def vec_axpy(target: Vec, coeff: Fraction, source: Vec) -> None:
@@ -78,7 +86,7 @@ class RowSpace:
             return False
         lead = min(red)
         inv = ONE / red[lead]
-        row = {k: inv * x for k, x in red.items()}
+        row = {k: rational(inv * x) for k, x in red.items()}  # integral entries as int
         # back-substitute into existing rows to keep full RREF
         for p, r in self._rows.items():
             if lead in r:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from random import Random
 from typing import Sequence
@@ -169,7 +168,7 @@ class _PolyOperad(Operad):
         out = self.poly_cls.zero(n)
         for _ in range(n_terms):
             mono = (rng.choice(shapes), perms.random_perm(n, rng))
-            out = out + self.poly_cls(n, {mono: Fraction(rng.randint(1, 3))})
+            out = out + self.poly_cls(n, {mono: rng.randint(1, 3)})
         return out
 
 
@@ -216,7 +215,7 @@ class AlgSEOperad(Operad):
 
     def random_element(self, n, rng):
         mono = (rng.choice(all_shapes(n)), perms.random_perm(n, rng), rng.randint(1, n))
-        return TensorPoly(n, {mono: Fraction(rng.randint(1, 3))})
+        return TensorPoly(n, {mono: rng.randint(1, 3)})
 
 
 SYM = SymOperad()

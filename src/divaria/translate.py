@@ -14,6 +14,7 @@ for the associative, commutative, alternative, Lie and Jordan varieties.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from . import perms
@@ -109,7 +110,7 @@ def _orbit_key(p: DiPoly) -> tuple:
     for sigma in perms.symmetric_group(p.arity):
         q = p.act(sigma)
         lead_coeff = q.terms[q.leading()]
-        q = q.scale(1 / lead_coeff)
+        q = q.scale(Fraction(1, lead_coeff))
         key = tuple((DiPoly._mono_key(m), c) for m, c in q.sorted_terms())
         if best is None or key < best:
             best = key
@@ -144,7 +145,7 @@ class DerivedVariety:
                 cl = p.terms.get((l2, sigma))
                 cr = p.terms.get((r2, swapped))
                 if cl and cr:
-                    lam = -cr / cl
+                    lam = Fraction(-cr, cl)
                     if lam in (1, -1):
                         return lam
         return None

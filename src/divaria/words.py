@@ -6,29 +6,26 @@ x_{k*perm}.  Dialgebra monomials carry a label on every internal node
 (LPROD for the left product -|, RPROD for the right product |-).  Tensor
 monomials additionally carry a center index in 1..n naming a variable.
 
-Coefficients are exact rationals; polynomials are kept canonical (like
-terms merged, zeros dropped).  The order on shapes is lexicographic on a
-preorder encoding in which internal nodes precede leaves, so left combs
-come first; monomials sort by (shape, one-line perm, center).
+Coefficients are int when integral, else Fraction; polynomials are kept
+canonical (like terms merged, zeros dropped).  The order on shapes is
+lexicographic on a preorder encoding with internal nodes before leaves,
+so left combs come first; monomials sort by (shape, one-line perm, center).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import perms
 from .errors import InputError
-from .linalg import vec_axpy
+from .linalg import rational, vec_axpy
 from .perms import Perm
 
 LPROD = 0  # the product written  -|
 RPROD = 1  # the product written  |-
 
 OP_SYMBOL = {LPROD: "-|", RPROD: "|-"}
-
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +222,7 @@ class TermPoly:
             for mono, coeff in terms.items():
                 if coeff:
                     self._check_mono(mono, arity)
-                    clean[mono] = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+                    clean[mono] = rational(coeff)
         self.terms = clean
 
     # subclasses define _check_mono, _mono_key, _act_mono, _render_mono
@@ -252,7 +249,7 @@ class TermPoly:
     def __add__(self, other):
         self._binary_check(other)
         out = dict(self.terms)
-        vec_axpy(out, _ONE, other.terms)
+        vec_axpy(out, 1, other.terms)
         return type(self)(self.arity, out)
 
     def __sub__(self, other):
@@ -262,7 +259,6 @@ class TermPoly:
         return type(self)(self.arity, {m: -c for m, c in self.terms.items()})
 
     def scale(self, coeff) -> "TermPoly":
-        coeff = Fraction(coeff)
         if not coeff:
             return type(self)(self.arity)
         return type(self)(self.arity, {m: coeff * c for m, c in self.terms.items()})
@@ -343,8 +339,8 @@ class MultilinearPoly(TermPoly):
         return _render_tree(mono[0], mono[1], lambda s: "*")
 
     @classmethod
-    def monomial(cls, shape: Shape, perm: Perm, coeff=_ONE) -> "MultilinearPoly":
-        return cls(shape.arity, {(shape, tuple(perm)): Fraction(coeff)})
+    def monomial(cls, shape: Shape, perm: Perm, coeff=1) -> "MultilinearPoly":
+        return cls(shape.arity, {(shape, tuple(perm)): coeff})
 
 
 class DiPoly(TermPoly):
@@ -371,8 +367,8 @@ class DiPoly(TermPoly):
         return _render_tree(mono[0], mono[1], lambda s: OP_SYMBOL[s.label])
 
     @classmethod
-    def monomial(cls, shape: DiShape, perm: Perm, coeff=_ONE) -> "DiPoly":
-        return cls(shape.arity, {(shape, tuple(perm)): Fraction(coeff)})
+    def monomial(cls, shape: DiShape, perm: Perm, coeff=1) -> "DiPoly":
+        return cls(shape.arity, {(shape, tuple(perm)): coeff})
 
 
 class TensorPoly(TermPoly):
@@ -402,8 +398,8 @@ class TensorPoly(TermPoly):
         return f"({word})@e{mono[2]}"
 
     @classmethod
-    def monomial(cls, shape: Shape, perm: Perm, center: int, coeff=_ONE) -> "TensorPoly":
-        return cls(shape.arity, {(shape, tuple(perm), center): Fraction(coeff)})
+    def monomial(cls, shape: Shape, perm: Perm, center: int, coeff=1) -> "TensorPoly":
+        return cls(shape.arity, {(shape, tuple(perm), center): coeff})
 
 
 def canonicalize(p: TermPoly) -> TermPoly:

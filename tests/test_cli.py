@@ -120,12 +120,61 @@ LEIBNIZ2 = {"dim": 2, "labels": ["e1", "e2"], "bracket": [[[0, 1], [0, 0]], [[0,
     ({**LEIBNIZ2, "bracket": [[1, 2], [3, 4]]}, "cells must be lists of rationals"),
     ({**LEIBNIZ2, "labels": 5}, "labels must be a list of strings"),
     ({**LEIBNIZ2, "labels": [1, 2]}, "labels must be a list of strings"),
+    ({"dim": True, "bracket": [[[0]]]}, "'dim' must be a positive integer"),
 ], ids=["zero-denominator", "not-a-number", "array", "label-count", "table-cells",
-        "labels-not-a-list", "labels-not-strings"])
+        "labels-not-a-list", "labels-not-strings", "dim-bool"])
 def test_malformed_dialgebra_exits_2(tmp_path, capsys, data, message):
     f = tmp_path / "d.json"
     f.write_text(json.dumps(data))
     assert main(["envelope", "--dialgebra", str(f), "--variety", "lie"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
+
+
+def test_represent_rejects_bool_dim(tmp_path, capsys):
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps({"dim": True, "bracket": [[[0]]]}))
+    assert main(["represent", "--leibniz", str(f)]) == 2
+    assert "'dim' must be a positive integer" in capsys.readouterr().err
+
+
+def gl(n: int) -> dict:
+    """Bracket file of the commutator Lie algebra of the n x n matrix units."""
+    units = [(i, j) for i in range(n) for j in range(n)]
+    table = [[[0] * n * n for _ in units] for _ in units]
+    for a, (i, j) in enumerate(units):
+        for b, (k, l) in enumerate(units):
+            if j == k:
+                table[a][b][units.index((i, l))] += 1
+            if l == i:
+                table[a][b][units.index((k, j))] -= 1
+    return {"dim": n * n, "bracket": table}
+
+
+def test_represent_refuses_gl3_up_front(tmp_path, capsys):
+    f = tmp_path / "gl3.json"
+    f.write_text(json.dumps(gl(3)))
+    assert main(["represent", "--leibniz", str(f), "--json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "73^3 triples of the generated subspace: 389017 tuples exceed" in out.err
+
+
+@pytest.mark.parametrize("bound,argv,message", [
+    (7, ["check", "--dialgebra", "leibniz2.json", "--variety", "lie"],
+     "2^3 basis tuples: 8 tuples exceed the enumeration bound 7"),
+    (8, ["envelope", "--dialgebra", "leibniz2.json", "--variety", "lie"],
+     "2^3 basis tuples and 3*2^2*3 one-pair tuples: 44 tuples exceed the enumeration bound 8"),
+    (200_000, ["envelope", "--dialgebra", "leibniz2.json", "--verify", "--max-arity", "7"],
+     "words of degree 7 on 2^7 basis tuples: 85155840 tuples exceed the enumeration bound"),
+    (2000, ["represent", "--leibniz", "GL2"],
+     "13^3 triples of the generated subspace: 2197 tuples exceed the enumeration bound 2000"),
+], ids=["check", "envelope", "envelope-verify", "represent"])
+def test_tuple_bound_exits_2(tmp_path, capsys, monkeypatch, bound, argv, message):
+    f = tmp_path / "gl2.json"
+    f.write_text(json.dumps(gl(2)))
+    monkeypatch.setattr("divaria.errors.TUPLE_BOUND", bound)
+    assert main([str(f) if a == "GL2" else a for a in argv]) == 2
     out = capsys.readouterr()
     assert out.out == "" and message in out.err
 

@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from divaria.errors import InputError
 from divaria.operads import ALGSE, DIALGS, IdentitySet
 from divaria.perms import random_partition, random_perm, symmetric_group
-from divaria.translate import (alpha_center, derive_variety, psi, psi_section,
+from divaria.translate import (_orbit_key, alpha_center, derive_variety, psi, psi_section,
                                rewrite_single_op, zero_dialgebra_axioms)
 from divaria.dsl import parse_expression
 from divaria.varieties import builtin_identity_set
@@ -118,6 +119,20 @@ def test_derive_lie_includes_anticommutation():
     dv = derive_variety(builtin_identity_set("lie"))
     assert DP("x1-|x2 + x2|-x1") in dv.derived
     assert dv.commutation_rule() == -1
+
+
+@pytest.mark.parametrize("variety,lam", [("commutative", 1), ("lie", -1)])
+def test_commutation_rule_is_exact(variety, lam):
+    got = derive_variety(builtin_identity_set(variety)).commutation_rule()
+    assert got == lam and type(got) in (int, Fraction)
+
+
+def test_orbit_key_divides_exactly():
+    # integer coefficients whose quotients 3/5 and 5/3 have no exact float
+    p = DP("3 x1|-x2 + 5 x2-|x1")
+    key = _orbit_key(p)
+    assert key == _orbit_key(p.scale(Fraction(2, 7)))
+    assert all(type(c) in (int, Fraction) for _, c in key)
 
 
 def test_derive_alternative_exactly_four():
