@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .current import CurrentPA, PolyMat
-from .envelope import coefficient_dialgebra
+from .envelope import CoefficientDialgebra, coefficient_dialgebra
 from .errors import InputError, guard_tuples
 from .fd import FDAlgebra, FDDialgebra, Vec, leibniz_to_dialgebra
 from .linalg import RowSpace, add_term, vec_axpy
@@ -293,6 +293,33 @@ def _lin_comb(cur: CurrentPA, mats: Sequence[PolyMat], vec: Vec) -> PolyMat:
     return out
 
 
+class _BasisProducts(CoefficientDialgebra):
+    """The coefficient operations with basis indices as arguments.  The
+    product of two basis elements is computed on first use and kept in a
+    table (at most 2 |B|^2 entries) that lives as long as this object."""
+
+    def __init__(self, alg: CurrentPA, basis: list):
+        super().__init__(alg)
+        self.basis = basis
+        self.table: dict = {}
+
+    def _product(self, op, x, y):
+        if isinstance(x, int) and isinstance(y, int):
+            key = (op, x, y)
+            got = self.table.get(key)
+            if got is None:
+                got = self.table[key] = op(self, self.basis[x], self.basis[y])
+            return got
+        return op(self, self.basis[x] if isinstance(x, int) else x,
+                  self.basis[y] if isinstance(y, int) else y)
+
+    def lprod(self, x, y):
+        return self._product(CoefficientDialgebra.lprod, x, y)
+
+    def rprod(self, x, y):
+        return self._product(CoefficientDialgebra.rprod, x, y)
+
+
 def embed_associative(bracket: FDAlgebra, module: str = "trivial",
                       truncation: int = 2) -> tuple[RepReport, ConformalRep]:
     """Realize g inside the associative coefficient dialgebra of the current
@@ -323,10 +350,11 @@ def embed_associative(bracket: FDAlgebra, module: str = "trivial",
     from .varieties import builtin_identity_set
     diass = derive_variety(builtin_identity_set("associative")).derived
     guard_tuples(len(basis_mats) ** 3, f"{len(basis_mats)}^3 triples of the generated subspace")
+    on_basis = _BasisProducts(cur, basis_mats)
     bad = None
     for p in itertools.chain(dv_axioms, diass):
-        for combo in itertools.product(basis_mats, repeat=3):
-            if not cur.is_zero(cd.eval_dipoly(p, list(combo))):
+        for combo in itertools.product(range(len(basis_mats)), repeat=3):
+            if not cur.is_zero(on_basis.eval_dipoly(p, list(combo))):
                 bad = f"{p} fails on generated subspace"
                 break
         if bad:

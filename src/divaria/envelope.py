@@ -513,10 +513,12 @@ class EnvelopePA(PseudoAlgebra):
     # -- classification ------------------------------------------------------
 
     def pure_a(self, x: CElement) -> Vec | None:
-        if x.c1 or any(k for (k, _i) in x.c0):
+        if x.c1:
             return None
         out = [0] * self.A.dim
-        for (_k, i), v in x.c0.items():
+        for (k, i), v in x.c0.items():
+            if k:
+                return None
             out[i] = v
         return tuple(out)
 
@@ -573,8 +575,9 @@ def _plain_closed(env: EnvelopePA, shape: Shape, avecs: list):
     return env.A.rprod(x0l, y0), xs
 
 
-def _closed_mono_a(env: EnvelopePA, mono, avecs: list) -> Spread:
-    """Closed form of a (possibly twisted) word on A arguments."""
+def _closed_mono_a(env: EnvelopePA, mono, avecs: list) -> tuple[Vec, dict]:
+    """Closed form of a (possibly twisted) word on A arguments:
+    (x0, {j: pair dict x_j}) for the value x0 - sum_j T_j [x_j]."""
     shape, sigma = mono
     n = shape.arity
     permuted = [avecs[s - 1] for s in sigma]
@@ -597,13 +600,7 @@ def _closed_mono_a(env: EnvelopePA, mono, avecs: list) -> Spread:
                 vec_axpy(val, -1, yq)
             if val:
                 xs[j] = val
-    terms = {}
-    if not vec_is_zero(x0):
-        terms[(0,) * (n - 1)] = env.from_a(x0)
-    for j, pair in xs.items():
-        exps = tuple(1 if i == j - 1 else 0 for i in range(n - 1))
-        terms[exps] = env.from_c1({k: -v for k, v in pair.items()})
-    return Spread(env, n, terms)
+    return x0, xs
 
 
 def _closed_d_plain(env: EnvelopePA, shape: Shape, args: list, s: int) -> dict:
@@ -625,42 +622,55 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
 
     Supported argument patterns: all arguments in A, or exactly one
     argument in the tensor part (then each monomial of t is a word, plain
-    or twisted).  No pseudo-products are used.
+    or twisted).  No pseudo-products are used.  The arguments are
+    classified once, and the monomials of a polynomial add into one
+    accumulator.
     """
-    if isinstance(t, MultilinearPoly):
-        acc = Spread(env, t.arity)
-        for mono, coeff in t.terms.items():
-            acc = acc.add(closed_form_eval(env, mono, args).scale(coeff))
-        return acc
-    shape, sigma = t
-    n = shape.arity
+    poly = isinstance(t, MultilinearPoly)
+    n = t.arity if poly else t[0].arity
     if n != len(args):
         raise InputError("arity mismatch")
-    kinds = []
-    for x in args:
-        av = env.pure_a(x)
-        if av is not None:
-            kinds.append(("A", av))
-            continue
-        cv = env.pure_c1(x)
-        if cv is not None:
-            kinds.append(("C1", cv))
-            continue
-        raise InputError("closed forms support pure A or pure tensor arguments only")
-    n_c1 = sum(1 for k, _ in kinds if k == "C1")
-    if n_c1 == 0:
-        return _closed_mono_a(env, t, [v for _, v in kinds])
-    if n_c1 > 1:
+    vals, slots = [], []
+    for pos, x in enumerate(args, start=1):
+        v = env.pure_a(x)
+        if v is None:
+            v = env.pure_c1(x)
+            if v is None:
+                raise InputError("closed forms support pure A or pure tensor arguments only")
+            slots.append(pos)
+        vals.append(v)
+    if len(slots) > 1:
         raise InputError("closed forms support at most one tensor argument")
-    s = next(i for i, (k, _) in enumerate(kinds, start=1) if k == "C1")
-    inv = perms.inverse(sigma)
-    permuted = [kinds[sig - 1][1] for sig in sigma]
-    s_plain = inv[s - 1]
-    val = _closed_d_plain(env, shape, permuted, s_plain)
-    terms = {}
-    if val:
-        terms[(0,) * (n - 1)] = env.from_c1(val)
+    monos = t.terms.items() if poly else [(t, 1)]
+    zero = (0,) * (n - 1)
+    if slots:
+        acc: dict = {}
+        for (shape, sigma), coeff in monos:
+            _add_scaled(acc, zero, coeff, _closed_d_plain(env, shape, [vals[g - 1] for g in sigma],
+                                                          perms.inverse(sigma)[slots[0] - 1]))
+        return Spread(env, n, {k: env.from_c1(v) for k, v in acc.items() if v})
+    x0 = None
+    xs: dict = {}  # j -> the tensor part of the T_j coefficient: -sum of coeff * x_j
+    for mono, coeff in monos:
+        y0, ys = _closed_mono_a(env, mono, vals)
+        if coeff != 1:
+            y0 = vec_scale(y0, coeff)
+        x0 = y0 if x0 is None else vec_add(x0, y0)
+        for j, pair in ys.items():
+            _add_scaled(xs, j, -coeff, pair)
+    terms = {zero: env.from_a(x0)}
+    for j, pair in xs.items():
+        terms[tuple(int(i == j - 1) for i in range(n - 1))] = env.from_c1(pair)
     return Spread(env, n, terms)
+
+
+def _add_scaled(acc: dict, key, coeff, vec: dict) -> None:
+    """acc[key] += coeff * vec, where a first term is copied, not added."""
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = {k: coeff * v for k, v in vec.items()}
+    else:
+        vec_axpy(cur, coeff, vec)
 
 
 def oracle_sweep(env: EnvelopePA, max_arity: int, one_pair) -> tuple[str | None, int]:
@@ -708,10 +718,30 @@ class VarQuotient:
     quotient: EnvelopePA
 
 
+def independent_pairs(env: EnvelopePA) -> list:
+    """The pairs of c1_basis, in order, whose T-images are independent of
+    the images of the pairs before them: their images are a basis of T(C1)."""
+    images = RowSpace()  # the relations of W are killed by T, so T(pair(i, j)) is the defect
+    return [(i, j) for (i, j) in env.c1_basis
+            if images.add({s: x for s, x in enumerate(env.defects[i][j]) if x})]
+
+
 def build_var_quotient(env: EnvelopePA, sigma: IdentitySet, derived=None) -> VarQuotient:
     """Span the tensor-part coefficients of all identity evaluations on
     basis tuples (and one-pair tuples), check the degree-zero parts vanish,
-    and quotient by the resulting ideal."""
+    and quotient by the resulting ideal.
+
+    Lemma: on a word of arity >= 2 every product sees a tensor-part
+    argument x only through its defect image T(x) in A, so the value of an
+    identity on a one-pair tuple is linear in T(pair) (IdentitySet refuses
+    arity < 2).  If T(p) = sum c_k T(p_k), the row of p is sum c_k row(p_k),
+    and the one-pair rows of the pairs whose images are independent span
+    those of all pairs.  Only the independent_pairs are evaluated (at most
+    d of them); the RREF of the ideal is canonical, so the ideal and the
+    quotient are the same as with every pair.  This builds a span and
+    nothing else: oracle_sweep, check_var_pseudo and extend_hom check
+    values, not a span, and still enumerate every tuple.
+    """
     a = env.A
     d = a.dim
     dv = derived if derived is not None else derive_variety(sigma)
@@ -719,12 +749,13 @@ def build_var_quotient(env: EnvelopePA, sigma: IdentitySet, derived=None) -> Var
     w = is_var_dialgebra(a, sigma, dv)
     if w is not None:
         raise InputError(f"dialgebra fails the variety: {w.describe(a.labels)}")
-    c1 = len(env.c1_basis)
+    kept = independent_pairs(env)
+    r = len(kept)
     rows = RowSpace()
     for t in sigma:
         n = t.arity
-        guard_tuples(d ** n + n * d ** (n - 1) * c1,
-                     f"{d}^{n} basis tuples and {n}*{d}^{n - 1}*{c1} one-pair tuples")
+        guard_tuples(d ** n + n * d ** (n - 1) * r,
+                     f"{d}^{n} basis tuples and {n}*{d}^{n - 1}*{r} one-pair tuples")
         for idx in itertools.product(range(d), repeat=n):
             args = [env.basis_a(i) for i in idx]
             spread = closed_form_eval(env, t, args)
@@ -740,7 +771,7 @@ def build_var_quotient(env: EnvelopePA, sigma: IdentitySet, derived=None) -> Var
                     rows.add(dict(elem.c1))
         for slot in range(1, n + 1):
             for idx in itertools.product(range(d), repeat=n - 1):
-                for pr in env.c1_basis:
+                for pr in kept:
                     args = []
                     it = iter(idx)
                     for pos in range(1, n + 1):

@@ -164,7 +164,7 @@ def test_represent_refuses_gl3_up_front(tmp_path, capsys):
     (7, ["check", "--dialgebra", "leibniz2.json", "--variety", "lie"],
      "2^3 basis tuples: 8 tuples exceed the enumeration bound 7"),
     (8, ["envelope", "--dialgebra", "leibniz2.json", "--variety", "lie"],
-     "2^3 basis tuples and 3*2^2*3 one-pair tuples: 44 tuples exceed the enumeration bound 8"),
+     "2^3 basis tuples and 3*2^2*1 one-pair tuples: 20 tuples exceed the enumeration bound 8"),
     (200_000, ["envelope", "--dialgebra", "leibniz2.json", "--verify", "--max-arity", "7"],
      "words of degree 7 on 2^7 basis tuples: 85155840 tuples exceed the enumeration bound"),
     (2000, ["represent", "--leibniz", "GL2"],

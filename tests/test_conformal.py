@@ -1,12 +1,17 @@
+import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from divaria.conformal import LeibnizData, build_rho, embed_associative, verify_representation
-from divaria.envelope import build_envelope, build_var_quotient, extend_hom
+from divaria.conformal import (LeibnizData, _BasisProducts, build_rho, embed_associative,
+                               verify_representation)
+from divaria.envelope import (build_envelope, build_var_quotient, coefficient_dialgebra,
+                              extend_hom)
 from divaria.errors import InputError
 from divaria.fd import FDAlgebra, leibniz2, leibniz3, leibniz_to_dialgebra, sl2
 from divaria.varieties import builtin_identity_set
+from divaria.words import DiPoly, all_dishapes
 
 
 def test_leibniz_data_quotient():
@@ -65,6 +70,34 @@ def test_embed_associative():
     for alg in (leibniz2(), leibniz3(), sl2()):
         report, _rep = embed_associative(alg)
         assert report.passed, report.failures
+
+
+def test_basis_products_match_the_coefficient_dialgebra():
+    # single labeled monomials are not identities, so the values are not all
+    # zero and a product looked up under the wrong label or order shows
+    rep = build_rho(leibniz3(), "trivial")
+    cd = coefficient_dialgebra(rep.cur)
+    basis = [rep.rho[0], rep.rho[2], cd.rprod(rep.rho[0], rep.rho[1]),
+             cd.lprod(rep.rho[1], rep.rho[2])]
+    on_basis = _BasisProducts(rep.cur, basis)
+    nonzero = 0
+    for shape, perm in itertools.product(all_dishapes(3), [(1, 2, 3), (3, 1, 2)]):
+        p = DiPoly.monomial(shape, perm)
+        for combo in itertools.product(range(len(basis)), repeat=3):
+            want = cd.eval_dipoly(p, [basis[i] for i in combo])
+            assert on_basis.eval_dipoly(p, list(combo)) == want, (shape.key, perm, combo)
+            nonzero += bool(want)
+    assert nonzero
+    assert len(on_basis.table) <= 2 * len(basis) ** 2
+
+
+def test_embed_associative_reports_a_failing_identity(monkeypatch):
+    word = DiPoly.monomial(all_dishapes(3)[0], (1, 2, 3))
+    monkeypatch.setattr("divaria.conformal.derive_variety",
+                        lambda _sigma: SimpleNamespace(derived=(word,)))
+    report, _rep = embed_associative(sl2())  # on leibniz2 every triple product is 0
+    assert not report.checks["associative-dialgebra-identities"]
+    assert report.failures == [f"associative-dialgebra-identities: {word} fails on generated subspace"]
 
 
 def test_extension_through_rho():

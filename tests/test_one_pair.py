@@ -1,0 +1,160 @@
+"""One-pair tuples: the value of a word of arity >= 2 sees its tensor-part
+argument only through the T-image, which is what lets build_var_quotient
+evaluate one pair per independent image instead of every pair."""
+
+import itertools
+import random
+
+import pytest
+
+from divaria.envelope import (EnvelopePA, build_envelope, build_var_quotient,
+                              closed_form_eval, eval_term, independent_pairs)
+from divaria.errors import InputError
+from divaria.fd import FDAlgebra, corpus, is_var_dialgebra, leibniz_to_dialgebra
+from divaria.linalg import RowSpace
+from divaria.perms import symmetric_group
+from divaria.translate import derive_variety
+from divaria.varieties import BUILTIN, builtin_identity_set
+from divaria.words import all_shapes
+
+CORPUS = dict(corpus())
+
+
+def gl2() -> FDAlgebra:
+    """The commutator Lie algebra of the 2 x 2 matrix units E_ij."""
+    units = [(i, j) for i in range(2) for j in range(2)]
+    table = [[[0] * 4 for _ in units] for _ in units]
+    for a, (i, j) in enumerate(units):
+        for b, (k, l) in enumerate(units):
+            if j == k:
+                table[a][b][units.index((i, l))] += 1
+            if l == i:
+                table[a][b][units.index((k, j))] -= 1
+    return FDAlgebra(table)
+
+
+def kernel_of_t(env: EnvelopePA) -> list:
+    """A basis of the tensor-part vectors on c1_basis that T sends to 0.
+
+    Each row is (T-image | pair coordinates); the RREF rows whose pivot is a
+    pair coordinate have a zero image part."""
+    space = RowSpace()
+    for (i, j) in env.c1_basis:
+        row = {(0, s): x for (_k, s), x in env.t_act(env.pair(i, j)).c0.items()}
+        row[(1, i, j)] = 1
+        space.add(row)
+    return [{key[1:]: v for key, v in row.items()} for row in space.rows() if min(row)[0] == 1]
+
+
+def one_pair_rows(env: EnvelopePA, sigma, pairs) -> RowSpace:
+    """The span of the identity values with a pair of pairs in one slot and
+    basis elements in the others."""
+    rows = RowSpace()
+    for t in sigma:
+        n = t.arity
+        for slot in range(n):
+            for idx in itertools.product(range(env.A.dim), repeat=n - 1):
+                for pr in pairs:
+                    args = [env.basis_a(i) for i in idx]
+                    args.insert(slot, env.pair(*pr))
+                    for elem in closed_form_eval(env, t, args).terms.values():
+                        rows.add(dict(elem.c1))
+    return rows
+
+
+def full_ideal(env: EnvelopePA, sigma) -> RowSpace:
+    """The ideal spanned with every pair of c1_basis in every one-pair slot."""
+    a = env.A
+    w = is_var_dialgebra(a, sigma, derive_variety(sigma))
+    if w is not None:
+        raise InputError(f"dialgebra fails the variety: {w.describe(a.labels)}")
+    rows = one_pair_rows(env, sigma, env.c1_basis)
+    for t in sigma:
+        for idx in itertools.product(range(a.dim), repeat=t.arity):
+            spread = closed_form_eval(env, t, [env.basis_a(i) for i in idx])
+            if not env.is_zero(spread.constant()):
+                raise InputError(f"degree-zero part of {t} at basis tuple {idx} is nonzero; "
+                                 f"the identity fails on A")
+            for exps, elem in spread.terms.items():
+                if any(exps):
+                    rows.add(dict(elem.c1))
+    return rows
+
+
+CASES = [(name, v) for name in CORPUS for v in BUILTIN] + [("gl2", "lie")]
+
+
+@pytest.mark.parametrize("name,variety", CASES, ids=[f"{n}-{v}" for n, v in CASES])
+def test_pruned_ideal_equals_full_enumeration(name, variety):
+    a = leibniz_to_dialgebra(gl2()) if name == "gl2" else CORPUS[name]
+    sigma = builtin_identity_set(variety)
+    env = build_envelope(a)
+    try:
+        want = full_ideal(env, sigma)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            build_var_quotient(env, sigma)
+        assert str(got.value) == str(exc)
+        return
+    vq = build_var_quotient(env, sigma)
+    assert vq.ideal == want
+    assert vq.quotient.c1_basis == EnvelopePA(a, extra_relations=want.rows()).c1_basis
+
+
+@pytest.mark.parametrize("name,variety", CASES, ids=[f"{n}-{v}" for n, v in CASES])
+def test_independent_pairs_span_every_one_pair_row(name, variety):
+    # on the corpus the basis-tuple rows already span the one-pair rows, so
+    # the ideal alone would not see a wrong choice of pairs
+    a = leibniz_to_dialgebra(gl2()) if name == "gl2" else CORPUS[name]
+    sigma = builtin_identity_set(variety)
+    env = build_envelope(a)
+    pairs = independent_pairs(env)
+    images = RowSpace({k: v for (_p, k), v in env.t_act(env.pair(*pr)).c0.items()}
+                      for pr in env.c1_basis)
+    assert len(pairs) == images.rank
+    assert one_pair_rows(env, sigma, pairs) == one_pair_rows(env, sigma, env.c1_basis)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_one_pair_values_depend_only_on_the_t_image(name):
+    env = build_envelope(CORPUS[name])
+    kernel = kernel_of_t(env)
+    assert kernel
+    rng = random.Random(7)
+    d = env.A.dim
+    for n in (2, 3, 4):
+        for word in itertools.product(all_shapes(n), symmetric_group(n)):
+            for slot in range(n):
+                x = env.pair(*rng.choice(env.c1_basis))
+                coeffs = [0] * len(kernel)
+                while not any(coeffs):
+                    coeffs = [rng.randint(-2, 2) for _ in kernel]
+                y = x
+                for c, vec in zip(coeffs, kernel):
+                    y = env.add(y, env.scale(env.from_c1(vec), c))
+                assert env.is_zero(env.add(env.t_act(x), env.scale(env.t_act(y), -1)))
+                assert y.c1 != x.c1
+                rest = [env.basis_a(rng.randrange(d)) for _ in range(n - 1)]
+                xs, ys = list(rest), list(rest)
+                xs.insert(slot, x)
+                ys.insert(slot, y)
+                assert eval_term(env, word, xs).eq(eval_term(env, word, ys)), (word, slot)
+                assert closed_form_eval(env, word, xs).eq(closed_form_eval(env, word, ys))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_closed_forms_of_identities_match_the_recursive_evaluator(name):
+    # the closed form of a polynomial adds its monomials into one accumulator
+    env = build_envelope(CORPUS[name])
+    rng = random.Random(11)
+    d = env.A.dim
+    for variety in BUILTIN:
+        for t in builtin_identity_set(variety):
+            n = t.arity
+            tuples = [[env.basis_a(i) for i in idx] for idx in itertools.product(range(d), repeat=n)]
+            for slot, pr in itertools.product(range(n), env.c1_basis):
+                args = [env.basis_a(rng.randrange(d)) for _ in range(n - 1)]
+                args.insert(slot, env.pair(*pr))
+                tuples.append(args)
+            for args in tuples:
+                assert closed_form_eval(env, t, args).eq(eval_term(env, t, args)), (variety, t)
