@@ -13,13 +13,12 @@ import json
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from . import __version__
 from .conformal import build_rho, embed_associative, verify_representation
 from .envelope import (build_envelope, build_var_quotient, check_var_pseudo,
                        coefficient_dialgebra, oracle_sweep)
-from .errors import InputError, ResourceError
+from .errors import InputError, ResourceError, read_text
 from .fd import FDAlgebra, FDDialgebra, is_var_dialgebra, leibniz_to_dialgebra
 from .operads import ALGS, ALGSE, DIALGS, E, SYM, axiom_check
 from .perms import from_cycles, sym_compose
@@ -78,10 +77,8 @@ def load_leibniz_data(data: dict) -> FDAlgebra:
 
 def _read_json(path: str) -> dict:
     from importlib import resources
-    p = Path(path)
-    if p.exists():
-        text = p.read_text()
-    else:
+    text = read_text(path)
+    if text is None:
         builtin = resources.files("divaria.data").joinpath(path)
         if builtin.is_file():
             text = builtin.read_text()

@@ -122,12 +122,7 @@ class Spread:
     def add(self, other: "Spread") -> "Spread":
         out = dict(self.terms)
         for k, v in other.terms.items():
-            cur = out.get(k)
-            s = v if cur is None else self.alg.add(cur, v)
-            if self.alg.is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
+            _accumulate(self.alg, out, k, v)
         return Spread(self.alg, self.n, out)
 
     def scale(self, coeff) -> "Spread":
@@ -464,14 +459,6 @@ class EnvelopePA(PseudoAlgebra):
 
     def base_product(self, x: CElement, y: CElement) -> list:
         buckets: dict = {}
-
-        def put(p, q, elem):
-            if self.is_zero(elem):
-                return
-            key = (p, q)
-            cur = buckets.get(key)
-            buckets[key] = elem if cur is None else self.add(cur, elem)
-
         a = self.A
         for (k, i), cx in x.c0.items():
             xi_right = a.right[i]
@@ -479,20 +466,20 @@ class EnvelopePA(PseudoAlgebra):
                 c = cx * cy
                 prod = xi_right[j]
                 if not vec_is_zero(prod):
-                    put(k, l, self.from_a(vec_scale(prod, c)))
-                put(k + 1, l, CElement({}, self.rel.reduce({(i, j): -c})))
+                    _accumulate(self, buckets, (k, l), self.from_a(vec_scale(prod, c)))
+                _accumulate(self, buckets, (k + 1, l), CElement({}, self.rel.reduce({(i, j): -c})))
             if y.c1:
                 ty = self._t_of_pairs(y.c1)
                 if not vec_is_zero(ty):
                     elem = CElement({}, self.tensor_pair(a.basis(i), vec_scale(ty, cx)))
-                    put(k, 0, elem)
+                    _accumulate(self, buckets, (k, 0), elem)
         if x.c1:
             tx = self._t_of_pairs(x.c1)
             if not vec_is_zero(tx):
                 for (l, j), cy in y.c0.items():
                     elem = CElement({}, self.tensor_pair(vec_scale(tx, -cy), a.basis(j)))
-                    put(0, l, elem)
-        return [(p, q, e) for (p, q), e in buckets.items() if not self.is_zero(e)]
+                    _accumulate(self, buckets, (0, l), elem)
+        return [(p, q, e) for (p, q), e in buckets.items()]
 
     def generators(self) -> list:
         gens = [(self.A.labels[i], self.basis_a(i)) for i in range(self.A.dim)]
@@ -718,29 +705,25 @@ class VarQuotient:
     quotient: EnvelopePA
 
 
-def independent_pairs(env: EnvelopePA) -> list:
-    """The pairs of c1_basis, in order, whose T-images are independent of
-    the images of the pairs before them: their images are a basis of T(C1)."""
-    images = RowSpace()  # the relations of W are killed by T, so T(pair(i, j)) is the defect
-    return [(i, j) for (i, j) in env.c1_basis
-            if images.add({s: x for s, x in enumerate(env.defects[i][j]) if x})]
-
-
 def build_var_quotient(env: EnvelopePA, sigma: IdentitySet, derived=None) -> VarQuotient:
     """Span the tensor-part coefficients of all identity evaluations on
-    basis tuples (and one-pair tuples), check the degree-zero parts vanish,
-    and quotient by the resulting ideal.
+    basis tuples, check the degree-zero parts vanish, and quotient by the
+    resulting ideal.
 
-    Lemma: on a word of arity >= 2 every product sees a tensor-part
-    argument x only through its defect image T(x) in A, so the value of an
-    identity on a one-pair tuple is linear in T(pair) (IdentitySet refuses
-    arity < 2).  If T(p) = sum c_k T(p_k), the row of p is sum c_k row(p_k),
-    and the one-pair rows of the pairs whose images are independent span
-    those of all pairs.  Only the independent_pairs are evaluated (at most
-    d of them); the RREF of the ideal is canonical, so the ideal and the
-    quotient are the same as with every pair.  This builds a span and
-    nothing else: oracle_sweep, check_var_pseudo and extend_hom check
-    values, not a span, and still enumerate every tuple.
+    Lemma: arguments with one tensor-part entry add no rows.  Let x be a
+    tensor-part element with T.x = delta in A, and v the value of an
+    identity (arity n >= 2, which IdentitySet enforces) with x in slot s.
+    Each slot of a pseudo-algebra word is H-linear, so
+      for s < n:  v(..., T.x, ...) = T_s.v(..., x, ...),
+      for s = n:  v(..., T.x) = -(T_1 + ... + T_{n-1}).v(..., x) + T.const(v),
+    the second after slot n is eliminated (v(..., x) is concentrated in
+    degree zero).  The left side is the value on an A-tuple with delta in
+    slot s; by multilinearity its T-coefficients are combinations of the
+    rows added here.  Multiplying by a nonzero linear form in the T_i is
+    injective on coefficients, so every coefficient of v(..., x, ...), and
+    with it every one-pair row, lies in the span of the basis-tuple rows.
+    This builds a span and nothing else: oracle_sweep, check_var_pseudo and
+    extend_hom check values, not a span, and still enumerate every tuple.
     """
     a = env.A
     d = a.dim
@@ -749,13 +732,10 @@ def build_var_quotient(env: EnvelopePA, sigma: IdentitySet, derived=None) -> Var
     w = is_var_dialgebra(a, sigma, dv)
     if w is not None:
         raise InputError(f"dialgebra fails the variety: {w.describe(a.labels)}")
-    kept = independent_pairs(env)
-    r = len(kept)
     rows = RowSpace()
     for t in sigma:
         n = t.arity
-        guard_tuples(d ** n + n * d ** (n - 1) * r,
-                     f"{d}^{n} basis tuples and {n}*{d}^{n - 1}*{r} one-pair tuples")
+        guard_tuples(d ** n, f"{d}^{n} basis tuples")
         for idx in itertools.product(range(d), repeat=n):
             args = [env.basis_a(i) for i in idx]
             spread = closed_form_eval(env, t, args)
@@ -769,18 +749,6 @@ def build_var_quotient(env: EnvelopePA, sigma: IdentitySet, derived=None) -> Var
                     if elem.c0:
                         raise InputError("unexpected free part in ideal generator")
                     rows.add(dict(elem.c1))
-        for slot in range(1, n + 1):
-            for idx in itertools.product(range(d), repeat=n - 1):
-                for pr in kept:
-                    args = []
-                    it = iter(idx)
-                    for pos in range(1, n + 1):
-                        args.append(env.pair(*pr) if pos == slot else env.basis_a(next(it)))
-                    spread = closed_form_eval(env, t, args)
-                    for exps, elem in spread.terms.items():
-                        if any(exps) or elem.c0:
-                            raise InputError("one-pair evaluation is not concentrated in degree zero")
-                        rows.add(dict(elem.c1))
     quotient = EnvelopePA(a, extra_relations=rows.rows())
     return VarQuotient(env, rows, quotient)
 

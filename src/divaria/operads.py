@@ -271,6 +271,8 @@ def axiom_check(op: Operad, max_arity: int, trials: int, seed: int) -> OperadRep
     """Randomized verification of associativity, unit law and equivariance."""
     if max_arity < 1:
         raise InputError("max_arity must be >= 1")
+    if trials < 1:
+        raise InputError(f"trials must be >= 1, got {trials}")
     rng = Random(seed)
     report = OperadReport(op.name, max_arity, trials, seed)
     counts = {"assoc": 0, "unit": 0, "equivariance": 0}

@@ -8,10 +8,9 @@ uniformly.
 from __future__ import annotations
 
 from importlib import resources
-from pathlib import Path
 
 from .dsl import parse_variety
-from .errors import InputError
+from .errors import InputError, read_text
 from .operads import IdentitySet
 
 BUILTIN = ("associative", "commutative", "alternative", "lie", "jordan")
@@ -29,9 +28,9 @@ def builtin_identity_set(name: str) -> IdentitySet:
 
 def load_variety(spec: str) -> IdentitySet:
     """Resolve a path, a builtin name, or a builtin name with .var suffix."""
-    p = Path(spec)
-    if p.exists():
-        return parse_variety(p.read_text())
+    text = read_text(spec)
+    if text is not None:
+        return parse_variety(text)
     stem = spec[:-4] if spec.endswith(".var") else spec
     if stem in BUILTIN:
         return builtin_identity_set(stem)

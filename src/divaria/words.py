@@ -147,29 +147,23 @@ def graft(outer: Shape, inners: Sequence[Shape]) -> Shape:
     """Replace leaf i of outer by inners[i-1], left to right."""
     if len(inners) != outer.arity:
         raise InputError("graft arity mismatch")
-    it = iter(inners)
-
-    def rec(s: Shape) -> Shape:
-        if s.is_leaf:
-            return next(it)
-        left = rec(s.left)
-        return node(left, rec(s.right))
-
-    return rec(outer)
+    return _graft(outer, iter(inners))
 
 
 def graft_di(outer: DiShape, inners: Sequence[DiShape]) -> DiShape:
     if len(inners) != outer.arity:
         raise InputError("graft arity mismatch")
-    it = iter(inners)
+    return _graft(outer, iter(inners))
 
-    def rec(s: DiShape) -> DiShape:
-        if s.is_leaf:
-            return next(it)
-        left = rec(s.left)
-        return dinode(s.label, left, rec(s.right))
 
-    return rec(outer)
+def _graft(s, it):
+    """graft on a Shape or a DiShape, consuming the inners from it (module
+    level for the reason given at _fold)."""
+    if s.is_leaf:
+        return next(it)
+    left = _graft(s.left, it)
+    right = _graft(s.right, it)
+    return node(left, right) if isinstance(s, Shape) else dinode(s.label, left, right)
 
 
 def center_leaf_position(ds: DiShape) -> int:
@@ -302,17 +296,15 @@ class TermPoly:
         return f"{type(self).__name__}({self})"
 
 
-def _render_tree(shape, perm: Perm, symbol: Callable) -> str:
-    counter = [0]
-
-    def rec(s, top: bool) -> str:
-        if s.is_leaf:
-            counter[0] += 1
-            return f"x{perm[counter[0] - 1]}"
-        body = f"{rec(s.left, False)}{symbol(s)}{rec(s.right, False)}"
-        return body if top else f"({body})"
-
-    return rec(shape, True)
+def _render_tree(s, variables, symbol: Callable, top: bool = True) -> str:
+    """The word of shape s whose leaves, left to right, read their variable
+    indices from the iterator variables (module level for the reason given
+    at _fold)."""
+    if s.is_leaf:
+        return f"x{next(variables)}"
+    left = _render_tree(s.left, variables, symbol, False)
+    body = f"{left}{symbol(s)}{_render_tree(s.right, variables, symbol, False)}"
+    return body if top else f"({body})"
 
 
 class MultilinearPoly(TermPoly):
@@ -336,7 +328,7 @@ class MultilinearPoly(TermPoly):
 
     @staticmethod
     def _render_mono(mono):
-        return _render_tree(mono[0], mono[1], lambda s: "*")
+        return _render_tree(mono[0], iter(mono[1]), lambda s: "*")
 
     @classmethod
     def monomial(cls, shape: Shape, perm: Perm, coeff=1) -> "MultilinearPoly":
@@ -364,7 +356,7 @@ class DiPoly(TermPoly):
 
     @staticmethod
     def _render_mono(mono):
-        return _render_tree(mono[0], mono[1], lambda s: OP_SYMBOL[s.label])
+        return _render_tree(mono[0], iter(mono[1]), lambda s: OP_SYMBOL[s.label])
 
     @classmethod
     def monomial(cls, shape: DiShape, perm: Perm, coeff=1) -> "DiPoly":
@@ -394,7 +386,7 @@ class TensorPoly(TermPoly):
 
     @staticmethod
     def _render_mono(mono):
-        word = _render_tree(mono[0], mono[1], lambda s: "*")
+        word = _render_tree(mono[0], iter(mono[1]), lambda s: "*")
         return f"({word})@e{mono[2]}"
 
     @classmethod

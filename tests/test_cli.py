@@ -131,6 +131,40 @@ def test_malformed_dialgebra_exits_2(tmp_path, capsys, data, message):
     assert out.out == "" and message in out.err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["envelope", "--dialgebra", "DIR", "--variety", "lie"], "cannot read"),
+    (["envelope", "--dialgebra", "LATIN1", "--variety", "lie"], "not UTF-8 text"),
+    (["represent", "--leibniz", "DIR"], "cannot read"),
+    (["represent", "--leibniz", "LATIN1"], "not UTF-8 text"),
+    (["derive", "--variety", "DIR"], "cannot read"),
+    (["derive", "--variety", "LATIN1"], "not UTF-8 text"),
+    (["check", "--dialgebra", "LONG", "--variety", "lie"], "cannot read"),
+    (["derive", "--variety", "LONG"], "cannot read"),
+], ids=["dialgebra-dir", "dialgebra-latin1", "leibniz-dir", "leibniz-latin1",
+        "variety-dir", "variety-latin1", "dialgebra-long-name", "variety-long-name"])
+def test_unreadable_input_exits_2(tmp_path, capsys, argv, message):
+    (tmp_path / "dir").mkdir()
+    latin1 = tmp_path / "latin1"
+    if argv[0] == "derive":
+        latin1.write_bytes("variety caf\u00e9\nidentity x1*x2 - x2*x1\n".encode("latin-1"))
+    else:
+        latin1.write_bytes(json.dumps({**LEIBNIZ2, "labels": ["\u00e9", "e2"]},
+                                      ensure_ascii=False).encode("latin-1"))
+    # a file name longer than the file system allows (255 bytes on Linux)
+    paths = {"DIR": str(tmp_path / "dir"), "LATIN1": str(latin1),
+             "LONG": str(tmp_path / ("x" * 300))}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_operad_selftest_refuses_no_trials(capsys, trials):
+    assert main(["operad-selftest", "--trials", trials, "--json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"trials must be >= 1, got {trials}" in out.err
+
+
 def test_represent_rejects_bool_dim(tmp_path, capsys):
     f = tmp_path / "g.json"
     f.write_text(json.dumps({"dim": True, "bracket": [[[0]]]}))
@@ -164,7 +198,7 @@ def test_represent_refuses_gl3_up_front(tmp_path, capsys):
     (7, ["check", "--dialgebra", "leibniz2.json", "--variety", "lie"],
      "2^3 basis tuples: 8 tuples exceed the enumeration bound 7"),
     (8, ["envelope", "--dialgebra", "leibniz2.json", "--variety", "lie"],
-     "2^3 basis tuples and 3*2^2*1 one-pair tuples: 20 tuples exceed the enumeration bound 8"),
+     "4^3 generator tuples: 64 tuples exceed the enumeration bound 8"),
     (200_000, ["envelope", "--dialgebra", "leibniz2.json", "--verify", "--max-arity", "7"],
      "words of degree 7 on 2^7 basis tuples: 85155840 tuples exceed the enumeration bound"),
     (2000, ["represent", "--leibniz", "GL2"],

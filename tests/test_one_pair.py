@@ -1,14 +1,14 @@
-"""One-pair tuples: the value of a word of arity >= 2 sees its tensor-part
-argument only through the T-image, which is what lets build_var_quotient
-evaluate one pair per independent image instead of every pair."""
+"""One-pair tuples: the value of a word of arity >= 2 is H-linear in its
+tensor-part argument, which is why build_var_quotient spans its ideal from
+basis tuples alone."""
 
 import itertools
 import random
 
 import pytest
 
-from divaria.envelope import (EnvelopePA, build_envelope, build_var_quotient,
-                              closed_form_eval, eval_term, independent_pairs)
+from divaria.envelope import (EnvelopePA, Spread, build_envelope, build_var_quotient,
+                              closed_form_eval, eval_term)
 from divaria.errors import InputError
 from divaria.fd import FDAlgebra, corpus, is_var_dialgebra, leibniz_to_dialgebra
 from divaria.linalg import RowSpace
@@ -101,18 +101,33 @@ def test_pruned_ideal_equals_full_enumeration(name, variety):
     assert vq.quotient.c1_basis == EnvelopePA(a, extra_relations=want.rows()).c1_basis
 
 
-@pytest.mark.parametrize("name,variety", CASES, ids=[f"{n}-{v}" for n, v in CASES])
-def test_independent_pairs_span_every_one_pair_row(name, variety):
-    # on the corpus the basis-tuple rows already span the one-pair rows, so
-    # the ideal alone would not see a wrong choice of pairs
-    a = leibniz_to_dialgebra(gl2()) if name == "gl2" else CORPUS[name]
-    sigma = builtin_identity_set(variety)
-    env = build_envelope(a)
-    pairs = independent_pairs(env)
-    images = RowSpace({k: v for (_p, k), v in env.t_act(env.pair(*pr)).c0.items()}
-                      for pr in env.c1_basis)
-    assert len(pairs) == images.rank
-    assert one_pair_rows(env, sigma, pairs) == one_pair_rows(env, sigma, env.c1_basis)
+@pytest.mark.parametrize("evaluate", [eval_term, closed_form_eval], ids=["recursive", "closed"])
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_one_pair_values_are_h_linear(name, evaluate):
+    # the lemma of build_var_quotient: with T.x in slot s instead of x,
+    # v becomes T_s.v for s < n and -(T_1 + ... + T_{n-1}).v + T.const(v) for s = n
+    env = build_envelope(CORPUS[name])
+    rng = random.Random(5)
+    d = env.A.dim
+    for n in (2, 3, 4):
+        zero = (0,) * (n - 1)
+        units = [tuple(int(i == j) for i in range(n - 1)) for j in range(n - 1)]
+        for word in itertools.product(all_shapes(n), symmetric_group(n)):
+            for slot in range(n):
+                for pr in env.c1_basis:
+                    x = env.pair(*pr)
+                    rest = [env.basis_a(rng.randrange(d)) for _ in range(n - 1)]
+                    v = evaluate(env, word, rest[:slot] + [x] + rest[slot:])
+                    const = v.constant()
+                    # concentrated in degree zero and in the tensor part
+                    assert set(v.terms) <= {zero} and not const.c0, (word, slot, pr)
+                    if slot < n - 1:
+                        want = {units[slot]: const}
+                    else:
+                        want = {u: env.scale(const, -1) for u in units}
+                        want[zero] = env.t_act(const)
+                    got = evaluate(env, word, rest[:slot] + [env.t_act(x)] + rest[slot:])
+                    assert got.eq(Spread(env, n, want)), (word, slot, pr)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
