@@ -101,6 +101,27 @@ def test_pruned_ideal_equals_full_enumeration(name, variety):
     assert vq.quotient.c1_basis == EnvelopePA(a, extra_relations=want.rows()).c1_basis
 
 
+def basis_tuple_rows(env: EnvelopePA, sigma) -> RowSpace:
+    """The span of the identity values on basis tuples at nonzero exponents."""
+    rows = RowSpace()
+    for t in sigma:
+        for idx in itertools.product(range(env.A.dim), repeat=t.arity):
+            for exps, elem in closed_form_eval(env, t, [env.basis_a(i) for i in idx]).terms.items():
+                if any(exps):
+                    rows.add(dict(elem.c1))
+    return rows
+
+
+@pytest.mark.parametrize("name,variety", CASES, ids=[f"{n}-{v}" for n, v in CASES])
+def test_independent_pairs_span_every_one_pair_row(name, variety):
+    # the conclusion of the lemma of build_var_quotient: the basis-tuple rows
+    # span the one-pair rows of every pair, also where A fails the variety
+    a = leibniz_to_dialgebra(gl2()) if name == "gl2" else CORPUS[name]
+    sigma = builtin_identity_set(variety)
+    env = build_envelope(a)
+    assert one_pair_rows(env, sigma, env.c1_basis) <= basis_tuple_rows(env, sigma)
+
+
 @pytest.mark.parametrize("evaluate", [eval_term, closed_form_eval], ids=["recursive", "closed"])
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_one_pair_values_are_h_linear(name, evaluate):
