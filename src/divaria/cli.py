@@ -10,18 +10,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
 
 from . import __version__
 from .conformal import build_rho, embed_associative, verify_representation
-from .envelope import (build_envelope, build_var_quotient, check_var_pseudo,
-                       coefficient_dialgebra, oracle_sweep)
+from .envelope import build_envelope, build_var_quotient, oracle_sweep
 from .errors import InputError, ResourceError, read_text
 from .fd import FDAlgebra, FDDialgebra, is_var_dialgebra, leibniz_to_dialgebra
 from .operads import ALGS, ALGSE, DIALGS, E, SYM, axiom_check
 from .perms import from_cycles, sym_compose
+from .pseudo import check_var_pseudo, coefficient_dialgebra
 from .translate import derive_variety, rewrite_single_op
 from .varieties import load_variety
 
@@ -33,8 +34,18 @@ OPERADS = (SYM, E, ALGS, DIALGS, ALGSE)
 # ---------------------------------------------------------------------------
 
 def _fraction(x) -> Fraction:
+    """An int, or a "p", "p/q" or decimal string, as a Fraction.
+
+    Exponent notation is refused ("1e999999999" would build 10^999999999),
+    and so is a run of more digits than Python converts (sys.get_int_max_str_digits)."""
     if isinstance(x, bool):
         raise InputError(f"bad rational {x!r}")
+    if isinstance(x, str):
+        if "e" in x.lower():
+            raise InputError(f"bad rational {x!r} (no exponent notation)")
+        limit = sys.get_int_max_str_digits()
+        if limit and any(len(run) > limit for run in re.findall(r"\d+", x)):
+            raise InputError(f"bad rational {x[:20]!r}... (more than {limit} digits)")
     if isinstance(x, (int, str)):
         try:
             return Fraction(x)
@@ -86,7 +97,7 @@ def _read_json(path: str) -> dict:
             raise InputError(f"file not found: {path}")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: not a JSON object")
@@ -303,6 +314,13 @@ def main(argv=None) -> int:
         code = args.fn(args)
     except (InputError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # str() refuses an int of more than sys.get_int_max_str_digits() digits,
+        # and results grow from inputs that are just under it
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: a result is too large to print: {exc}", file=sys.stderr)
         return 2
     print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
     return code

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .current import CurrentPA, PolyMat
-from .envelope import CoefficientDialgebra, coefficient_dialgebra
 from .errors import InputError, guard_tuples
 from .fd import FDAlgebra, FDDialgebra, Vec, leibniz_to_dialgebra
 from .linalg import RowSpace, add_term, vec_axpy
+from .pseudo import CoefficientDialgebra, coefficient_dialgebra
 from .translate import derive_variety, zero_dialgebra_axioms
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .envelope import PseudoAlgebra
 from .errors import InputError
 from .linalg import add_term, vec_axpy
+from .pseudo import PseudoAlgebra
 
 PolyMat = dict  # {(k, r, c): coeff}, coeff an int or a Fraction, never a float
 

@@ -19,6 +19,7 @@ per monomial, with n the arity (checked; 'vars' only documents it).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from .words import (DiPoly, DILEAF, dinode, LEAF, LPROD, MultilinearPoly,
                     node, RPROD, TermPoly)
 
 _OPS = ("|-", "-|", "*")
+_DIGITS = "0123456789"
 
 
 @dataclass
@@ -43,6 +45,18 @@ class ParseError(InputError):
         super().__init__(f"line {line}, column {col}: {msg}")
         self.line = line
         self.col = col
+
+
+def _digit_run(line: str, i: int, ln: int) -> int:
+    """The end of the run of ASCII digits that starts at i.  A run longer
+    than Python converts to an int (sys.get_int_max_str_digits) is an error."""
+    j = i
+    while j < len(line) and line[j] in _DIGITS:
+        j += 1
+    limit = sys.get_int_max_str_digits()
+    if limit and j - i > limit:
+        raise ParseError(f"a number of more than {limit} digits", ln, i + 1)
+    return j
 
 
 def tokenize(text: str) -> list[Token]:
@@ -75,14 +89,10 @@ def tokenize(text: str) -> list[Token]:
             elif ch == "-":
                 out.append(Token("minus", ch, ln, col))
                 i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(line) and line[j].isdigit():
-                    j += 1
+            elif ch in _DIGITS:
+                j = _digit_run(line, i, ln)
                 if j < len(line) and line[j] == "/":
-                    k = j + 1
-                    while k < len(line) and line[k].isdigit():
-                        k += 1
+                    k = _digit_run(line, j + 1, ln)
                     if k == j + 1:
                         raise ParseError("missing denominator", ln, j + 2)
                     out.append(Token("num", line[i:k], ln, col))
@@ -90,10 +100,8 @@ def tokenize(text: str) -> list[Token]:
                 else:
                     out.append(Token("num", line[i:j], ln, col))
                     i = j
-            elif ch == "x" and i + 1 < len(line) and line[i + 1].isdigit():
-                j = i + 1
-                while j < len(line) and line[j].isdigit():
-                    j += 1
+            elif ch == "x" and i + 1 < len(line) and line[i + 1] in _DIGITS:
+                j = _digit_run(line, i + 1, ln)
                 out.append(Token("var", line[i:j], ln, col))
                 i = j
             elif ch.isalpha() or ch == "_":

@@ -1,346 +1,35 @@
-"""Pseudo-algebras over the one-variable polynomial Hopf algebra.
+"""The enveloping pseudo-algebra of a zero-dialgebra A, its variety quotients
+and homomorphisms out of it.
 
-Values of an n-ary operation live in H^{(x)n} (x)_H C.  We keep them
-*normalized*: a polynomial in formal variables T_1..T_{n-1} with
-coefficients in C (slot n eliminated through the standard isomorphism,
-which for a slot-n power T^k expands through the iterated coproduct and
-the antipode signs).  Normalized values are canonical, so equality is a
-dictionary comparison.
-
-Two pseudo-algebra families implement the element protocol:
-
-- EnvelopePA: the enveloping pseudo-algebra of a zero-dialgebra A, built
-  on (k[T] (x) A) (+) (A (x) A)/W.  W always contains the span of
-  defect(x)defect tensors; variety quotients enlarge it by an ideal that
-  the closed forms produce.
-- CurrentPA (current module): polynomial matrices with the product
-  concentrated in degree zero, plus its commutator variant.
+EnvelopePA is built on (k[T] (x) A) (+) (A (x) A)/W.  W always contains
+the span of defect(x)defect tensors; variety quotients enlarge it by an
+ideal that the closed forms produce.
 
 The closed-form evaluator assembles values of words on A-arguments (and
 on arguments with a single (A(x)A)-entry) directly from dialgebra
 evaluations of labeled words; it is the independent oracle against the
-recursive pseudo-product evaluator, and the two are compared term by
-term in the test suite before the closed forms are trusted anywhere.
+recursive pseudo-product evaluator of the pseudo module, and the two are
+compared term by term in the test suite before the closed forms are
+trusted anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import perms
-from .errors import InputError, ResourceError, guard_tuples
+from .errors import InputError, guard_tuples
 from .fd import FDDialgebra, Vec, is_zero_dialgebra, vec_add, vec_is_zero, vec_scale
-from .hopf import coproduct_splits
-from .linalg import RowSpace, add_term, rational, vec_axpy
+from .linalg import RowSpace, add_term, vec_axpy
 from .operads import IdentitySet
+from .pseudo import (CoefficientDialgebra, PseudoAlgebra, Spread, accumulate, eval_term, kept,
+                     leaf_spread, n_product, pseudo_product)
+from .pseudo import check_var_pseudo  # noqa: F401  (callers import it from here too)
 from .translate import derive_variety
-from .words import MultilinearPoly, Shape, TensorPoly, all_shapes, eval_shape_tree
-
-DEFAULT_DEGREE_CAP = 16
-
-
-def degree_cap() -> int:
-    raw = os.environ.get("DIVARIA_MAX_DEGREE")
-    if not raw:
-        return DEFAULT_DEGREE_CAP
-    if not raw.isdecimal():
-        raise InputError(f"DIVARIA_MAX_DEGREE must be a non-negative integer, got {raw!r}")
-    return int(raw)
-
-
-# ---------------------------------------------------------------------------
-# element protocol
-# ---------------------------------------------------------------------------
-
-class PseudoAlgebra:
-    """Base pseudo-product data: a module with a T-action and a binary
-    pseudo-product returned as [(p, q, element)] terms meaning
-    T^p (x) T^q (x)_H element."""
-
-    def zero(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def scale(self, a, coeff):
-        raise NotImplementedError
-
-    def t_act(self, a):
-        raise NotImplementedError
-
-    def is_zero(self, a) -> bool:
-        raise NotImplementedError
-
-    def base_product(self, x, y) -> list:
-        raise NotImplementedError
-
-    def generators(self) -> list:
-        """[(name, element)] spanning the algebra over k[T] (plus torsion part)."""
-        raise NotImplementedError
-
-    def describe(self, a) -> str:
-        return repr(a)
-
-    def t_pow(self, a, k: int):
-        for _ in range(k):
-            a = self.t_act(a)
-        return a
-
-    def eq(self, a, b) -> bool:
-        return self.is_zero(self.add(a, self.scale(b, -1)))
-
-
-# ---------------------------------------------------------------------------
-# normalized spread elements
-# ---------------------------------------------------------------------------
-
-class Spread:
-    """Polynomial in T_1..T_{n-1} with coefficients in the algebra."""
-
-    __slots__ = ("alg", "n", "terms")
-
-    def __init__(self, alg: PseudoAlgebra, n: int, terms: dict | None = None):
-        self.alg = alg
-        self.n = n
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                if not alg.is_zero(v):
-                    self.terms[k] = v
-
-    def constant(self):
-        return self.terms.get((0,) * (self.n - 1), self.alg.zero())
-
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.alg.zero())
-
-    def add(self, other: "Spread") -> "Spread":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _accumulate(self.alg, out, k, v)
-        return Spread(self.alg, self.n, out)
-
-    def scale(self, coeff) -> "Spread":
-        if not coeff:
-            return Spread(self.alg, self.n)
-        return Spread(self.alg, self.n, {k: self.alg.scale(v, coeff) for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def eq(self, other: "Spread") -> bool:
-        return self.add(other.scale(-1)).is_zero()
-
-    def describe(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for exps in sorted(self.terms):
-            mon = "*".join(f"T{i + 1}^{e}" if e > 1 else f"T{i + 1}"
-                           for i, e in enumerate(exps) if e) or "1"
-            bits.append(f"{mon}.({self.alg.describe(self.terms[exps])})")
-        return " + ".join(bits)
-
-
-def _accumulate(alg, acc: dict, key: tuple, elem, coeff=1):
-    if coeff != 1:
-        elem = alg.scale(elem, coeff)
-    if alg.is_zero(elem):
-        return
-    cur = acc.get(key)
-    s = elem if cur is None else alg.add(cur, elem)
-    if alg.is_zero(s):
-        acc.pop(key, None)
-    else:
-        acc[key] = s
-
-
-def _normalize_into(alg, acc: dict, full_exps: tuple, elem, coeff=1):
-    """Add the unnormalized term T^{full_exps} (x)_H elem (slot count n =
-    len(full_exps)); the slot-n power is eliminated via the coproduct."""
-    cap = degree_cap()
-    if any(e > cap for e in full_exps):
-        raise ResourceError(f"T-degree {max(full_exps)} exceeds cap {cap}")
-    n = len(full_exps)
-    kn = full_exps[-1]
-    if kn == 0:
-        _accumulate(alg, acc, full_exps[:-1], elem, coeff)
-        return
-    for split, multi in coproduct_splits(kn, n):
-        sign = -1 if (kn - split[-1]) & 1 else 1
-        shifted = alg.t_pow(elem, split[-1])
-        key = tuple(full_exps[i] + split[i] for i in range(n - 1))
-        _accumulate(alg, acc, key, shifted, coeff * sign * multi)
-
-
-def normalize(alg, hs: Sequence[Sequence], c) -> Spread:
-    """Normalize h_1 (x) ... (x) h_n (x)_H c to a polynomial in T_1..T_{n-1}.
-
-    Each h_i is a T-polynomial given by its coefficient sequence (index =
-    power).  The last slot is eliminated through the coproduct and the
-    antipode; slot-i coefficients stay put.
-    """
-    n = len(hs)
-    if n < 1:
-        raise InputError("need at least one tensor slot")
-    acc: dict = {}
-    for exps in itertools.product(*[range(len(h)) for h in hs]):
-        coeff = math.prod(rational(h[e]) for h, e in zip(hs, exps))
-        if coeff:
-            _normalize_into(alg, acc, tuple(exps), c, coeff)
-    return Spread(alg, n, acc)
-
-
-def leaf_spread(alg, x) -> Spread:
-    return Spread(alg, 1, {(): x})
-
-
-def pseudo_product(alg, f: Spread, g: Spread) -> Spread:
-    """Expansion of the base pseudo-product over two normalized factors."""
-    k, m = f.n, g.n
-    acc: dict = {}
-    for mu, fe in f.terms.items():
-        for nu, ge in g.terms.items():
-            for p, q, c in alg.base_product(fe, ge):
-                if alg.is_zero(c):
-                    continue
-                for ps, m1 in coproduct_splits(p, k):
-                    for qs, m2 in coproduct_splits(q, m):
-                        full = (tuple(mu[i] + ps[i] for i in range(k - 1)) + (ps[-1],)
-                                + tuple(nu[i] + qs[i] for i in range(m - 1)) + (qs[-1],))
-                        _normalize_into(alg, acc, full, c, m1 * m2)
-    return Spread(alg, k + m, acc)
-
-
-def act_spread(alg, f: Spread, sigma) -> Spread:
-    """Slot relabeling T_i -> T_{i*sigma} followed by renormalization."""
-    n = f.n
-    if perms.is_identity(sigma):
-        return f
-    acc: dict = {}
-    for exps, elem in f.terms.items():
-        full = exps + (0,)
-        moved = [0] * n
-        for i in range(n):
-            moved[sigma[i] - 1] = full[i]
-        _normalize_into(alg, acc, tuple(moved), elem)
-    return Spread(alg, n, acc)
-
-
-def eval_term(alg, t, args: Sequence) -> Spread:
-    """Recursive pseudo-product evaluation of a word or polynomial.
-
-    A monomial (shape, sigma) evaluates the plain shape on the permuted
-    arguments and then twists the slots by sigma.
-    """
-    if isinstance(t, MultilinearPoly):
-        if t.arity != len(args):
-            raise InputError("arity mismatch")
-        acc = Spread(alg, t.arity)
-        for mono, coeff in t.terms.items():
-            acc = acc.add(eval_term(alg, mono, args).scale(coeff))
-        return acc
-    shape, sigma = t
-    if shape.arity != len(args):
-        raise InputError("arity mismatch")
-    permuted = [args[s - 1] for s in sigma]
-    return act_spread(alg, _eval_plain(alg, shape, permuted), sigma)
-
-
-def _eval_plain(alg, shape: Shape, args) -> Spread:
-    if shape.is_leaf:
-        return leaf_spread(alg, args[0])
-    m = shape.left.arity
-    return pseudo_product(alg,
-                          _eval_plain(alg, shape.left, args[:m]),
-                          _eval_plain(alg, shape.right, args[m:]))
-
-
-def n_product(alg, x, y, n: int):
-    """x o_n y: the T_1^n coefficient of the normalized product x*y."""
-    prod = pseudo_product(alg, leaf_spread(alg, x), leaf_spread(alg, y))
-    return prod.coefficient((n,))
-
-
-@dataclass
-class CoefficientDialgebra:
-    """The two coefficient operations of a pseudo-algebra."""
-
-    alg: PseudoAlgebra
-
-    def rprod(self, x, y):
-        out = self.alg.zero()
-        for p, q, c in self.alg.base_product(x, y):
-            if p == 0:
-                out = self.alg.add(out, self.alg.t_pow(c, q))
-        return out
-
-    def lprod(self, x, y):
-        out = self.alg.zero()
-        for p, q, c in self.alg.base_product(x, y):
-            if q == 0:
-                out = self.alg.add(out, self.alg.t_pow(c, p))
-        return out
-
-    def eval_dipoly(self, p, args):
-        acc = self.alg.zero()
-        for (shape, perm), coeff in p.terms.items():
-            leaves = [args[perm[k] - 1] for k in range(shape.arity)]
-            val = eval_shape_tree(shape, leaves, None, (self.lprod, self.rprod))
-            acc = self.alg.add(acc, self.alg.scale(val, coeff))
-        return acc
-
-
-def coefficient_dialgebra(alg: PseudoAlgebra) -> CoefficientDialgebra:
-    return CoefficientDialgebra(alg)
-
-
-def epsilon_eval(alg, f, args) -> object:
-    """Counit-collapse of a tensor element evaluated on args.
-
-    For f0 (x) e_i only the slot-i variable survives; its power acts
-    through T on the coefficient.  Accepts a TensorPoly or a single
-    (shape, perm, center) monomial.
-    """
-    if isinstance(f, TensorPoly):
-        acc = alg.zero()
-        for mono, coeff in f.terms.items():
-            acc = alg.add(acc, alg.scale(epsilon_eval(alg, mono, args), coeff))
-        return acc
-    shape, sigma, center = f
-    spread = eval_term(alg, (shape, sigma), args)
-    n = shape.arity
-    out = alg.zero()
-    if center == n:
-        return spread.constant()
-    for exps, elem in spread.terms.items():
-        if all(e == 0 for i, e in enumerate(exps) if i != center - 1):
-            out = alg.add(out, alg.t_pow(elem, exps[center - 1]))
-    return out
-
-
-def check_var_pseudo(alg: PseudoAlgebra, sigma: IdentitySet):
-    """Evaluate every defining identity on all generator tuples.
-
-    Returns None on success or a (identity, generator names, spread)
-    witness.  Generator tuples suffice by multilinearity of the expanded
-    pseudo-product over H.
-    """
-    gens = alg.generators()
-    for t in sigma:
-        n = t.arity
-        guard_tuples(len(gens) ** n, f"{len(gens)}^{n} generator tuples")
-        for combo in itertools.product(gens, repeat=n):
-            names = tuple(name for name, _ in combo)
-            spread = eval_term(alg, t, [el for _, el in combo])
-            if not spread.is_zero():
-                return (t, names, spread)
-    return None
+from .words import MultilinearPoly, Shape, all_shapes
 
 
 # ---------------------------------------------------------------------------
@@ -466,19 +155,19 @@ class EnvelopePA(PseudoAlgebra):
                 c = cx * cy
                 prod = xi_right[j]
                 if not vec_is_zero(prod):
-                    _accumulate(self, buckets, (k, l), self.from_a(vec_scale(prod, c)))
-                _accumulate(self, buckets, (k + 1, l), CElement({}, self.rel.reduce({(i, j): -c})))
+                    accumulate(self, buckets, (k, l), self.from_a(vec_scale(prod, c)))
+                accumulate(self, buckets, (k + 1, l), CElement({}, self.rel.reduce({(i, j): -c})))
             if y.c1:
                 ty = self._t_of_pairs(y.c1)
                 if not vec_is_zero(ty):
                     elem = CElement({}, self.tensor_pair(a.basis(i), vec_scale(ty, cx)))
-                    _accumulate(self, buckets, (k, 0), elem)
+                    accumulate(self, buckets, (k, 0), elem)
         if x.c1:
             tx = self._t_of_pairs(x.c1)
             if not vec_is_zero(tx):
                 for (l, j), cy in y.c0.items():
                     elem = CElement({}, self.tensor_pair(vec_scale(tx, -cy), a.basis(j)))
-                    _accumulate(self, buckets, (0, l), elem)
+                    accumulate(self, buckets, (0, l), elem)
         return [(p, q, e) for (p, q), e in buckets.items()]
 
     def generators(self) -> list:
@@ -498,6 +187,13 @@ class EnvelopePA(PseudoAlgebra):
         return " + ".join(bits) if bits else "0"
 
     # -- classification ------------------------------------------------------
+
+    def basis_index(self, x: CElement) -> int | None:
+        if not x.c1 and len(x.c0) == 1:
+            ((k, i), v), = x.c0.items()
+            if k == 0 and v == 1:
+                return i
+        return None
 
     def pure_a(self, x: CElement) -> Vec | None:
         if x.c1:
@@ -562,13 +258,20 @@ def _plain_closed(env: EnvelopePA, shape: Shape, avecs: list):
     return env.A.rprod(x0l, y0), xs
 
 
-def _closed_mono_a(env: EnvelopePA, mono, avecs: list) -> tuple[Vec, dict]:
+def _closed_mono_a(env: EnvelopePA, mono, avecs: list, idx) -> tuple[Vec, dict]:
     """Closed form of a (possibly twisted) word on A arguments:
-    (x0, {j: pair dict x_j}) for the value x0 - sum_j T_j [x_j]."""
+    (x0, {j: pair dict x_j}) for the value x0 - sum_j T_j [x_j].
+
+    idx is the arguments' basis-index tuple, or None; on basis tuples the
+    plain value is kept in env's own table, apart from eval_term's."""
     shape, sigma = mono
     n = shape.arity
     permuted = [avecs[s - 1] for s in sigma]
-    y0, ys = _plain_closed(env, shape, permuted)
+    if idx is None:
+        y0, ys = _plain_closed(env, shape, permuted)
+    else:
+        y0, ys = kept(env, "_closed", shape, tuple(idx[s - 1] for s in sigma),
+                       lambda: _plain_closed(env, shape, permuted))
     inv = perms.inverse(sigma)
     if sigma[n - 1] == n:
         x0 = y0
@@ -636,10 +339,15 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
             _add_scaled(acc, zero, coeff, _closed_d_plain(env, shape, [vals[g - 1] for g in sigma],
                                                           perms.inverse(sigma)[slots[0] - 1]))
         return Spread(env, n, {k: env.from_c1(v) for k, v in acc.items() if v})
+    idx = None
+    if not poly:  # as in eval_term, only a word keeps its plain values
+        idx = tuple(map(env.basis_index, args))
+        if None in idx:
+            idx = None
     x0 = None
     xs: dict = {}  # j -> the tensor part of the T_j coefficient: -sum of coeff * x_j
     for mono, coeff in monos:
-        y0, ys = _closed_mono_a(env, mono, vals)
+        y0, ys = _closed_mono_a(env, mono, vals, idx)
         if coeff != 1:
             y0 = vec_scale(y0, coeff)
         x0 = y0 if x0 is None else vec_add(x0, y0)

@@ -256,6 +256,19 @@ def sl2() -> FDAlgebra:
     return FDAlgebra(t, ("e", "f", "h"))
 
 
+def gl(n: int) -> FDAlgebra:
+    """The commutator Lie algebra of the n x n matrix units E_ij."""
+    units = [(i, j) for i in range(n) for j in range(n)]
+    table = [[[0] * n * n for _ in units] for _ in units]
+    for a, (i, j) in enumerate(units):
+        for b, (k, l) in enumerate(units):  # [E_ij, E_kl] = [j = k] E_il - [l = i] E_kj
+            if j == k:
+                table[a][b][i * n + l] += 1
+            if l == i:
+                table[a][b][k * n + j] -= 1
+    return FDAlgebra(table, [f"E{i + 1}{j + 1}" for i, j in units])
+
+
 def upper_triangular2() -> FDAlgebra:
     """2x2 upper triangular matrices, basis (E11, E12, E22); associative."""
     t = _z(3)

@@ -1,0 +1,371 @@
+"""Pseudo-algebras over the one-variable polynomial Hopf algebra H = k[T].
+
+Values of an n-ary operation live in H^{(x)n} (x)_H C.  We keep them
+*normalized*: a polynomial in formal variables T_1..T_{n-1} with
+coefficients in C (slot n eliminated through the standard isomorphism,
+which for a slot-n power T^k expands through the iterated coproduct and
+the antipode signs).  Normalized values are canonical, so equality is a
+dictionary comparison.
+
+A pseudo-algebra implements the element protocol of PseudoAlgebra:
+EnvelopePA (envelope module) and CurrentPA (current module) do.  This
+module holds what works for any of them: spreads, the expanded
+pseudo-product, the recursive word evaluator eval_term, the coefficient
+dialgebra and the identity check on generators.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import os
+from dataclasses import dataclass
+from typing import Sequence
+
+from . import perms
+from .errors import InputError, ResourceError, guard_tuples
+from .hopf import coproduct_splits
+from .linalg import rational
+from .operads import IdentitySet
+from .words import MultilinearPoly, Shape, TensorPoly, eval_shape_tree
+
+DEFAULT_DEGREE_CAP = 16
+
+
+def degree_cap() -> int:
+    raw = os.environ.get("DIVARIA_MAX_DEGREE")
+    if not raw:
+        return DEFAULT_DEGREE_CAP
+    try:
+        if raw.isdecimal():
+            return int(raw)
+    except ValueError:  # more digits than Python converts
+        pass
+    raise InputError(f"DIVARIA_MAX_DEGREE must be a non-negative integer, got {raw[:20]!r}")
+
+
+# ---------------------------------------------------------------------------
+# element protocol
+# ---------------------------------------------------------------------------
+
+class PseudoAlgebra:
+    """Base pseudo-product data: a module with a T-action and a binary
+    pseudo-product returned as [(p, q, element)] terms meaning
+    T^p (x) T^q (x)_H element."""
+
+    def zero(self):
+        raise NotImplementedError
+
+    def add(self, a, b):
+        raise NotImplementedError
+
+    def scale(self, a, coeff):
+        raise NotImplementedError
+
+    def t_act(self, a):
+        raise NotImplementedError
+
+    def is_zero(self, a) -> bool:
+        raise NotImplementedError
+
+    def base_product(self, x, y) -> list:
+        raise NotImplementedError
+
+    def generators(self) -> list:
+        """[(name, element)] spanning the algebra over k[T] (plus torsion part)."""
+        raise NotImplementedError
+
+    def basis_index(self, x) -> int | None:
+        """i if eval_term may keep plain values on x as basis element i."""
+        return None
+
+    def describe(self, a) -> str:
+        return repr(a)
+
+    def t_pow(self, a, k: int):
+        for _ in range(k):
+            a = self.t_act(a)
+        return a
+
+    def eq(self, a, b) -> bool:
+        return self.is_zero(self.add(a, self.scale(b, -1)))
+
+
+# ---------------------------------------------------------------------------
+# normalized spread elements
+# ---------------------------------------------------------------------------
+
+class Spread:
+    """Polynomial in T_1..T_{n-1} with coefficients in the algebra."""
+
+    __slots__ = ("alg", "n", "terms")
+
+    def __init__(self, alg: PseudoAlgebra, n: int, terms: dict | None = None):
+        self.alg = alg
+        self.n = n
+        self.terms = {}
+        if terms:
+            for k, v in terms.items():
+                if not alg.is_zero(v):
+                    self.terms[k] = v
+
+    @classmethod
+    def of_terms(cls, alg: PseudoAlgebra, n: int, terms: dict) -> "Spread":
+        """The spread with these terms, taken as they are: no term is zero."""
+        out = cls(alg, n)
+        out.terms = terms
+        return out
+
+    def constant(self):
+        return self.terms.get((0,) * (self.n - 1), self.alg.zero())
+
+    def coefficient(self, exps):
+        return self.terms.get(tuple(exps), self.alg.zero())
+
+    def add(self, other: "Spread") -> "Spread":
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            accumulate(self.alg, out, k, v)
+        return Spread.of_terms(self.alg, self.n, out)
+
+    def scale(self, coeff) -> "Spread":
+        if not coeff:
+            return Spread(self.alg, self.n)
+        return Spread(self.alg, self.n, {k: self.alg.scale(v, coeff) for k, v in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def eq(self, other: "Spread") -> bool:
+        return self.add(other.scale(-1)).is_zero()
+
+    def describe(self) -> str:
+        if not self.terms:
+            return "0"
+        bits = []
+        for exps in sorted(self.terms):
+            mon = "*".join(f"T{i + 1}^{e}" if e > 1 else f"T{i + 1}"
+                           for i, e in enumerate(exps) if e) or "1"
+            bits.append(f"{mon}.({self.alg.describe(self.terms[exps])})")
+        return " + ".join(bits)
+
+
+def accumulate(alg, acc: dict, key: tuple, elem, coeff=1):
+    if coeff != 1:
+        elem = alg.scale(elem, coeff)
+    if alg.is_zero(elem):
+        return
+    cur = acc.get(key)
+    s = elem if cur is None else alg.add(cur, elem)
+    if alg.is_zero(s):
+        acc.pop(key, None)
+    else:
+        acc[key] = s
+
+
+def _normalize_into(alg, acc: dict, full_exps: tuple, elem, coeff=1):
+    """Add the unnormalized term T^{full_exps} (x)_H elem (slot count n =
+    len(full_exps)); the slot-n power is eliminated via the coproduct."""
+    cap = degree_cap()
+    if any(e > cap for e in full_exps):
+        raise ResourceError(f"T-degree {max(full_exps)} exceeds cap {cap}")
+    n = len(full_exps)
+    kn = full_exps[-1]
+    if kn == 0:
+        accumulate(alg, acc, full_exps[:-1], elem, coeff)
+        return
+    for split, multi in coproduct_splits(kn, n):
+        sign = -1 if (kn - split[-1]) & 1 else 1
+        shifted = alg.t_pow(elem, split[-1])
+        key = tuple(full_exps[i] + split[i] for i in range(n - 1))
+        accumulate(alg, acc, key, shifted, coeff * sign * multi)
+
+
+def normalize(alg, hs: Sequence[Sequence], c) -> Spread:
+    """Normalize h_1 (x) ... (x) h_n (x)_H c to a polynomial in T_1..T_{n-1}.
+
+    Each h_i is a T-polynomial given by its coefficient sequence (index =
+    power).  The last slot is eliminated through the coproduct and the
+    antipode; slot-i coefficients stay put.
+    """
+    n = len(hs)
+    if n < 1:
+        raise InputError("need at least one tensor slot")
+    acc: dict = {}
+    for exps in itertools.product(*[range(len(h)) for h in hs]):
+        coeff = math.prod(rational(h[e]) for h, e in zip(hs, exps))
+        if coeff:
+            _normalize_into(alg, acc, tuple(exps), c, coeff)
+    return Spread.of_terms(alg, n, acc)
+
+
+def leaf_spread(alg, x) -> Spread:
+    return Spread(alg, 1, {(): x})
+
+
+def pseudo_product(alg, f: Spread, g: Spread) -> Spread:
+    """Expansion of the base pseudo-product over two normalized factors."""
+    k, m = f.n, g.n
+    acc: dict = {}
+    for mu, fe in f.terms.items():
+        for nu, ge in g.terms.items():
+            for p, q, c in alg.base_product(fe, ge):
+                if alg.is_zero(c):
+                    continue
+                for ps, m1 in coproduct_splits(p, k):
+                    for qs, m2 in coproduct_splits(q, m):
+                        full = (tuple(mu[i] + ps[i] for i in range(k - 1)) + (ps[-1],)
+                                + tuple(nu[i] + qs[i] for i in range(m - 1)) + (qs[-1],))
+                        _normalize_into(alg, acc, full, c, m1 * m2)
+    return Spread.of_terms(alg, k + m, acc)
+
+
+def act_spread(alg, f: Spread, sigma) -> Spread:
+    """Slot relabeling T_i -> T_{i*sigma} followed by renormalization."""
+    n = f.n
+    if perms.is_identity(sigma):
+        return f
+    acc: dict = {}
+    for exps, elem in f.terms.items():
+        full = exps + (0,)
+        moved = [0] * n
+        for i in range(n):
+            moved[sigma[i] - 1] = full[i]
+        _normalize_into(alg, acc, tuple(moved), elem)
+    return Spread.of_terms(alg, n, acc)
+
+
+def eval_term(alg, t, args: Sequence) -> Spread:
+    """Recursive pseudo-product evaluation of a word or polynomial.
+
+    A monomial (shape, sigma) evaluates the plain shape on the permuted
+    arguments and then twists the slots by sigma.  A word keeps its plain
+    values on basis elements in alg's table for its shape; the monomials of
+    a polynomial do not, as they change shape and would only replace it.
+    """
+    if isinstance(t, MultilinearPoly):
+        if t.arity != len(args):
+            raise InputError("arity mismatch")
+        acc = Spread(alg, t.arity)
+        for (shape, sigma), coeff in t.terms.items():
+            plain = _eval_plain(alg, shape, [args[s - 1] for s in sigma])
+            acc = acc.add(act_spread(alg, plain, sigma).scale(coeff))
+        return acc
+    shape, sigma = t
+    if shape.arity != len(args):
+        raise InputError("arity mismatch")
+    permuted = [args[s - 1] for s in sigma]
+    key = tuple(map(alg.basis_index, permuted))
+    if None in key:
+        plain = _eval_plain(alg, shape, permuted)
+    else:  # the table keeps terms: a spread in it would be a reference cycle through alg
+        plain = Spread.of_terms(alg, shape.arity, kept(
+            alg, "_plain", shape, key, lambda: _eval_plain(alg, shape, permuted).terms))
+    return act_spread(alg, plain, sigma)
+
+
+def kept(owner, attr: str, shape: Shape, key, compute):
+    """The value at key of the table owner.attr, computed on first use.
+
+    The table holds the values of one shape, at most d^n of them on
+    basis-index keys, and a new shape replaces it.  Each evaluator names
+    its own table, so no value passes from one to the other."""
+    table = getattr(owner, attr, None)
+    if table is None or table[0] != shape.key:
+        table = (shape.key, {})
+        setattr(owner, attr, table)
+    value = table[1].get(key)
+    if value is None:
+        value = table[1][key] = compute()
+    return value
+
+
+def _eval_plain(alg, shape: Shape, args) -> Spread:
+    if shape.is_leaf:
+        return leaf_spread(alg, args[0])
+    m = shape.left.arity
+    return pseudo_product(alg,
+                          _eval_plain(alg, shape.left, args[:m]),
+                          _eval_plain(alg, shape.right, args[m:]))
+
+
+def n_product(alg, x, y, n: int):
+    """x o_n y: the T_1^n coefficient of the normalized product x*y."""
+    prod = pseudo_product(alg, leaf_spread(alg, x), leaf_spread(alg, y))
+    return prod.coefficient((n,))
+
+
+@dataclass
+class CoefficientDialgebra:
+    """The two coefficient operations of a pseudo-algebra."""
+
+    alg: PseudoAlgebra
+
+    def rprod(self, x, y):
+        out = self.alg.zero()
+        for p, q, c in self.alg.base_product(x, y):
+            if p == 0:
+                out = self.alg.add(out, self.alg.t_pow(c, q))
+        return out
+
+    def lprod(self, x, y):
+        out = self.alg.zero()
+        for p, q, c in self.alg.base_product(x, y):
+            if q == 0:
+                out = self.alg.add(out, self.alg.t_pow(c, p))
+        return out
+
+    def eval_dipoly(self, p, args):
+        acc = self.alg.zero()
+        for (shape, perm), coeff in p.terms.items():
+            leaves = [args[perm[k] - 1] for k in range(shape.arity)]
+            val = eval_shape_tree(shape, leaves, None, (self.lprod, self.rprod))
+            acc = self.alg.add(acc, self.alg.scale(val, coeff))
+        return acc
+
+
+def coefficient_dialgebra(alg: PseudoAlgebra) -> CoefficientDialgebra:
+    return CoefficientDialgebra(alg)
+
+
+def epsilon_eval(alg, f, args) -> object:
+    """Counit-collapse of a tensor element evaluated on args.
+
+    For f0 (x) e_i only the slot-i variable survives; its power acts
+    through T on the coefficient.  Accepts a TensorPoly or a single
+    (shape, perm, center) monomial.
+    """
+    if isinstance(f, TensorPoly):
+        acc = alg.zero()
+        for mono, coeff in f.terms.items():
+            acc = alg.add(acc, alg.scale(epsilon_eval(alg, mono, args), coeff))
+        return acc
+    shape, sigma, center = f
+    spread = eval_term(alg, (shape, sigma), args)
+    n = shape.arity
+    out = alg.zero()
+    if center == n:
+        return spread.constant()
+    for exps, elem in spread.terms.items():
+        if all(e == 0 for i, e in enumerate(exps) if i != center - 1):
+            out = alg.add(out, alg.t_pow(elem, exps[center - 1]))
+    return out
+
+
+def check_var_pseudo(alg: PseudoAlgebra, sigma: IdentitySet):
+    """Evaluate every defining identity on all generator tuples.
+
+    Returns None on success or a (identity, generator names, spread)
+    witness.  Generator tuples suffice by multilinearity of the expanded
+    pseudo-product over H.
+    """
+    gens = alg.generators()
+    for t in sigma:
+        n = t.arity
+        guard_tuples(len(gens) ** n, f"{len(gens)}^{n} generator tuples")
+        for combo in itertools.product(gens, repeat=n):
+            names = tuple(name for name, _ in combo)
+            spread = eval_term(alg, t, [el for _, el in combo])
+            if not spread.is_zero():
+                return (t, names, spread)
+    return None

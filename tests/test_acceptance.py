@@ -12,12 +12,12 @@ import time
 from divaria.conformal import build_rho, embed_associative, verify_representation
 from divaria.current import CurrentPA, pm_unit
 from divaria.dsl import parse_expression
-from divaria.envelope import (build_envelope, build_var_quotient, check_var_pseudo,
-                              coefficient_dialgebra, extend_hom, oracle_sweep)
+from divaria.envelope import build_envelope, build_var_quotient, extend_hom, oracle_sweep
 from divaria.fd import corpus, leibniz2, leibniz_to_dialgebra
 from divaria.operads import (ALGS, ALGSE, DIALGS, E, IdentitySet, SYM, axiom_check,
                              consequence_space)
 from divaria.perms import from_cycles, random_partition, random_perm, sym_compose, symmetric_group
+from divaria.pseudo import check_var_pseudo, coefficient_dialgebra
 from divaria.translate import derive_variety, psi, psi_section, rewrite_single_op, zero_dialgebra_axioms
 from divaria.varieties import builtin_identity_set
 from divaria.words import DiPoly, all_dishapes

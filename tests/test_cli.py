@@ -5,6 +5,7 @@ import pytest
 
 from divaria.cli import main
 from divaria.dsl import parse_expression
+from divaria.fd import gl
 
 
 def run(capsys, *args):
@@ -95,7 +96,8 @@ def test_json_reports_are_deterministic(capsys):
     ("0", "exceeds cap 0"),  # any envelope verification needs degree 1 terms
     ("abc", "DIVARIA_MAX_DEGREE must be a non-negative integer"),
     ("-1", "DIVARIA_MAX_DEGREE must be a non-negative integer"),
-], ids=["0", "abc", "-1"])
+    ("1" * 5000, "DIVARIA_MAX_DEGREE must be a non-negative integer"),
+], ids=["0", "abc", "-1", "5000-digits"])
 def test_max_degree_env_guard(tmp_path, capsys, monkeypatch, cap, message):
     monkeypatch.setenv("DIVARIA_MAX_DEGREE", cap)
     assert main(["envelope", "--dialgebra", "leibniz2.json", "--verify"]) == 2
@@ -129,6 +131,49 @@ def test_malformed_dialgebra_exits_2(tmp_path, capsys, data, message):
     assert main(["envelope", "--dialgebra", str(f), "--variety", "lie"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and message in out.err
+
+
+BIG = "1" * 5000  # more digits than Python converts to an int (4300 by default)
+
+
+@pytest.mark.parametrize("entry,message", [
+    ('"1e999999999"', "bad rational '1e999999999' (no exponent notation)"),
+    ('"1e4000"', "bad rational '1e4000' (no exponent notation)"),
+    ('"-2.5E3"', "bad rational '-2.5E3' (no exponent notation)"),
+    (BIG, "invalid JSON: Exceeds the limit (4300 digits)"),
+    (f'"{BIG}"', "(more than 4300 digits)"),
+    (f'"1/{BIG}"', "(more than 4300 digits)"),
+    (f'"0.{BIG}"', "(more than 4300 digits)"),
+    ('"' + "9" * 3000 + '"', "a result is too large to print"),  # the Leibniz defect is -c^2
+], ids=["exponent-huge", "exponent", "exponent-decimal", "json-int", "digits", "denominator",
+        "decimal", "result"])
+def test_huge_numbers_exit_2(tmp_path, capsys, entry, message):
+    # [e, e] = c e: "1e999999999" used to hang building 10^999999999
+    f = tmp_path / "g.json"
+    f.write_text('{"dim": 1, "bracket": [[[%s]]]}' % entry)
+    assert main(["represent", "--leibniz", str(f)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
+
+
+@pytest.mark.parametrize("identity,message", [
+    (BIG + "*x1*x2 - x2*x1", "column 10: a number of more than 4300 digits"),
+    ("x1*x" + BIG, "column 14: a number of more than 4300 digits"),
+    ("x\u00b2*x1", "expected a variable or '(', found 'x\u00b2'"),
+    ("\u00b2*x1", "unexpected character '\u00b2'"),
+], ids=["coefficient", "variable", "superscript-variable", "superscript-number"])
+def test_bad_numbers_in_variety_files_exit_2(tmp_path, capsys, identity, message):
+    f = tmp_path / "v.var"
+    f.write_text(f"variety v\nidentity {identity}\n", encoding="utf-8")
+    assert main(["derive", "--variety", str(f)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
+
+
+def test_decimal_entries_still_load(tmp_path, capsys):
+    f = tmp_path / "g.json"
+    f.write_text('{"dim": 2, "bracket": [[[0, "0.5"], [0, 0]], [[0, 0], [0, 0]]]}')
+    assert main(["check", "--dialgebra", str(f), "--variety", "lie"]) == 0
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -172,22 +217,14 @@ def test_represent_rejects_bool_dim(tmp_path, capsys):
     assert "'dim' must be a positive integer" in capsys.readouterr().err
 
 
-def gl(n: int) -> dict:
+def gl_file(n: int) -> dict:
     """Bracket file of the commutator Lie algebra of the n x n matrix units."""
-    units = [(i, j) for i in range(n) for j in range(n)]
-    table = [[[0] * n * n for _ in units] for _ in units]
-    for a, (i, j) in enumerate(units):
-        for b, (k, l) in enumerate(units):
-            if j == k:
-                table[a][b][units.index((i, l))] += 1
-            if l == i:
-                table[a][b][units.index((k, j))] -= 1
-    return {"dim": n * n, "bracket": table}
+    return {"dim": n * n, "bracket": gl(n).table}
 
 
 def test_represent_refuses_gl3_up_front(tmp_path, capsys):
     f = tmp_path / "gl3.json"
-    f.write_text(json.dumps(gl(3)))
+    f.write_text(json.dumps(gl_file(3)))
     assert main(["represent", "--leibniz", str(f), "--json"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
@@ -206,7 +243,7 @@ def test_represent_refuses_gl3_up_front(tmp_path, capsys):
 ], ids=["check", "envelope", "envelope-verify", "represent"])
 def test_tuple_bound_exits_2(tmp_path, capsys, monkeypatch, bound, argv, message):
     f = tmp_path / "gl2.json"
-    f.write_text(json.dumps(gl(2)))
+    f.write_text(json.dumps(gl_file(2)))
     monkeypatch.setattr("divaria.errors.TUPLE_BOUND", bound)
     assert main([str(f) if a == "GL2" else a for a in argv]) == 2
     out = capsys.readouterr()

@@ -6,10 +6,10 @@ import pytest
 
 from divaria.conformal import (LeibnizData, _BasisProducts, build_rho, embed_associative,
                                verify_representation)
-from divaria.envelope import (build_envelope, build_var_quotient, coefficient_dialgebra,
-                              extend_hom)
+from divaria.envelope import build_envelope, build_var_quotient, extend_hom
 from divaria.errors import InputError
 from divaria.fd import FDAlgebra, leibniz2, leibniz3, leibniz_to_dialgebra, sl2
+from divaria.pseudo import coefficient_dialgebra
 from divaria.varieties import builtin_identity_set
 from divaria.words import DiPoly, all_dishapes
 

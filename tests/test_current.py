@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 from divaria.current import CurrentPA, pm_unit
-from divaria.envelope import coefficient_dialgebra, leaf_spread, n_product, pseudo_product
+from divaria.pseudo import coefficient_dialgebra, leaf_spread, n_product, pseudo_product
 from divaria.translate import derive_variety, zero_dialgebra_axioms
 from divaria.varieties import builtin_identity_set
 
@@ -55,7 +55,7 @@ def test_lie_current_base_product_is_commutator():
 def test_commutator_current_is_a_lie_pseudo_algebra():
     # a pseudo-algebra passing the variety check has a coefficient dialgebra
     # satisfying all the derived identities: instance of the general theorem
-    from divaria.envelope import check_var_pseudo
+    from divaria.pseudo import check_var_pseudo
     from divaria.varieties import builtin_identity_set
     lie = builtin_identity_set("lie")
     cur = CurrentPA(2, bracket=True)

@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from divaria.envelope import (EnvelopePA, Spread, _word_last, _word_values,
-                              build_envelope, build_var_quotient, check_var_pseudo,
-                              closed_form_eval, coefficient_dialgebra,
-                              epsilon_eval, eval_term, extend_hom, leaf_spread,
-                              n_product, pseudo_product)
+from divaria import envelope, pseudo
+from divaria.envelope import (EnvelopePA, _word_last, _word_values, build_envelope,
+                              build_var_quotient, closed_form_eval, extend_hom, oracle_sweep)
+from divaria.pseudo import (Spread, _eval_plain, act_spread, check_var_pseudo,
+                            coefficient_dialgebra, epsilon_eval, eval_term, leaf_spread,
+                            n_product, pseudo_product)
 from divaria.errors import InputError, ResourceError
 from divaria.fd import (abelian, corpus, diagonal_lift, dual_numbers, leibniz2,
-                        leibniz_to_dialgebra)
+                        leibniz_to_dialgebra, vec_add)
 from divaria.operads import IdentitySet
 from divaria.perms import random_perm, symmetric_group
 from divaria.translate import psi
@@ -59,7 +60,7 @@ def test_envelope_rejects_non_zero_dialgebra():
 # ---------------------------------------------------------------------------
 
 def test_normalization_examples(env2):
-    from divaria.envelope import normalize
+    from divaria.pseudo import normalize
     c = env2.basis_a(0)
     f = normalize(env2, [(0, 1), (1,)], c)       # T (x) 1 -> T_1 .
     assert set(f.terms) == {(1,)} and env2.eq(f.coefficient((1,)), c)
@@ -221,6 +222,95 @@ def test_closed_forms_never_reach_the_recursive_evaluator(monkeypatch):
         closed = [closed_form_eval(env, word, args) for env, word, args in cases]
     for (env, word, args), value in zip(cases, closed):
         assert eval_term(env, word, args).eq(value)
+
+
+# ---------------------------------------------------------------------------
+# the per-shape tables of the two evaluators
+# ---------------------------------------------------------------------------
+
+def test_kept_values_equal_fresh_evaluation():
+    # with the tables warm, every word of degree <= 3 on every basis tuple
+    # gives the value of a fresh evaluation, on both sides
+    env = build_envelope(dict(corpus())["leibniz3"])
+    d = env.A.dim
+    for n in range(1, 4):
+        for shape in all_shapes(n):
+            for k, perm in enumerate(symmetric_group(n)):
+                for idx in itertools.product(range(d), repeat=n):
+                    args = [env.basis_a(i) for i in idx]
+                    if k:  # the first permutation filled both tables
+                        key = tuple(idx[s - 1] for s in perm)
+                        assert key in env._plain[1] and key in env._closed[1]
+                    value = eval_term(env, (shape, perm), args)
+                    fresh = act_spread(env, _eval_plain(env, shape, [args[s - 1] for s in perm]), perm)
+                    assert value.eq(fresh)
+                    closed = closed_form_eval(env, (shape, perm), args)
+                    kept, env._closed = env._closed, None  # evaluate through _plain_closed
+                    assert closed.eq(closed_form_eval(env, (shape, perm), args))
+                    env._closed = kept
+                    assert closed.eq(value)
+
+
+def _corrupt_hits(attr):
+    """kept, except that a value of the table attr read back from it is wrong."""
+    real = pseudo.kept
+
+    def kept(owner, name, shape, key, compute):
+        table = getattr(owner, name, None)
+        hit = table is not None and table[0] == shape.key and key in table[1]
+        value = real(owner, name, shape, key, compute)
+        if name != attr or not hit:
+            return value
+        if attr == "_plain":  # add e1 to the constant term
+            zero = (0,) * (shape.arity - 1)
+            return {**value, zero: owner.add(value.get(zero, owner.zero()), owner.basis_a(0))}
+        x0, xs = value
+        return vec_add(x0, owner.A.basis(0)), xs
+    return kept
+
+
+@pytest.mark.parametrize("attr", ["_plain", "_closed"])
+def test_wrong_table_value_is_a_mismatch(monkeypatch, attr):
+    # the sweep compares what the tables hand back, so a wrong kept value shows
+    env = build_envelope(dict(corpus())["leibniz2"])
+    assert oracle_sweep(env, 3, lambda n: []) == (None, 2 + 8 + 2 * 6 * 8)
+    for module in (pseudo, envelope):  # eval_term's module and the closed forms'
+        monkeypatch.setattr(module, "kept", _corrupt_hits(attr))
+    env = build_envelope(dict(corpus())["leibniz2"])
+    bad, _checked = oracle_sweep(env, 3, lambda n: [])
+    assert bad is not None
+
+
+def test_tables_hold_one_shape_after_a_sweep():
+    env = build_envelope(dict(corpus())["leibniz2"])
+    d = env.A.dim
+    rng = random.Random(3)
+    bad, _checked = oracle_sweep(env, 4, lambda n: [(rng.choice(env.c1_basis), (0,) * (n - 1))])
+    assert bad is None
+    last = all_shapes(4)[-1].key
+    for attr in ("_plain", "_closed"):
+        shape_key, values = getattr(env, attr)
+        assert shape_key == last
+        assert 0 < len(values) <= d ** 4
+        assert all(len(key) == 4 and set(key) <= set(range(d)) for key in values)
+
+
+def test_tensor_and_current_arguments_bypass_the_tables(env2):
+    for i in range(env2.A.dim):
+        assert env2.basis_index(env2.basis_a(i)) == i
+    for x in (env2.pair(0, 0), env2.t_act(env2.basis_a(0)), env2.scale(env2.basis_a(0), 2),
+              env2.zero(), env2.add(env2.basis_a(0), env2.basis_a(1))):
+        assert env2.basis_index(x) is None
+    env = build_envelope(env2.A)
+    word = (B2, (2, 1))
+    args = [env.pair(0, 0), env.basis_a(0)]
+    assert eval_term(env, word, args).eq(closed_form_eval(env, word, args))
+    assert getattr(env, "_plain", None) is None and getattr(env, "_closed", None) is None
+    from divaria.current import CurrentPA
+    cur = CurrentPA(2)
+    gens = [g for _, g in cur.generators()]
+    eval_term(cur, word, gens[:2])
+    assert getattr(cur, "_plain", None) is None
 
 
 def test_closed_form_rejects_mixed_arguments(env2):

@@ -7,10 +7,10 @@ import random
 
 import pytest
 
-from divaria.envelope import (EnvelopePA, Spread, build_envelope, build_var_quotient,
-                              closed_form_eval, eval_term)
+from divaria.envelope import EnvelopePA, build_envelope, build_var_quotient, closed_form_eval
+from divaria.pseudo import Spread, eval_term
 from divaria.errors import InputError
-from divaria.fd import FDAlgebra, corpus, is_var_dialgebra, leibniz_to_dialgebra
+from divaria.fd import corpus, gl, is_var_dialgebra, leibniz_to_dialgebra
 from divaria.linalg import RowSpace
 from divaria.perms import symmetric_group
 from divaria.translate import derive_variety
@@ -18,19 +18,6 @@ from divaria.varieties import BUILTIN, builtin_identity_set
 from divaria.words import all_shapes
 
 CORPUS = dict(corpus())
-
-
-def gl2() -> FDAlgebra:
-    """The commutator Lie algebra of the 2 x 2 matrix units E_ij."""
-    units = [(i, j) for i in range(2) for j in range(2)]
-    table = [[[0] * 4 for _ in units] for _ in units]
-    for a, (i, j) in enumerate(units):
-        for b, (k, l) in enumerate(units):
-            if j == k:
-                table[a][b][units.index((i, l))] += 1
-            if l == i:
-                table[a][b][units.index((k, j))] -= 1
-    return FDAlgebra(table)
 
 
 def kernel_of_t(env: EnvelopePA) -> list:
@@ -86,7 +73,7 @@ CASES = [(name, v) for name in CORPUS for v in BUILTIN] + [("gl2", "lie")]
 
 @pytest.mark.parametrize("name,variety", CASES, ids=[f"{n}-{v}" for n, v in CASES])
 def test_pruned_ideal_equals_full_enumeration(name, variety):
-    a = leibniz_to_dialgebra(gl2()) if name == "gl2" else CORPUS[name]
+    a = leibniz_to_dialgebra(gl(2)) if name == "gl2" else CORPUS[name]
     sigma = builtin_identity_set(variety)
     env = build_envelope(a)
     try:
@@ -116,7 +103,7 @@ def basis_tuple_rows(env: EnvelopePA, sigma) -> RowSpace:
 def test_independent_pairs_span_every_one_pair_row(name, variety):
     # the conclusion of the lemma of build_var_quotient: the basis-tuple rows
     # span the one-pair rows of every pair, also where A fails the variety
-    a = leibniz_to_dialgebra(gl2()) if name == "gl2" else CORPUS[name]
+    a = leibniz_to_dialgebra(gl(2)) if name == "gl2" else CORPUS[name]
     sigma = builtin_identity_set(variety)
     env = build_envelope(a)
     assert one_pair_rows(env, sigma, env.c1_basis) <= basis_tuple_rows(env, sigma)

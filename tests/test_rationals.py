@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from divaria.envelope import (build_envelope, build_var_quotient, closed_form_eval, eval_term,
-                              oracle_sweep)
+from divaria.envelope import build_envelope, build_var_quotient, closed_form_eval, oracle_sweep
+from divaria.pseudo import eval_term
 from divaria.fd import FDDialgebra, corpus
 from divaria.operads import IdentitySet, consequence_space
 from divaria.perms import symmetric_group
