@@ -22,7 +22,7 @@ from .errors import InputError, ResourceError, read_text
 from .fd import FDAlgebra, FDDialgebra, is_var_dialgebra, leibniz_to_dialgebra
 from .operads import ALGS, ALGSE, DIALGS, E, SYM, axiom_check
 from .perms import from_cycles, sym_compose
-from .pseudo import check_var_pseudo, coefficient_dialgebra
+from .pseudo import CoefficientDialgebra, check_var_pseudo
 from .translate import derive_variety, rewrite_single_op
 from .varieties import load_variety
 
@@ -193,7 +193,7 @@ def cmd_envelope(args) -> int:
             rep.line("quotient satisfies the variety's pseudo-algebra identities")
         else:
             rep.fail(f"{w[0]} at {w[1]}: {w[2].describe()}")
-        cd = coefficient_dialgebra(vq.quotient)
+        cd = CoefficientDialgebra(vq.quotient)
         ok = True
         for i in range(d.dim):
             for j in range(d.dim):

@@ -24,7 +24,7 @@ from .current import CurrentPA, PolyMat
 from .errors import InputError, guard_tuples
 from .fd import FDAlgebra, FDDialgebra, Vec, leibniz_to_dialgebra
 from .linalg import RowSpace, add_term, vec_axpy
-from .pseudo import CoefficientDialgebra, coefficient_dialgebra
+from .pseudo import CoefficientDialgebra
 from .translate import derive_variety, zero_dialgebra_axioms
 
 
@@ -257,7 +257,7 @@ def verify_representation(rep: ConformalRep) -> RepReport:
             break
     report.record("operator-brackets", ok, detail)
 
-    cd = coefficient_dialgebra(rep.cur_lie)
+    cd = CoefficientDialgebra(rep.cur_lie)
     ok = True
     detail = ""
     for a in range(d):
@@ -320,14 +320,15 @@ class _BasisProducts(CoefficientDialgebra):
         return self._product(CoefficientDialgebra.rprod, x, y)
 
 
-def embed_associative(bracket: FDAlgebra, module: str = "trivial",
-                      truncation: int = 2) -> tuple[RepReport, ConformalRep]:
+def embed_associative(bracket: FDAlgebra,
+                      module: str = "trivial") -> tuple[RepReport, ConformalRep]:
     """Realize g inside the associative coefficient dialgebra of the current
     algebra and verify the associative-dialgebra identities on the subspace
-    generated by the image under both products, words of length <= 3."""
+    generated by the image under both products, words of length <= 3, whose
+    T-degree must stay <= 2."""
     rep = build_rho(bracket, module)
     cur = rep.cur
-    cd = coefficient_dialgebra(cur)
+    cd = CoefficientDialgebra(cur)
     report = RepReport()
 
     d = bracket.dim
@@ -343,8 +344,8 @@ def embed_associative(bracket: FDAlgebra, module: str = "trivial",
             basis_mats.append(m)
     report.record("generated-subspace", True, "")
 
-    ok = all(max((k for (k, _r, _c) in m), default=0) <= truncation for m in basis_mats)
-    report.record("degree-truncation", ok, f"degree exceeds {truncation}")
+    ok = all(max((k for (k, _r, _c) in m), default=0) <= 2 for m in basis_mats)
+    report.record("degree-truncation", ok, "degree exceeds 2")
 
     dv_axioms = list(zero_dialgebra_axioms())
     from .varieties import builtin_identity_set

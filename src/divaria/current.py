@@ -9,8 +9,6 @@ degree-bounded truncations closed under both.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .errors import InputError
 from .linalg import add_term, vec_axpy
 from .pseudo import PseudoAlgebra
@@ -18,8 +16,8 @@ from .pseudo import PseudoAlgebra
 PolyMat = dict  # {(k, r, c): coeff}, coeff an int or a Fraction, never a float
 
 
-def pm_unit(dim: int, r: int, c: int, power: int = 0) -> PolyMat:
-    return {(power, r, c): 1}
+def pm_unit(r: int, c: int) -> PolyMat:
+    return {(0, r, c): 1}
 
 
 def pm_degrees(m: PolyMat) -> list[int]:
@@ -50,11 +48,9 @@ class CurrentPA(PseudoAlgebra):
     commutators.
     """
 
-    def __init__(self, dim: int, bracket: bool = False,
-                 generator_powers: Iterable[int] = (0,)):
+    def __init__(self, dim: int, bracket: bool = False):
         self.dim = dim
         self.bracket = bracket
-        self.generator_powers = tuple(generator_powers)
 
     # -- element protocol --------------------------------------------------
 
@@ -95,13 +91,8 @@ class CurrentPA(PseudoAlgebra):
         return out
 
     def generators(self) -> list:
-        gens = []
-        for p in self.generator_powers:
-            for r in range(self.dim):
-                for c in range(self.dim):
-                    name = f"T^{p}E{r + 1}{c + 1}" if p else f"E{r + 1}{c + 1}"
-                    gens.append((name, pm_unit(self.dim, r, c, p)))
-        return gens
+        return [(f"E{r + 1}{c + 1}", pm_unit(r, c))
+                for r in range(self.dim) for c in range(self.dim)]
 
     def describe(self, a: PolyMat) -> str:
         if not a:

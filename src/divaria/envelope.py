@@ -28,7 +28,6 @@ from .operads import IdentitySet
 from .pseudo import (CoefficientDialgebra, PseudoAlgebra, Spread, accumulate, eval_term, kept,
                      leaf_spread, n_product, pseudo_product)
 from .pseudo import check_var_pseudo  # noqa: F401  (callers import it from here too)
-from .translate import derive_variety
 from .words import MultilinearPoly, Shape, all_shapes
 
 
@@ -94,8 +93,8 @@ class EnvelopePA(PseudoAlgebra):
 
     # -- constructors ------------------------------------------------------
 
-    def from_a(self, vec: Vec, power: int = 0) -> CElement:
-        return CElement({(power, i): x for i, x in enumerate(vec) if x}, {})
+    def from_a(self, vec: Vec) -> CElement:
+        return CElement({(0, i): x for i, x in enumerate(vec) if x}, {})
 
     def basis_a(self, i: int) -> CElement:
         return CElement({(0, i): 1}, {})
@@ -195,7 +194,8 @@ class EnvelopePA(PseudoAlgebra):
                 return i
         return None
 
-    def pure_a(self, x: CElement) -> Vec | None:
+    def a_part(self, x: CElement) -> tuple[Vec, int | None] | None:
+        """x as (A-vector, basis_index(x)) if x lies in A, else None."""
         if x.c1:
             return None
         out = [0] * self.A.dim
@@ -203,10 +203,7 @@ class EnvelopePA(PseudoAlgebra):
             if k:
                 return None
             out[i] = v
-        return tuple(out)
-
-    def pure_c1(self, x: CElement) -> dict | None:
-        return x.c1 if not x.c0 else None
+        return tuple(out), (i if len(x.c0) == 1 and v == 1 else None)
 
 
 def build_envelope(a: FDDialgebra) -> EnvelopePA:
@@ -320,15 +317,17 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
     n = t.arity if poly else t[0].arity
     if n != len(args):
         raise InputError("arity mismatch")
-    vals, slots = [], []
+    vals, idx, slots = [], [], []
     for pos, x in enumerate(args, start=1):
-        v = env.pure_a(x)
-        if v is None:
-            v = env.pure_c1(x)
-            if v is None:
+        got = env.a_part(x)
+        if got is None:
+            if x.c0:
                 raise InputError("closed forms support pure A or pure tensor arguments only")
             slots.append(pos)
-        vals.append(v)
+            vals.append(x.c1)
+        else:
+            vals.append(got[0])
+            idx.append(got[1])
     if len(slots) > 1:
         raise InputError("closed forms support at most one tensor argument")
     monos = t.terms.items() if poly else [(t, 1)]
@@ -339,11 +338,8 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
             _add_scaled(acc, zero, coeff, _closed_d_plain(env, shape, [vals[g - 1] for g in sigma],
                                                           perms.inverse(sigma)[slots[0] - 1]))
         return Spread(env, n, {k: env.from_c1(v) for k, v in acc.items() if v})
-    idx = None
-    if not poly:  # as in eval_term, only a word keeps its plain values
-        idx = tuple(map(env.basis_index, args))
-        if None in idx:
-            idx = None
+    # as in eval_term, only a word keeps its plain values
+    idx = None if poly or None in idx else tuple(idx)
     x0 = None
     xs: dict = {}  # j -> the tensor part of the T_j coefficient: -sum of coeff * x_j
     for mono, coeff in monos:
@@ -413,7 +409,7 @@ class VarQuotient:
     quotient: EnvelopePA
 
 
-def build_var_quotient(env: EnvelopePA, sigma: IdentitySet, derived=None) -> VarQuotient:
+def build_var_quotient(env: EnvelopePA, sigma: IdentitySet) -> VarQuotient:
     """Span the tensor-part coefficients of all identity evaluations on
     basis tuples, check the degree-zero parts vanish, and quotient by the
     resulting ideal.
@@ -435,9 +431,8 @@ def build_var_quotient(env: EnvelopePA, sigma: IdentitySet, derived=None) -> Var
     """
     a = env.A
     d = a.dim
-    dv = derived if derived is not None else derive_variety(sigma)
     from .fd import is_var_dialgebra
-    w = is_var_dialgebra(a, sigma, dv)
+    w = is_var_dialgebra(a, sigma)
     if w is not None:
         raise InputError(f"dialgebra fails the variety: {w.describe(a.labels)}")
     rows = RowSpace()
@@ -488,8 +483,7 @@ class ExtendedHom:
         return out
 
 
-def extend_hom(env: EnvelopePA, phi: Sequence, target: PseudoAlgebra,
-               relations: RowSpace | None = None) -> ExtendedHom:
+def extend_hom(env: EnvelopePA, phi: Sequence, target: PseudoAlgebra) -> ExtendedHom:
     """Extend a dialgebra homomorphism phi: A -> target^(0) to the envelope.
 
     phi is given on the A basis.  Raises InputError naming the first
@@ -532,10 +526,6 @@ def extend_hom(env: EnvelopePA, phi: Sequence, target: PseudoAlgebra,
     for row in env.rel.rows():
         if not tgt.is_zero(hom.apply_c1(row)):
             raise InputError("relation subspace is not killed by the extension")
-    if relations is not None:
-        for row in relations.rows():
-            if not tgt.is_zero(hom.apply_c1(row)):
-                raise InputError("ideal is not killed by the extension")
     checks["kills-relations"] = True
 
     for name, g in env.generators():

@@ -182,14 +182,13 @@ def is_zero_dialgebra(d: FDDialgebra) -> Witness | None:
     return None
 
 
-def is_var_dialgebra(d: FDDialgebra, sigma, derived=None) -> Witness | None:
+def is_var_dialgebra(d: FDDialgebra, sigma) -> Witness | None:
     """Zero-dialgebra axioms plus every derived identity of the variety."""
     from .translate import derive_variety
     w = is_zero_dialgebra(d)
     if w is not None:
         return w
-    dv = derived if derived is not None else derive_variety(sigma)
-    for p in dv.derived:
+    for p in derive_variety(sigma).derived:
         w = eval_identity(d, p)
         if w is not None:
             return w

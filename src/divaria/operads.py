@@ -163,13 +163,10 @@ class _PolyOperad(Operad):
     def act(self, f, sigma):
         return f.act(sigma)
 
-    def random_element(self, n, rng, n_terms=1):
+    def random_element(self, n, rng):
         shapes = all_dishapes(n) if self.di else all_shapes(n)
-        out = self.poly_cls.zero(n)
-        for _ in range(n_terms):
-            mono = (rng.choice(shapes), perms.random_perm(n, rng))
-            out = out + self.poly_cls(n, {mono: rng.randint(1, 3)})
-        return out
+        mono = (rng.choice(shapes), perms.random_perm(n, rng))
+        return self.poly_cls(n, {mono: rng.randint(1, 3)})
 
 
 class AlgSOperad(_PolyOperad):
@@ -223,16 +220,6 @@ E = EOperad()
 ALGS = AlgSOperad()
 DIALGS = DialgSOperad()
 ALGSE = AlgSEOperad()
-
-_REGISTRY = {"Sym": SYM, "E": E, "AlgS": ALGS, "DialgS": DIALGS, "AlgS(x)E": ALGSE}
-
-
-def get_operad(tag: str) -> Operad:
-    """Resolve an operad tag: Sym, E, AlgS, DialgS or AlgS(x)E."""
-    try:
-        return _REGISTRY[tag]
-    except KeyError:
-        raise InputError(f"unknown operad tag {tag!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -383,26 +370,25 @@ def _consequence_space(identities: tuple, n: int) -> RowSpace:
     return space
 
 
-def consequence_space(sigma: IdentitySet | Sequence[MultilinearPoly], n: int,
-                      bound: int = CONSEQUENCE_ARITY_BOUND) -> RowSpace:
+def consequence_space(sigma: IdentitySet | Sequence[MultilinearPoly], n: int) -> RowSpace:
     """RREF row space of the arity-n multilinear part of the ideal of Sigma."""
     if n < 2:
         raise InputError("consequence arity must be >= 2")
-    if n > bound:
+    if n > CONSEQUENCE_ARITY_BOUND:
         raise ResourceError(
-            f"consequence arity {n} exceeds the documented bound {bound} "
+            f"consequence arity {n} exceeds the documented bound {CONSEQUENCE_ARITY_BOUND} "
             f"(space dimension grows as Catalan(n-1) * n!)")
     identities = tuple(sigma.identities if isinstance(sigma, IdentitySet) else sigma)
     return _consequence_space(identities, n)
 
 
-def multilinear_consequences(sigma, n: int, bound: int = CONSEQUENCE_ARITY_BOUND):
+def multilinear_consequences(sigma, n: int):
     """Deterministic row-reduced basis of the arity-n consequences of Sigma."""
-    space = consequence_space(sigma, n, bound)
+    space = consequence_space(sigma, n)
     return [from_vec(MultilinearPoly, n, row) for row in space.rows()]
 
 
-def varalg_reduce(p: MultilinearPoly, sigma, bound: int = CONSEQUENCE_ARITY_BOUND) -> MultilinearPoly:
+def varalg_reduce(p: MultilinearPoly, sigma) -> MultilinearPoly:
     """Normal form of p modulo the consequence span of Sigma."""
-    space = consequence_space(sigma, p.arity, bound)
+    space = consequence_space(sigma, p.arity)
     return from_vec(MultilinearPoly, p.arity, space.reduce(to_vec(p)))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,19 +28,7 @@ from .linalg import rational
 from .operads import IdentitySet
 from .words import MultilinearPoly, Shape, TensorPoly, eval_shape_tree
 
-DEFAULT_DEGREE_CAP = 16
-
-
-def degree_cap() -> int:
-    raw = os.environ.get("DIVARIA_MAX_DEGREE")
-    if not raw:
-        return DEFAULT_DEGREE_CAP
-    try:
-        if raw.isdecimal():
-            return int(raw)
-    except ValueError:  # more digits than Python converts
-        pass
-    raise InputError(f"DIVARIA_MAX_DEGREE must be a non-negative integer, got {raw[:20]!r}")
+DEGREE_BOUND = 16  # largest T-power a normalized term may carry
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +153,8 @@ def accumulate(alg, acc: dict, key: tuple, elem, coeff=1):
 def _normalize_into(alg, acc: dict, full_exps: tuple, elem, coeff=1):
     """Add the unnormalized term T^{full_exps} (x)_H elem (slot count n =
     len(full_exps)); the slot-n power is eliminated via the coproduct."""
-    cap = degree_cap()
-    if any(e > cap for e in full_exps):
-        raise ResourceError(f"T-degree {max(full_exps)} exceeds cap {cap}")
+    if any(e > DEGREE_BOUND for e in full_exps):
+        raise ResourceError(f"T-degree {max(full_exps)} exceeds cap {DEGREE_BOUND}")
     n = len(full_exps)
     kn = full_exps[-1]
     if kn == 0:
@@ -322,10 +308,6 @@ class CoefficientDialgebra:
             val = eval_shape_tree(shape, leaves, None, (self.lprod, self.rprod))
             acc = self.alg.add(acc, self.alg.scale(val, coeff))
         return acc
-
-
-def coefficient_dialgebra(alg: PseudoAlgebra) -> CoefficientDialgebra:
-    return CoefficientDialgebra(alg)
 
 
 def epsilon_eval(alg, f, args) -> object:

@@ -201,7 +201,7 @@ def rewrite_single_op(dv: DerivedVariety) -> tuple[MultilinearPoly, ...]:
 
     Requires a detected (anti-)commutation rule among the identities;
     rewrites every identity (the zero-dialgebra axioms included), drops
-    the ones that collapse to zero, and canonicalizes.
+    the ones that collapse to zero, and drops repeats.
     """
     lam = dv.commutation_rule()
     if lam is None:

@@ -331,8 +331,8 @@ class MultilinearPoly(TermPoly):
         return _render_tree(mono[0], iter(mono[1]), lambda s: "*")
 
     @classmethod
-    def monomial(cls, shape: Shape, perm: Perm, coeff=1) -> "MultilinearPoly":
-        return cls(shape.arity, {(shape, tuple(perm)): coeff})
+    def monomial(cls, shape: Shape, perm: Perm) -> "MultilinearPoly":
+        return cls(shape.arity, {(shape, tuple(perm)): 1})
 
 
 class DiPoly(TermPoly):
@@ -359,8 +359,8 @@ class DiPoly(TermPoly):
         return _render_tree(mono[0], iter(mono[1]), lambda s: OP_SYMBOL[s.label])
 
     @classmethod
-    def monomial(cls, shape: DiShape, perm: Perm, coeff=1) -> "DiPoly":
-        return cls(shape.arity, {(shape, tuple(perm)): coeff})
+    def monomial(cls, shape: DiShape, perm: Perm) -> "DiPoly":
+        return cls(shape.arity, {(shape, tuple(perm)): 1})
 
 
 class TensorPoly(TermPoly):
@@ -390,13 +390,8 @@ class TensorPoly(TermPoly):
         return f"({word})@e{mono[2]}"
 
     @classmethod
-    def monomial(cls, shape: Shape, perm: Perm, center: int, coeff=1) -> "TensorPoly":
-        return cls(shape.arity, {(shape, tuple(perm), center): coeff})
-
-
-def canonicalize(p: TermPoly) -> TermPoly:
-    """Identity on the canonical representation (polynomials stay canonical)."""
-    return type(p)(p.arity, p.terms)
+    def monomial(cls, shape: Shape, perm: Perm, center: int) -> "TensorPoly":
+        return cls(shape.arity, {(shape, tuple(perm), center): 1})
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from divaria.fd import corpus, leibniz2, leibniz_to_dialgebra
 from divaria.operads import (ALGS, ALGSE, DIALGS, E, IdentitySet, SYM, axiom_check,
                              consequence_space)
 from divaria.perms import from_cycles, random_partition, random_perm, sym_compose, symmetric_group
-from divaria.pseudo import check_var_pseudo, coefficient_dialgebra
+from divaria.pseudo import CoefficientDialgebra, check_var_pseudo
 from divaria.translate import derive_variety, psi, psi_section, rewrite_single_op, zero_dialgebra_axioms
 from divaria.varieties import builtin_identity_set
 from divaria.words import DiPoly, all_dishapes
@@ -200,7 +200,7 @@ def test_criterion_09_variety_quotient_instance():
     ok = ok and all(all(isinstance(k, tuple) and len(k) == 2 for k in row)
                     for row in vq.ideal.rows())
     q = vq.quotient
-    cd = coefficient_dialgebra(q)
+    cd = CoefficientDialgebra(q)
     for i in range(d.dim):
         for j in range(d.dim):
             bi, bj = d.basis(i), d.basis(j)
@@ -218,8 +218,8 @@ def test_criterion_09_variety_quotient_instance():
 def test_criterion_10_current_matrix_truncation():
     t0 = time.time()
     cur = CurrentPA(2)
-    cd = coefficient_dialgebra(cur)
-    basis = [cur.t_pow(pm_unit(2, r, c), k)
+    cd = CoefficientDialgebra(cur)
+    basis = [cur.t_pow(pm_unit(r, c), k)
              for k in range(3) for r in range(2) for c in range(2)]
     identities = list(zero_dialgebra_axioms()) + [DP(s) for s in DIASS]
     ok = True

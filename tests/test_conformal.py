@@ -9,7 +9,7 @@ from divaria.conformal import (LeibnizData, _BasisProducts, build_rho, embed_ass
 from divaria.envelope import build_envelope, build_var_quotient, extend_hom
 from divaria.errors import InputError
 from divaria.fd import FDAlgebra, leibniz2, leibniz3, leibniz_to_dialgebra, sl2
-from divaria.pseudo import coefficient_dialgebra
+from divaria.pseudo import CoefficientDialgebra
 from divaria.varieties import builtin_identity_set
 from divaria.words import DiPoly, all_dishapes
 
@@ -76,7 +76,7 @@ def test_basis_products_match_the_coefficient_dialgebra():
     # single labeled monomials are not identities, so the values are not all
     # zero and a product looked up under the wrong label or order shows
     rep = build_rho(leibniz3(), "trivial")
-    cd = coefficient_dialgebra(rep.cur)
+    cd = CoefficientDialgebra(rep.cur)
     basis = [rep.rho[0], rep.rho[2], cd.rprod(rep.rho[0], rep.rho[1]),
              cd.lprod(rep.rho[1], rep.rho[2])]
     on_basis = _BasisProducts(rep.cur, basis)

@@ -2,16 +2,16 @@ import itertools
 from fractions import Fraction
 
 from divaria.current import CurrentPA, pm_unit
-from divaria.pseudo import coefficient_dialgebra, leaf_spread, n_product, pseudo_product
+from divaria.pseudo import CoefficientDialgebra, leaf_spread, n_product, pseudo_product
 from divaria.translate import derive_variety, zero_dialgebra_axioms
 from divaria.varieties import builtin_identity_set
 
 
 def test_coefficient_operations_evaluate_at_zero():
     cur = CurrentPA(2)
-    cd = coefficient_dialgebra(cur)
-    x = cur.add(pm_unit(2, 0, 1), cur.t_act(pm_unit(2, 0, 0)))   # E12 + T E11
-    y = cur.add(pm_unit(2, 1, 0), cur.t_act(pm_unit(2, 1, 1)))   # E21 + T E22
+    cd = CoefficientDialgebra(cur)
+    x = cur.add(pm_unit(0, 1), cur.t_act(pm_unit(0, 0)))   # E12 + T E11
+    y = cur.add(pm_unit(1, 0), cur.t_act(pm_unit(1, 1)))   # E21 + T E22
     # x |- y = x(0) y ; x -| y = x y(0)
     assert cd.rprod(x, y) == {(0, 0, 0): Fraction(1), (1, 0, 1): Fraction(1)}
     assert cd.lprod(x, y) == {(0, 0, 0): Fraction(1)}
@@ -19,9 +19,9 @@ def test_coefficient_operations_evaluate_at_zero():
 
 def test_current_n_products_concentrate():
     cur = CurrentPA(2)
-    x = pm_unit(2, 0, 1)
-    y = pm_unit(2, 1, 0)
-    assert cur.eq(n_product(cur, x, y, 0), pm_unit(2, 0, 0))
+    x = pm_unit(0, 1)
+    y = pm_unit(1, 0)
+    assert cur.eq(n_product(cur, x, y, 0), pm_unit(0, 0))
     assert cur.is_zero(n_product(cur, x, y, 1))
     # with T powers the product climbs the expected slot degrees
     tx = cur.t_act(x)
@@ -31,8 +31,8 @@ def test_current_n_products_concentrate():
 
 def test_truncated_coefficient_dialgebra_is_associative():
     cur = CurrentPA(2)
-    cd = coefficient_dialgebra(cur)
-    basis = [cur.t_pow(pm_unit(2, r, c), k)
+    cd = CoefficientDialgebra(cur)
+    basis = [cur.t_pow(pm_unit(r, c), k)
              for k in range(3) for r in range(2) for c in range(2)]
     identities = list(zero_dialgebra_axioms()) + list(
         derive_variety(builtin_identity_set("associative")).derived)
@@ -44,7 +44,7 @@ def test_truncated_coefficient_dialgebra_is_associative():
 
 def test_lie_current_base_product_is_commutator():
     cur = CurrentPA(2, bracket=True)
-    x, y = pm_unit(2, 0, 1), pm_unit(2, 1, 0)
+    x, y = pm_unit(0, 1), pm_unit(1, 0)
     terms = cur.base_product(x, y)
     assert len(terms) == 1
     p, q, c = terms[0]
@@ -60,7 +60,7 @@ def test_commutator_current_is_a_lie_pseudo_algebra():
     lie = builtin_identity_set("lie")
     cur = CurrentPA(2, bracket=True)
     assert check_var_pseudo(cur, lie) is None
-    cd = coefficient_dialgebra(cur)
+    cd = CoefficientDialgebra(cur)
     gens = [g for _, g in cur.generators()]
     for p in derive_variety(lie).identities:
         for combo in itertools.product(gens, repeat=p.arity):

@@ -38,3 +38,78 @@ def test_every_module_level_def_is_referenced():
     assert defined
     dead = sorted(f"{module}: {name}" for name, module in defined.items() if name not in used)
     assert dead == []
+
+
+def _defs(body, qual, out, classes, owner=None):
+    """Every def under body as (qualified name, def, owning class or None);
+    classes maps each class name to (base names, {method name: def})."""
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append((f"{qual}{stmt.name}", stmt, owner))
+            _defs(stmt.body, f"{qual}{stmt.name}.", out, classes)
+        elif isinstance(stmt, ast.ClassDef):
+            classes[stmt.name] = ([b.id for b in stmt.bases if isinstance(b, ast.Name)],
+                                  {s.name: s for s in stmt.body if isinstance(s, ast.FunctionDef)})
+            _defs(stmt.body, f"{qual}{stmt.name}.", out, classes, stmt.name)
+
+
+def _decorated(fn, name: str) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == name for d in fn.decorator_list)
+
+
+def test_every_default_is_set_by_a_caller():
+    """A defaulted parameter that no call in the program passes is a
+    constant, not an option.  Calls in src and perfbench count, tests do
+    not.  A call matches every def of its name, a class call matches the
+    __init__ the class has or inherits, and a call with *args or **kwargs
+    passes everything."""
+    found, classes = [], {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        _defs(ast.parse(path.read_text(encoding="utf-8")).body, f"{path.stem}.", found, classes)
+    by_name: dict = {}
+    for _qual, fn, owner in found:
+        by_name.setdefault(fn.name, []).append(
+            (fn, int(owner is not None and not _decorated(fn, "staticmethod"))))
+
+    def method(cls, name):
+        bases, methods = classes[cls]
+        if name in methods:
+            return methods[name]
+        return next(filter(None, (method(b, name) for b in bases if b in classes)), None)
+
+    def callees(func):
+        """(def, number of leading parameters the call does not fill)."""
+        if isinstance(func, ast.Name):
+            if func.id in classes:
+                init = method(func.id, "__init__")
+                return [(init, 1)] if init else []
+            return [(fn, skip) for fn, skip in by_name.get(func.id, ()) if not skip]
+        if not isinstance(func, ast.Attribute):
+            return []
+        if isinstance(func.value, ast.Name) and func.value.id in classes:
+            fn = method(func.value.id, func.attr)
+            return [(fn, int(_decorated(fn, "classmethod")))] if fn else []
+        return by_name.get(func.attr, [])
+
+    passed = set()  # (id of def, parameter name)
+    programs = [p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
+    for path in sorted(PACKAGE.glob("*.py")) + programs:
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(call, ast.Call):
+                continue
+            everything = (any(isinstance(a, ast.Starred) for a in call.args)
+                          or any(k.arg is None for k in call.keywords))
+            for fn, skip in callees(call.func):
+                params = fn.args.posonlyargs + fn.args.args
+                filled = params[skip:skip + len(call.args)]
+                if everything:
+                    filled = params + fn.args.kwonlyargs
+                passed |= {(id(fn), p.arg) for p in filled}
+                passed |= {(id(fn), k.arg) for k in call.keywords}
+    unset = []
+    for qual, fn, _owner in found:
+        params = fn.args.posonlyargs + fn.args.args
+        defaulted = params[len(params) - len(fn.args.defaults):]
+        defaulted += [p for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+        unset += [f"{qual}({p.arg})" for p in defaulted if (id(fn), p.arg) not in passed]
+    assert unset == []

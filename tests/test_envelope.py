@@ -8,8 +8,8 @@ import pytest
 from divaria import envelope, pseudo
 from divaria.envelope import (EnvelopePA, _word_last, _word_values, build_envelope,
                               build_var_quotient, closed_form_eval, extend_hom, oracle_sweep)
-from divaria.pseudo import (Spread, _eval_plain, act_spread, check_var_pseudo,
-                            coefficient_dialgebra, epsilon_eval, eval_term, leaf_spread,
+from divaria.pseudo import (CoefficientDialgebra, Spread, _eval_plain, act_spread,
+                            check_var_pseudo, epsilon_eval, eval_term, leaf_spread,
                             n_product, pseudo_product)
 from divaria.errors import InputError, ResourceError
 from divaria.fd import (abelian, corpus, diagonal_lift, dual_numbers, leibniz2,
@@ -98,8 +98,8 @@ def test_base_product_table(env2):
 def test_h_bilinearity(env2):
     rng = random.Random(13)
     for _ in range(30):
-        x = env2.from_a((Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2))),
-                        power=rng.randint(0, 1))
+        x = env2.t_pow(env2.from_a((Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))),
+                       rng.randint(0, 1))
         y = env2.from_a((Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2))))
         base = pseudo_product(env2, leaf_spread(env2, x), leaf_spread(env2, y))
         # (T x) * y shifts the first slot
@@ -116,8 +116,8 @@ def test_h_bilinearity(env2):
 
 
 def test_degree_cap(env2, monkeypatch):
-    monkeypatch.setenv("DIVARIA_MAX_DEGREE", "2")
-    x = env2.from_a((Fraction(1), Fraction(0)), power=2)
+    monkeypatch.setattr(pseudo, "DEGREE_BOUND", 2)
+    x = env2.t_pow(env2.from_a((Fraction(1), Fraction(0))), 2)
     with pytest.raises(ResourceError):
         pseudo_product(env2, leaf_spread(env2, x), leaf_spread(env2, x))
 
@@ -368,8 +368,8 @@ def test_n_products(env2):
 def test_n_product_shift_relations(env2):
     rng = random.Random(23)
     for _ in range(40):
-        x = env2.from_a((Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2))),
-                        power=rng.randint(0, 1))
+        x = env2.t_pow(env2.from_a((Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))),
+                       rng.randint(0, 1))
         y = env2.from_a((Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2))))
         for n in range(4):
             lhs = n_product(env2, env2.t_act(x), y, n)
@@ -382,7 +382,7 @@ def test_n_product_shift_relations(env2):
 
 
 def test_coefficient_dialgebra_recovers_a(env2):
-    cd = coefficient_dialgebra(env2)
+    cd = CoefficientDialgebra(env2)
     d = env2.A
     for i in range(2):
         for j in range(2):
@@ -394,7 +394,7 @@ def test_coefficient_dialgebra_recovers_a(env2):
 
 def test_coefficient_dialgebra_is_zero_dialgebra(env2):
     from divaria.translate import zero_dialgebra_axioms
-    cd = coefficient_dialgebra(env2)
+    cd = CoefficientDialgebra(env2)
     gens = [g for _, g in env2.generators()]
     for ax in zero_dialgebra_axioms():
         for combo in itertools.product(gens, repeat=3):
@@ -405,13 +405,13 @@ def test_epsilon_examples(env2):
     e1 = env2.basis_a(0)
     # arity 1 is the identity
     assert env2.eq(epsilon_eval(env2, (LEAF, (1,), 1), [e1]), e1)
-    cd = coefficient_dialgebra(env2)
+    cd = CoefficientDialgebra(env2)
     assert env2.eq(epsilon_eval(env2, (B2, (1, 2), 2), [e1, e1]), cd.rprod(e1, e1))
     assert env2.eq(epsilon_eval(env2, (B2, (1, 2), 1), [e1, e1]), cd.lprod(e1, e1))
 
 
 def test_epsilon_after_psi_is_coefficient_evaluation(env2):
-    cd = coefficient_dialgebra(env2)
+    cd = CoefficientDialgebra(env2)
     gens = [g for _, g in env2.generators()]
     rng = random.Random(29)
     for n in (2, 3, 4):

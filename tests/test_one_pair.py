@@ -13,7 +13,6 @@ from divaria.errors import InputError
 from divaria.fd import corpus, gl, is_var_dialgebra, leibniz_to_dialgebra
 from divaria.linalg import RowSpace
 from divaria.perms import symmetric_group
-from divaria.translate import derive_variety
 from divaria.varieties import BUILTIN, builtin_identity_set
 from divaria.words import all_shapes
 
@@ -52,7 +51,7 @@ def one_pair_rows(env: EnvelopePA, sigma, pairs) -> RowSpace:
 def full_ideal(env: EnvelopePA, sigma) -> RowSpace:
     """The ideal spanned with every pair of c1_basis in every one-pair slot."""
     a = env.A
-    w = is_var_dialgebra(a, sigma, derive_variety(sigma))
+    w = is_var_dialgebra(a, sigma)
     if w is not None:
         raise InputError(f"dialgebra fails the variety: {w.describe(a.labels)}")
     rows = one_pair_rows(env, sigma, env.c1_basis)
