@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .conformal import build_rho, embed_associative, verify_representation
+from .conformal import embed_associative, verify_representation
 from .envelope import build_envelope, build_var_quotient, oracle_sweep
 from .errors import InputError, ResourceError, read_text
 from .fd import FDAlgebra, FDDialgebra, is_var_dialgebra, leibniz_to_dialgebra
@@ -222,7 +222,7 @@ def cmd_represent(args) -> int:
     g = load_leibniz_data(_read_json(args.leibniz))
     rep = Report("represent")
     rep.data["module"] = args.module
-    crep = build_rho(g, args.module)
+    erep, crep = embed_associative(g, args.module)
     rep.data["dim_m0"] = crep.dim_m0
     rep.line(f"conformal representation on a free module of rank {crep.dim_m0}")
     vrep = verify_representation(crep)
@@ -231,7 +231,6 @@ def cmd_represent(args) -> int:
         rep.line(f"  {name}: {'pass' if ok else 'FAIL'}")
     for f in vrep.failures:
         rep.fail(f)
-    erep, _ = embed_associative(g, args.module)
     for name, ok in erep.checks.items():
         rep.data[f"embed_{name}"] = ok
         rep.line(f"  embed/{name}: {'pass' if ok else 'FAIL'}")

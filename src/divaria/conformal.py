@@ -20,125 +20,93 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .current import CurrentPA, PolyMat
+from .current import CurrentPA, PolyMat, _mat_mult
 from .errors import InputError, guard_tuples
-from .fd import FDAlgebra, FDDialgebra, Vec, leibniz_to_dialgebra
-from .linalg import RowSpace, add_term, vec_axpy
+from .fd import FDAlgebra, FDDialgebra, leibniz_to_dialgebra
+from .linalg import RowSpace, Vec, add_term, vec_axpy
 from .pseudo import CoefficientDialgebra
 from .translate import derive_variety, zero_dialgebra_axioms
 
 
 class LeibnizData:
-    """A left Leibniz algebra, its quotient Lie algebra, and a module."""
+    """A left Leibniz algebra, its quotient Lie algebra, and a module.
+
+    A vector of the quotient l is a vector of g in normal form modulo the
+    squares, so it is supported on l_basis.  The module action of each g
+    basis element is a sparse matrix {(row, col): coeff} over the
+    positions of l_basis (trivial module: the zero 1 x 1 matrix)."""
 
     def __init__(self, bracket: FDAlgebra, module: str = "trivial"):
         self.g = bracket
         self.dialgebra: FDDialgebra = leibniz_to_dialgebra(bracket)  # validates Leibniz
         d = bracket.dim
+        basis = [bracket.basis(i) for i in range(d)]
 
         squares = RowSpace()
         for i in range(d):
-            squares.add({k: v for k, v in enumerate(bracket.table[i][i]) if v})
+            squares.add(bracket.product(basis[i], basis[i]))
             for j in range(i + 1, d):
-                pol = [bracket.table[i][j][k] + bracket.table[j][i][k] for k in range(d)]
-                squares.add({k: v for k, v in enumerate(pol) if v})
+                pol = bracket.product(basis[i], basis[j])
+                vec_axpy(pol, 1, bracket.product(basis[j], basis[i]))
+                squares.add(pol)
         self.squares = squares
         pivots = set(squares.pivots())
         self.l_basis = tuple(i for i in range(d) if i not in pivots)  # g indices lifting l
 
         for row in squares.rows():  # the span must be a two-sided ideal
-            rv = self._row_vec(row)
-            for i in range(d):
-                b = bracket.basis(i)
-                for prod in (bracket.product(b, rv), bracket.product(rv, b)):
-                    if not squares.contains({k: v for k, v in enumerate(prod) if v}):
+            for b in basis:
+                for prod in (bracket.product(b, row), bracket.product(row, b)):
+                    if not squares.contains(prod):
                         raise InputError("span of squares is not an ideal; bracket is inconsistent")
 
         self._check_quotient_lie()
 
         if module == "trivial":
             self.dim_v = 1
-            self.action = [self._zero_mat(1) for _ in range(d)]
+            self.action = [{} for _ in range(d)]
         elif module == "adjoint":
             if not self.l_basis:
                 raise InputError("quotient Lie algebra is zero; adjoint module is empty")
             self.dim_v = len(self.l_basis)
-            self.action = [self._adjoint_action(t) for t in range(d)]
+            self.action = [self._adjoint_action(b) for b in basis]
             self._check_module_axiom()
         else:
             raise InputError(f"unknown module choice {module!r} (trivial or adjoint)")
         self.module = module
 
-    def _row_vec(self, row: dict) -> Vec:
-        out = [0] * self.g.dim
-        for k, v in row.items():
-            out[k] = v
-        return tuple(out)
-
-    def project_l(self, vec: Vec) -> tuple:
-        """Coordinates of the image of vec in the quotient Lie algebra."""
-        red = self.squares.reduce({k: v for k, v in enumerate(vec) if v})
-        return tuple(red.get(i, 0) for i in self.l_basis)
-
-    def l_bracket(self, cx: tuple, cy: tuple) -> tuple:
-        d = self.g.dim
-        x = [0] * d
-        y = [0] * d
-        for pos, i in enumerate(self.l_basis):
-            x[i] = cx[pos]
-            y[i] = cy[pos]
-        return self.project_l(self.g.product(tuple(x), tuple(y)))
+    def l_bracket(self, x: Vec, y: Vec) -> Vec:
+        return self.squares.reduce(self.g.product(x, y))
 
     def _check_quotient_lie(self):
-        basis = [tuple(1 if k == pos else 0 for k in range(len(self.l_basis)))
-                 for pos in range(len(self.l_basis))]
+        basis = [{i: 1} for i in self.l_basis]
         for x in basis:
-            if any(self.l_bracket(x, x)):
+            if self.l_bracket(x, x):
                 raise InputError("quotient bracket is not antisymmetric")
         for x, y, z in itertools.product(basis, repeat=3):
-            jac = [a + b + c for a, b, c in zip(
-                self.l_bracket(self.l_bracket(x, y), z),
-                self.l_bracket(self.l_bracket(y, z), x),
-                self.l_bracket(self.l_bracket(z, x), y))]
-            if any(jac):
+            jac = self.l_bracket(self.l_bracket(x, y), z)
+            vec_axpy(jac, 1, self.l_bracket(self.l_bracket(y, z), x))
+            vec_axpy(jac, 1, self.l_bracket(self.l_bracket(z, x), y))
+            if jac:
                 raise InputError("quotient bracket fails the Jacobi identity")
 
-    def _zero_mat(self, n: int) -> list:
-        return [[0] * n for _ in range(n)]
-
-    def _adjoint_action(self, t: int) -> list:
-        n = len(self.l_basis)
-        xbar = self.project_l(self.g.basis(t))
-        mat = self._zero_mat(n)
-        for col in range(n):
-            v = tuple(1 if k == col else 0 for k in range(n))
-            img = self.l_bracket(xbar, v)
-            for row in range(n):
-                mat[row][col] = img[row]
-        return mat
+    def _adjoint_action(self, x: Vec) -> dict:
+        pos = {i: p for p, i in enumerate(self.l_basis)}
+        xbar = self.squares.reduce(x)
+        return {(pos[k], col): c for col, i in enumerate(self.l_basis)
+                for k, c in self.l_bracket(xbar, {i: 1}).items()}
 
     def _check_module_axiom(self):
-        n = self.dim_v
+        """[A_s, A_t] = sum_i c_i A_i for the quotient bracket sum_i c_i x_i of x_s, x_t."""
         d = self.g.dim
-
-        def act(t, v):
-            return tuple(sum(self.action[t][r][c] * v[c] for c in range(n)) for r in range(n))
-
         for s in range(d):
             for t in range(d):
-                br = self.g.product(self.g.basis(s), self.g.basis(t))
-                for col in range(n):
-                    v = tuple(1 if k == col else 0 for k in range(n))
-                    lhs = tuple(a - b for a, b in zip(act(s, act(t, v)), act(t, act(s, v))))
-                    xy = self.project_l(br)
-                    g_lift = [0] * d
-                    for pos, i in enumerate(self.l_basis):
-                        g_lift[i] = xy[pos]
-                    rhs_mat = [[sum(self.action[i][r][c] * g_lift[i] for i in range(d))
-                                for c in range(n)] for r in range(n)]
-                    rhs = tuple(sum(rhs_mat[r][c] * v[c] for c in range(n)) for r in range(n))
-                    if lhs != rhs:
-                        raise InputError("module action does not respect the quotient bracket")
+                lhs = _mat_mult(self.action[s], self.action[t])
+                vec_axpy(lhs, -1, _mat_mult(self.action[t], self.action[s]))
+                rhs: dict = {}
+                for i, c in self.l_bracket(self.g.basis(s), self.g.basis(t)).items():
+                    vec_axpy(rhs, c, self.action[i])
+                if lhs != rhs:
+                    raise InputError("module action does not respect the quotient bracket")
 
 
 @dataclass
@@ -153,7 +121,7 @@ class ConformalRep:
 
     def rho_of(self, vec: Vec) -> PolyMat:
         out: PolyMat = {}
-        for i, c in enumerate(vec):
+        for i, c in vec.items():
             vec_axpy(out, c, self.rho[i])
         return out
 
@@ -178,23 +146,15 @@ def build_rho(bracket: FDAlgebra, module: str = "trivial") -> ConformalRep:
     rho1 = []
     rho = []
     for t in range(d):
-        m0: PolyMat = {}
         act = data.action[t]
-        for alpha in range(nv):
-            for beta in range(nv):
-                if act[beta][alpha]:
-                    m0[(0, v_index(beta), v_index(alpha))] = act[beta][alpha]
+        m0: PolyMat = {(0, v_index(beta), v_index(alpha)): c for (beta, alpha), c in act.items()}
         for i in range(d):
             # a (x) u  ->  a (x) xbar.u  +  [x a] (x) u
-            for alpha in range(nv):
-                col = gv_index(i, alpha)
-                for beta in range(nv):
-                    if act[beta][alpha]:
-                        add_term(m0, (0, gv_index(i, beta), col), act[beta][alpha])
-                br = g.product(g.basis(t), g.basis(i))
-                for j, c in enumerate(br):
-                    if c:
-                        add_term(m0, (0, gv_index(j, alpha), col), c)
+            for (beta, alpha), c in act.items():
+                add_term(m0, (0, gv_index(i, beta), gv_index(i, alpha)), c)
+            for j, c in g.product(g.basis(t), g.basis(i)).items():
+                for alpha in range(nv):
+                    add_term(m0, (0, gv_index(j, alpha), gv_index(i, alpha)), c)
         m1: PolyMat = {}
         for alpha in range(nv):
             m1[(0, gv_index(t, alpha), v_index(alpha))] = 1
@@ -287,9 +247,8 @@ def _mat_prod(cur: CurrentPA, a: PolyMat, b: PolyMat) -> PolyMat:
 
 def _lin_comb(cur: CurrentPA, mats: Sequence[PolyMat], vec: Vec) -> PolyMat:
     out = cur.zero()
-    for i, c in enumerate(vec):
-        if c:
-            out = cur.add(out, cur.scale(mats[i], c))
+    for i, c in vec.items():
+        out = cur.add(out, cur.scale(mats[i], c))
     return out
 
 

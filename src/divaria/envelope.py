@@ -22,8 +22,8 @@ from typing import Sequence
 
 from . import perms
 from .errors import InputError, guard_tuples
-from .fd import FDDialgebra, Vec, is_zero_dialgebra, vec_add, vec_is_zero, vec_scale
-from .linalg import RowSpace, add_term, vec_axpy
+from .fd import FDDialgebra, is_zero_dialgebra
+from .linalg import RowSpace, Vec, add_term, vec_axpy
 from .operads import IdentitySet
 from .pseudo import (CoefficientDialgebra, PseudoAlgebra, Spread, accumulate, eval_term, kept,
                      leaf_spread, n_product, pseudo_product)
@@ -50,7 +50,7 @@ class CElement:
 
 def _outer(x: Vec, y: Vec) -> dict:
     """x (x) y in (A (x) A) coordinates."""
-    return {(i, j): a * b for i, a in enumerate(x) if a for j, b in enumerate(y) if b}
+    return {(i, j): a * b for i, a in x.items() for j, b in y.items()}
 
 
 class EnvelopePA(PseudoAlgebra):
@@ -71,19 +71,18 @@ class EnvelopePA(PseudoAlgebra):
         for i in range(d):
             for j in range(d):
                 di = self.defects[i][j]
-                if vec_is_zero(di):
+                if not di:
                     continue
                 for k in range(d):
                     for l in range(d):
                         dk = self.defects[k][l]
-                        if vec_is_zero(dk):
-                            continue
-                        rel.add(_outer(di, dk))
+                        if dk:
+                            rel.add(_outer(di, dk))
         for row in rel.rows():
-            if not vec_is_zero(self._t_of_pairs(row)):
+            if self._t_of_pairs(row):
                 raise InputError("defect tensors are not killed by T; input is inconsistent")
         for extra in extra_relations:
-            if not vec_is_zero(self._t_of_pairs(extra)):
+            if self._t_of_pairs(extra):
                 raise InputError("quotient relation not killed by T")
             rel.add(extra)
         self.rel = rel
@@ -94,7 +93,7 @@ class EnvelopePA(PseudoAlgebra):
     # -- constructors ------------------------------------------------------
 
     def from_a(self, vec: Vec) -> CElement:
-        return CElement({(0, i): x for i, x in enumerate(vec) if x}, {})
+        return CElement({(0, i): x for i, x in vec.items()}, {})
 
     def basis_a(self, i: int) -> CElement:
         return CElement({(0, i): 1}, {})
@@ -130,19 +129,15 @@ class EnvelopePA(PseudoAlgebra):
         return not a.c0 and not a.c1
 
     def _t_of_pairs(self, c1: dict) -> Vec:
-        out = [0] * self.A.dim
+        out: Vec = {}
         for (i, j), coeff in c1.items():
-            for s, x in enumerate(self.defects[i][j]):
-                if x:
-                    out[s] += coeff * x
-        return tuple(out)
+            vec_axpy(out, coeff, self.defects[i][j])
+        return out
 
     def t_act(self, a: CElement) -> CElement:
         c0 = {(k + 1, i): v for (k, i), v in a.c0.items()}
-        if a.c1:
-            for i, x in enumerate(self._t_of_pairs(a.c1)):
-                if x:
-                    add_term(c0, (0, i), x)
+        for i, x in self._t_of_pairs(a.c1).items():
+            add_term(c0, (0, i), x)
         return CElement(c0, {})
 
     def base_product(self, x: CElement, y: CElement) -> list:
@@ -152,20 +147,19 @@ class EnvelopePA(PseudoAlgebra):
             xi_right = a.right[i]
             for (l, j), cy in y.c0.items():
                 c = cx * cy
-                prod = xi_right[j]
-                if not vec_is_zero(prod):
-                    accumulate(self, buckets, (k, l), self.from_a(vec_scale(prod, c)))
+                prod = {(0, s): c * t for s, t in enumerate(xi_right[j]) if t}
+                if prod:
+                    accumulate(self, buckets, (k, l), CElement(prod, {}))
                 accumulate(self, buckets, (k + 1, l), CElement({}, self.rel.reduce({(i, j): -c})))
             if y.c1:
                 ty = self._t_of_pairs(y.c1)
-                if not vec_is_zero(ty):
-                    elem = CElement({}, self.tensor_pair(a.basis(i), vec_scale(ty, cx)))
-                    accumulate(self, buckets, (k, 0), elem)
+                if ty:
+                    accumulate(self, buckets, (k, 0), CElement({}, self.tensor_pair({i: cx}, ty)))
         if x.c1:
             tx = self._t_of_pairs(x.c1)
-            if not vec_is_zero(tx):
+            if tx:
                 for (l, j), cy in y.c0.items():
-                    elem = CElement({}, self.tensor_pair(vec_scale(tx, -cy), a.basis(j)))
+                    elem = CElement({}, self.tensor_pair(tx, {j: -cy}))
                     accumulate(self, buckets, (0, l), elem)
         return [(p, q, e) for (p, q), e in buckets.items()]
 
@@ -198,12 +192,12 @@ class EnvelopePA(PseudoAlgebra):
         """x as (A-vector, basis_index(x)) if x lies in A, else None."""
         if x.c1:
             return None
-        out = [0] * self.A.dim
+        out: Vec = {}
         for (k, i), v in x.c0.items():
             if k:
                 return None
             out[i] = v
-        return tuple(out), (i if len(x.c0) == 1 and v == 1 else None)
+        return out, (i if len(out) == 1 and v == 1 else None)
 
 
 def build_envelope(a: FDDialgebra) -> EnvelopePA:
@@ -249,7 +243,9 @@ def _plain_closed(env: EnvelopePA, shape: Shape, avecs: list):
         if pair:
             xs[i] = pair
     for j, rj in enumerate(right[:-1], start=1):
-        pair = env.tensor_pair(x0l, vec_add(y0, vec_scale(rj, -1)))
+        diff = dict(y0)
+        vec_axpy(diff, -1, rj)
+        pair = env.tensor_pair(x0l, diff)
         if pair:
             xs[m + j] = pair
     return env.A.rprod(x0l, y0), xs
@@ -276,7 +272,8 @@ def _closed_mono_a(env: EnvelopePA, mono, avecs: list, idx) -> tuple[Vec, dict]:
     else:
         q = inv[n - 1]
         yq = ys.get(q, {})
-        x0 = vec_add(y0, vec_scale(env._t_of_pairs(yq), -1))
+        x0 = dict(y0)  # y0 may come from the table: never add into it
+        vec_axpy(x0, -1, env._t_of_pairs(yq))
         xs = {}
         nsig = sigma[n - 1]
         for j in range(1, n):
@@ -298,7 +295,7 @@ def _closed_d_plain(env: EnvelopePA, shape: Shape, args: list, s: int) -> dict:
     if s <= m:
         x = _closed_d_plain(env, shape.left, args[:m], s)
         y0 = _word_last(env, shape.right, args[m:])
-        return env.tensor_pair(vec_scale(env._t_of_pairs(x), -1), y0)
+        return env.tensor_pair({k: -v for k, v in env._t_of_pairs(x).items()}, y0)
     x0l = _word_last(env, shape.left, args[:m])
     x = _closed_d_plain(env, shape.right, args[m:], s - m)
     return env.tensor_pair(x0l, env._t_of_pairs(x))
@@ -340,13 +337,11 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
         return Spread(env, n, {k: env.from_c1(v) for k, v in acc.items() if v})
     # as in eval_term, only a word keeps its plain values
     idx = None if poly or None in idx else tuple(idx)
-    x0 = None
+    x0: Vec = {}
     xs: dict = {}  # j -> the tensor part of the T_j coefficient: -sum of coeff * x_j
     for mono, coeff in monos:
         y0, ys = _closed_mono_a(env, mono, vals, idx)
-        if coeff != 1:
-            y0 = vec_scale(y0, coeff)
-        x0 = y0 if x0 is None else vec_add(x0, y0)
+        vec_axpy(x0, coeff, y0)
         for j, pair in ys.items():
             _add_scaled(xs, j, -coeff, pair)
     terms = {zero: env.from_a(x0)}
@@ -497,9 +492,8 @@ def extend_hom(env: EnvelopePA, phi: Sequence, target: PseudoAlgebra) -> Extende
 
     def phi_vec(vec: Vec):
         out = tgt.zero()
-        for i, c in enumerate(vec):
-            if c:
-                out = tgt.add(out, tgt.scale(phi[i], c))
+        for i, c in vec.items():
+            out = tgt.add(out, tgt.scale(phi[i], c))
         return out
 
     checks = {}

@@ -1,9 +1,10 @@
 """Finite-dimensional (di)algebras given by structure constants over Q.
 
-Structure tables: ``table[i][j]`` is the coordinate vector of the product
-of basis elements i and j (0-based indices; an entry is an int when
-integral, a Fraction otherwise).  Identity checks enumerate basis tuples,
-which suffices by multilinearity; the d^n cost is guarded.
+Structure tables: ``table[i][j]`` is the dense coordinate tuple of the
+product of basis elements i and j (0-based indices; an entry is an int
+when integral, a Fraction otherwise).  Elements are sparse vectors
+(``linalg.Vec``).  Identity checks enumerate basis tuples, which suffices
+by multilinearity; the d^n cost is guarded.
 
 Leibniz conventions: brackets are LEFT Leibniz, x(yz) = (xy)z + y(xz).
 The induced dialgebra is a |- b = [ab], a -| b = -[ba]; the mirror (right
@@ -18,13 +19,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError, guard_tuples
-from .linalg import rational
+from .linalg import Vec, add_term, rational, vec_axpy
 from .words import DiPoly, MultilinearPoly, TermPoly, eval_shape_tree
 
-Vec = tuple  # of int or Fraction
 
-
-def _as_vec(v, dim: int) -> Vec:
+def _as_cell(v, dim: int) -> tuple:
     t = tuple(rational(x) for x in v)
     if len(t) != dim:
         raise InputError(f"vector of length {len(t)}, expected {dim}")
@@ -41,42 +40,23 @@ def _labels(labels: Sequence[str] | None, dim: int) -> tuple:
     return tuple(labels)
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    # zero coordinates pass through: most coordinates are zero
-    return tuple(x + y if x and y else x or y for x, y in zip(a, b))
-
-
-def vec_scale(a: Vec, c) -> Vec:
-    return tuple(c * x if x else x for x in a)
-
-
-def vec_is_zero(a: Vec) -> bool:
-    return not any(a)
-
-
 def _table(raw, dim: int):
-    rows = tuple(tuple(_as_vec(raw[i][j], dim) for j in range(dim)) for i in range(dim))
+    rows = tuple(tuple(_as_cell(raw[i][j], dim) for j in range(dim)) for i in range(dim))
     if len(raw) != dim:
         raise InputError("structure table has wrong dimension")
     return rows
 
 
 def _bilinear(table, x: Vec, y: Vec) -> Vec:
-    dim = len(table)
-    out = [0] * dim
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
+    out: Vec = {}
+    for i, xi in x.items():
         row = table[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
+        for j, yj in y.items():
             c = xi * yj
-            cell = row[j]
-            for k, t in enumerate(cell):
+            for k, t in enumerate(row[j]):
                 if t:
-                    out[k] += c * t
-    return tuple(out)
+                    add_term(out, k, c * t)
+    return out
 
 
 @dataclass(frozen=True)
@@ -87,10 +67,10 @@ class Witness:
     tuple_indices: tuple[int, ...]
     defect: Vec
 
-    def describe(self, labels: Sequence[str] | None = None) -> str:
-        names = [labels[i] if labels else f"b{i + 1}" for i in self.tuple_indices]
-        return (f"identity {self.identity} fails at ({', '.join(names)}); "
-                f"defect {tuple(str(c) for c in self.defect)}")
+    def describe(self, labels: Sequence[str]) -> str:
+        names = [labels[i] for i in self.tuple_indices]
+        dense = tuple(str(self.defect.get(k, 0)) for k in range(len(labels)))
+        return f"identity {self.identity} fails at ({', '.join(names)}); defect {dense}"
 
 
 class FDAlgebra:
@@ -102,7 +82,7 @@ class FDAlgebra:
         self.labels = _labels(labels, self.dim)
 
     def basis(self, i: int) -> Vec:
-        return tuple(1 if j == i else 0 for j in range(self.dim))
+        return {i: 1}
 
     def product(self, x: Vec, y: Vec) -> Vec:
         return _bilinear(self.table, x, y)
@@ -110,10 +90,10 @@ class FDAlgebra:
     def eval_poly(self, p: MultilinearPoly, args: Sequence[Vec]) -> Vec:
         if len(args) != p.arity:
             raise InputError("argument count does not match arity")
-        acc = (0,) * self.dim
+        acc: Vec = {}
         for (shape, perm), coeff in p.terms.items():
             leaves = [args[perm[k] - 1] for k in range(shape.arity)]
-            acc = vec_add(acc, vec_scale(eval_shape_tree(shape, leaves, self.product), coeff))
+            vec_axpy(acc, coeff, eval_shape_tree(shape, leaves, self.product))
         return acc
 
     def check_identity(self, p: MultilinearPoly) -> Witness | None:
@@ -132,7 +112,7 @@ class FDDialgebra:
         self.labels = _labels(labels, self.dim)
 
     def basis(self, i: int) -> Vec:
-        return tuple(1 if j == i else 0 for j in range(self.dim))
+        return {i: 1}
 
     def lprod(self, x: Vec, y: Vec) -> Vec:
         """x -| y"""
@@ -144,16 +124,17 @@ class FDDialgebra:
 
     def defect(self, x: Vec, y: Vec) -> Vec:
         """<x,y> = x|-y - x-|y, the obstruction to the two products agreeing."""
-        return tuple(a - b for a, b in zip(self.rprod(x, y), self.lprod(x, y)))
+        out = self.rprod(x, y)
+        vec_axpy(out, -1, self.lprod(x, y))
+        return out
 
     def eval_poly(self, p: DiPoly, args: Sequence[Vec]) -> Vec:
         if len(args) != p.arity:
             raise InputError("argument count does not match arity")
-        acc = (0,) * self.dim
+        acc: Vec = {}
         for (shape, perm), coeff in p.terms.items():
             leaves = [args[perm[k] - 1] for k in range(shape.arity)]
-            val = eval_shape_tree(shape, leaves, None, (self.lprod, self.rprod))
-            acc = vec_add(acc, vec_scale(val, coeff))
+            vec_axpy(acc, coeff, eval_shape_tree(shape, leaves, None, (self.lprod, self.rprod)))
         return acc
 
 
@@ -163,7 +144,7 @@ def _scan(alg, p: TermPoly, evaluate) -> Witness | None:
     basis = [alg.basis(i) for i in range(alg.dim)]
     for idx in itertools.product(range(alg.dim), repeat=n):
         val = evaluate([basis[i] for i in idx])
-        if not vec_is_zero(val):
+        if val:
             return Witness(p, idx, val)
     return None
 
@@ -211,7 +192,7 @@ def leibniz_to_dialgebra(bracket: FDAlgebra) -> FDDialgebra:
         raise InputError(f"not a left Leibniz algebra: {w.describe(bracket.labels)}")
     d = bracket.dim
     right = [[bracket.table[i][j] for j in range(d)] for i in range(d)]
-    left = [[vec_scale(bracket.table[j][i], -1) for j in range(d)] for i in range(d)]
+    left = [[tuple(-c for c in bracket.table[j][i]) for j in range(d)] for i in range(d)]
     return FDDialgebra(left, right, bracket.labels)
 
 

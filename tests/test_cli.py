@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from divaria import pseudo
+from divaria import cli, conformal, pseudo
 from divaria.cli import main
 from divaria.dsl import parse_expression
 from divaria.fd import gl
@@ -76,6 +76,48 @@ def test_represent(capsys):
     code, out = run(capsys, "represent", "--leibniz", "leibniz2.json", "--module", "trivial")
     assert code == 0
     assert "faithful: pass" in out
+
+
+def test_represent_builds_the_representation_once(capsys, monkeypatch):
+    real = conformal.build_rho
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(conformal, "build_rho", counted)
+    monkeypatch.setattr(cli, "build_rho", counted, raising=False)  # a direct call counts too
+    code, _ = run(capsys, "represent", "--leibniz", "leibniz2.json", "--json")
+    assert code == 0
+    assert len(calls) == 1
+
+
+CHECK_COMMUTATIVE = """{
+  "command": "check",
+  "dim": 2,
+  "status": "fail",
+  "variety": "commutative",
+  "witnesses": [
+    "identity x1-|x2 - x2|-x1 fails at (e1, e1); defect ('0', '-2')"
+  ]
+}
+"""
+
+
+def test_witness_text_is_byte_identical(tmp_path, capsys):
+    # the defect is printed densely, one coordinate per label, zeros included
+    code, out = run(capsys, "check", "--dialgebra", "leibniz2.json", "--variety",
+                    "commutative", "--json")
+    assert code == 1 and out == CHECK_COMMUTATIVE
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps({"dim": 2, "left": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
+                             "right": [[[0, 0], [0, 0]], [[0, 0], [0, 1]]]}))
+    assert main(["envelope", "--dialgebra", str(f)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: not a zero-dialgebra: identity (x1-|x2)|-x3 - (x1|-x2)|-x3 "
+                       "fails at (b2, b2, b2); defect ('0', '-1')\n")
 
 
 def test_operad_selftest_small(capsys):

@@ -22,6 +22,14 @@ def test_leibniz_data_quotient():
     assert data.dim_v == 1
 
 
+def test_corrupted_module_action_is_refused():
+    data = LeibnizData(sl2(), "adjoint")
+    data._check_module_axiom()
+    data.action[0][(0, 0)] = data.action[0].get((0, 0), 0) + 1
+    with pytest.raises(InputError, match="module action does not respect the quotient bracket"):
+        data._check_module_axiom()
+
+
 def test_dimension_formula():
     for alg, module in ((leibniz2(), "trivial"), (leibniz3(), "trivial"), (sl2(), "adjoint")):
         rep = build_rho(alg, module)

@@ -40,6 +40,35 @@ def test_every_module_level_def_is_referenced():
     assert dead == []
 
 
+def test_every_import_is_used():
+    """A name that a src module imports and never reads is dead.  Names
+    listed in __all__ and imports marked # noqa: F401 (re-exports) are exempt."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        exported = set()
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets):
+                exported |= set(ast.literal_eval(stmt.value))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and name not in exported:
+                    unused.append(f"{path.name}: {name}")
+    assert unused == []
+
+
 def _defs(body, qual, out, classes, owner=None):
     """Every def under body as (qualified name, def, owning class or None);
     classes maps each class name to (base names, {method name: def})."""
