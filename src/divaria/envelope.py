@@ -128,6 +128,10 @@ class EnvelopePA(PseudoAlgebra):
     def is_zero(self, a: CElement) -> bool:
         return not a.c0 and not a.c1
 
+    def eq(self, a: CElement, b: CElement) -> bool:
+        # elements are canonical: no stored zero, and c1 reduced modulo rel
+        return a.c0 == b.c0 and a.c1 == b.c1
+
     def _t_of_pairs(self, c1: dict) -> Vec:
         out: Vec = {}
         for (i, j), coeff in c1.items():
@@ -334,20 +338,25 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
         for (shape, sigma), coeff in monos:
             _add_scaled(acc, zero, coeff, _closed_d_plain(env, shape, [vals[g - 1] for g in sigma],
                                                           perms.inverse(sigma)[slots[0] - 1]))
-        return Spread(env, n, {k: env.from_c1(v) for k, v in acc.items() if v})
-    # as in eval_term, only a word keeps its plain values
-    idx = None if poly or None in idx else tuple(idx)
-    x0: Vec = {}
-    xs: dict = {}  # j -> the tensor part of the T_j coefficient: -sum of coeff * x_j
-    for mono, coeff in monos:
-        y0, ys = _closed_mono_a(env, mono, vals, idx)
-        vec_axpy(x0, coeff, y0)
-        for j, pair in ys.items():
-            _add_scaled(xs, j, -coeff, pair)
-    terms = {zero: env.from_a(x0)}
+        # sums of reduced vectors stay reduced: nothing to reduce again
+        return Spread.of_terms(env, n, {k: CElement({}, v) for k, v in acc.items() if v})
+    if poly:
+        x0: Vec = {}
+        xs: dict = {}  # j -> the tensor part of the T_j coefficient: -sum of coeff * x_j
+        for mono, coeff in monos:
+            y0, ys = _closed_mono_a(env, mono, vals, None)
+            vec_axpy(x0, coeff, y0)
+            for j, pair in ys.items():
+                _add_scaled(xs, j, -coeff, pair)
+    else:  # as in eval_term, only a word keeps its plain values
+        x0, ys = _closed_mono_a(env, t, vals, None if None in idx else tuple(idx))
+        xs = {j: {k: -v for k, v in pair.items()} for j, pair in ys.items()}
+    # fresh dicts, zero-free and reduced, never the kept values themselves
+    terms = {zero: env.from_a(x0)} if x0 else {}
     for j, pair in xs.items():
-        terms[tuple(int(i == j - 1) for i in range(n - 1))] = env.from_c1(pair)
-    return Spread(env, n, terms)
+        if pair:
+            terms[tuple(int(i == j - 1) for i in range(n - 1))] = CElement({}, pair)
+    return Spread.of_terms(env, n, terms)
 
 
 def _add_scaled(acc: dict, key, coeff, vec: dict) -> None:

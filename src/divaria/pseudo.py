@@ -19,12 +19,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add
 from typing import Sequence
 
 from . import perms
 from .errors import InputError, ResourceError, guard_tuples
-from .hopf import coproduct_splits
-from .linalg import rational
+from .hopf import antipode_sign, coproduct_splits
+from .linalg import add_term, rational
 from .operads import IdentitySet
 from .words import MultilinearPoly, Shape, TensorPoly, eval_shape_tree
 
@@ -124,7 +126,11 @@ class Spread:
         return not self.terms
 
     def eq(self, other: "Spread") -> bool:
-        return self.add(other.scale(-1)).is_zero()
+        """No term is zero, so equal spreads have the same exponents."""
+        if self.terms.keys() != other.terms.keys():
+            return False
+        eq, theirs = self.alg.eq, other.terms
+        return all(eq(v, theirs[k]) for k, v in self.terms.items())
 
     def describe(self) -> str:
         if not self.terms:
@@ -150,21 +156,56 @@ def accumulate(alg, acc: dict, key: tuple, elem, coeff=1):
         acc[key] = s
 
 
-def _normalize_into(alg, acc: dict, full_exps: tuple, elem, coeff=1):
-    """Add the unnormalized term T^{full_exps} (x)_H elem (slot count n =
-    len(full_exps)); the slot-n power is eliminated via the coproduct."""
-    if any(e > DEGREE_BOUND for e in full_exps):
-        raise ResourceError(f"T-degree {max(full_exps)} exceeds cap {DEGREE_BOUND}")
-    n = len(full_exps)
-    kn = full_exps[-1]
-    if kn == 0:
-        accumulate(alg, acc, full_exps[:-1], elem, coeff)
-        return
-    for split, multi in coproduct_splits(kn, n):
-        sign = -1 if (kn - split[-1]) & 1 else 1
-        shifted = alg.t_pow(elem, split[-1])
-        key = tuple(full_exps[i] + split[i] for i in range(n - 1))
-        accumulate(alg, acc, key, shifted, coeff * sign * multi)
+def _check_degree(top: int) -> None:
+    """Refuse a term whose T-degree in some slot exceeds DEGREE_BOUND; read
+    at call time, before any table lookup, so every table key stays bounded."""
+    if top > DEGREE_BOUND:
+        raise ResourceError(f"T-degree {top} exceeds cap {DEGREE_BOUND}")
+
+
+def _by_power(entries) -> tuple:
+    return tuple(sorted(entries, key=lambda entry: entry[1]))
+
+
+@lru_cache(maxsize=None)
+def _slot_table(kn: int, n: int) -> tuple:
+    """Removal of T^kn from slot n of n slots: (offsets of slots 1..n-1,
+    T-power, coefficient) triples by rising T-power.  Through the iterated
+    coproduct and the antipode, T_n^kn (x)_H c is the sum over the splits j of
+    T^kn into n parts of (-1)^(kn - j_n) multinomial(kn; j)
+    T_1^j_1 ... T_{n-1}^j_{n-1} (x)_H T^j_n c."""
+    return _by_power((split[:-1], split[-1], antipode_sign(kn - split[-1]) * multi)
+                     for split, multi in coproduct_splits(kn, n))
+
+
+@lru_cache(maxsize=None)
+def _product_table(p: int, q: int, k: int, m: int) -> tuple:
+    """T^p (x) T^q (x)_H c spread over k + m slots, the two factors through
+    their coproducts onto slots 1..k and k+1..k+m, with slot k + m removed:
+    (offsets of slots 1..k+m-1, T-power, coefficient) triples with like
+    terms combined, by rising T-power."""
+    merged: dict = {}
+    for ps, m1 in coproduct_splits(p, k):
+        for qs, m2 in coproduct_splits(q, m):
+            head = ps + qs[:-1]
+            for off, power, coeff in _slot_table(qs[-1], k + m):
+                add_term(merged, (tuple(map(add, head, off)), power), m1 * m2 * coeff)
+    return _by_power((off, power, coeff) for (off, power), coeff in merged.items())
+
+
+def _spread_into(alg, acc: dict, base: tuple, elem, table: tuple, coeff=1):
+    """acc += coeff * sum over the table of T^(base + offsets) (x)_H T^power elem.
+
+    The table rises in T-power, so each power of elem is computed once; once
+    T kills elem, no later entry adds anything."""
+    power, shifted = 0, elem
+    for off, need, c in table:
+        while power < need:
+            shifted = alg.t_act(shifted)
+            power += 1
+            if alg.is_zero(shifted):
+                return
+        accumulate(alg, acc, tuple(map(add, base, off)), shifted, coeff * c)
 
 
 def normalize(alg, hs: Sequence[Sequence], c) -> Spread:
@@ -181,7 +222,8 @@ def normalize(alg, hs: Sequence[Sequence], c) -> Spread:
     for exps in itertools.product(*[range(len(h)) for h in hs]):
         coeff = math.prod(rational(h[e]) for h, e in zip(hs, exps))
         if coeff:
-            _normalize_into(alg, acc, tuple(exps), c, coeff)
+            _check_degree(max(exps))
+            _spread_into(alg, acc, exps[:-1], c, _slot_table(exps[-1], n), coeff)
     return Spread.of_terms(alg, n, acc)
 
 
@@ -194,15 +236,15 @@ def pseudo_product(alg, f: Spread, g: Spread) -> Spread:
     k, m = f.n, g.n
     acc: dict = {}
     for mu, fe in f.terms.items():
+        mu_top = max(mu, default=0)
         for nu, ge in g.terms.items():
+            nu_top = max(nu, default=0)
+            base = mu + (0,) + nu
             for p, q, c in alg.base_product(fe, ge):
                 if alg.is_zero(c):
                     continue
-                for ps, m1 in coproduct_splits(p, k):
-                    for qs, m2 in coproduct_splits(q, m):
-                        full = (tuple(mu[i] + ps[i] for i in range(k - 1)) + (ps[-1],)
-                                + tuple(nu[i] + qs[i] for i in range(m - 1)) + (qs[-1],))
-                        _normalize_into(alg, acc, full, c, m1 * m2)
+                _check_degree(max(mu_top + p, nu_top + q))
+                _spread_into(alg, acc, base, c, _product_table(p, q, k, m))
     return Spread.of_terms(alg, k + m, acc)
 
 
@@ -213,11 +255,12 @@ def act_spread(alg, f: Spread, sigma) -> Spread:
         return f
     acc: dict = {}
     for exps, elem in f.terms.items():
+        _check_degree(max(exps))
         full = exps + (0,)
         moved = [0] * n
         for i in range(n):
             moved[sigma[i] - 1] = full[i]
-        _normalize_into(alg, acc, tuple(moved), elem)
+        _spread_into(alg, acc, tuple(moved[:-1]), elem, _slot_table(moved[-1], n))
     return Spread.of_terms(alg, n, acc)
 
 

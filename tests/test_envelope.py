@@ -236,6 +236,35 @@ def test_closed_forms_never_reach_the_recursive_evaluator(monkeypatch):
         assert eval_term(env, word, args).eq(value)
 
 
+def _forbid_table(*_key):
+    raise AssertionError("the closed forms read a normalization table")
+
+
+def test_closed_forms_never_read_the_normalization_tables(monkeypatch):
+    # the tables of pseudo feed the recursive side only
+    cases = []
+    for _name, a in corpus():
+        env = build_envelope(a)
+        d = env.A.dim
+        for n in range(1, 4):
+            for word in itertools.product(all_shapes(n), symmetric_group(n)):
+                for idx in itertools.product(range(d), repeat=n):
+                    cases.append((env, word, [env.basis_a(i) for i in idx]))
+                for slot, pr in itertools.product(range(1, n + 1), env.c1_basis):
+                    args = [env.pair(*pr) if pos == slot else env.basis_a((pos + pr[1]) % d)
+                            for pos in range(1, n + 1)]
+                    cases.append((env, word, args))
+    with monkeypatch.context() as mp:
+        mp.setattr(pseudo, "_product_table", _forbid_table)
+        mp.setattr(pseudo, "_slot_table", _forbid_table)
+        env = build_envelope(leibniz_to_dialgebra(leibniz2()))
+        with pytest.raises(AssertionError):
+            eval_term(env, (B2, (2, 1)), [env.basis_a(0), env.basis_a(1)])
+        closed = [closed_form_eval(env, word, args) for env, word, args in cases]
+    for (env, word, args), value in zip(cases, closed):
+        assert eval_term(env, word, args).eq(value)
+
+
 # ---------------------------------------------------------------------------
 # the per-shape tables of the two evaluators
 # ---------------------------------------------------------------------------

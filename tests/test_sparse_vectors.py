@@ -1,14 +1,18 @@
 """Invariants of the one element-vector type, linalg.Vec: a result never
-stores a zero coordinate, and no caller adds into a value that a per-shape
-table keeps."""
+stores a zero coordinate, no caller adds into a value that a per-shape
+table keeps, and every tensor part of an envelope element is reduced
+modulo the relations, which makes equality a dictionary comparison."""
 
 import copy
 import itertools
+import random
+from collections import Counter
+from fractions import Fraction
 
-from divaria.envelope import build_envelope, closed_form_eval
+from divaria.envelope import build_envelope, build_var_quotient, closed_form_eval
 from divaria.fd import corpus, gl, leibniz_to_dialgebra
 from divaria.perms import symmetric_group
-from divaria.pseudo import eval_term
+from divaria.pseudo import Spread, eval_term
 from divaria.translate import derive_variety, zero_dialgebra_axioms
 from divaria.varieties import builtin_identity_set
 from divaria.words import all_shapes
@@ -75,3 +79,102 @@ def test_kept_values_are_never_changed():
                     if sweep == 0:
                         first = copy.deepcopy(tables)
                 assert tables == first, (name, shape.key)
+
+
+# ---------------------------------------------------------------------------
+# canonical tensor parts: what dictionary equality of elements relies on
+# ---------------------------------------------------------------------------
+
+def _canonical(env, elem) -> bool:
+    return _zero_free(elem.c0) and _zero_free(elem.c1) and env.rel.reduce(elem.c1) == elem.c1
+
+
+def _envelopes() -> list:
+    """The corpus envelopes and the Lie quotients of the Lie members, whose
+    relations reach beyond the defect tensors."""
+    lie = builtin_identity_set("lie")
+    envs = []
+    for name, d in corpus():
+        envs.append((name, build_envelope(d)))
+        if name in ("leibniz2", "leibniz3", "sl2"):
+            envs.append((f"{name}/lie", build_var_quotient(envs[-1][1], lie).quotient))
+    return envs
+
+
+def _word_arguments(env, n: int) -> list:
+    """Every basis tuple of length n, and every one-pair tuple of a c1 basis pair."""
+    d = env.A.dim
+    out = [[env.basis_a(i) for i in idx] for idx in itertools.product(range(d), repeat=n)]
+    for slot, pr in itertools.product(range(n), env.c1_basis):
+        out.append([env.pair(*pr) if pos == slot else env.basis_a((pos + pr[0]) % d)
+                    for pos in range(n)])
+    return out
+
+
+def test_tensor_parts_are_reduced():
+    # EnvelopePA.eq and Spread.eq compare dicts: right only while every c1
+    # is reduced modulo rel and no dict holds a zero
+    envs = _envelopes()
+    assert min(env.rel.rank for name, env in envs if name.endswith("/lie")) > 1
+    for name, env in envs:
+        d = env.A.dim
+        pairs = list(itertools.product(range(d), repeat=2))
+        elems = [env.pair(i, j) for i, j in pairs]
+        elems += [env.from_c1({p: 1, q: s}) for p, q in itertools.combinations(pairs, 2)
+                  for s in (1, -1)]
+        elems += [g for _name, g in env.generators()] + [env.basis_a(i) for i in range(d)]
+        elems += [env.t_act(x) for x in elems]
+        for x in elems:
+            assert _canonical(env, x), (name, x)
+        for x, y in itertools.product(elems[:2 * d * d], repeat=2):
+            for p, q, z in env.base_product(x, y):
+                assert _canonical(env, z), (name, x, y, p, q)
+        for n in range(1, 4):
+            for word in itertools.product(all_shapes(n), symmetric_group(n)):
+                for args in _word_arguments(env, n):
+                    for value in (eval_term(env, word, args), closed_form_eval(env, word, args)):
+                        for exps, z in value.terms.items():
+                            assert _canonical(env, z) and not env.is_zero(z), (name, word, exps)
+
+
+def _old_eq(alg, a, b) -> bool:
+    """Element equality by subtracting and testing for zero."""
+    return alg.is_zero(alg.add(a, alg.scale(b, -1)))
+
+
+def _old_spread_eq(f, g) -> bool:
+    return f.add(g.scale(-1)).is_zero()
+
+
+def test_dictionary_equality_agrees_with_subtraction():
+    rng = random.Random(23)
+    for name, env in _envelopes():
+        d = env.A.dim
+        gens = [g for _name, g in env.generators()] + [env.pair(*p) for p in env.rel.pivots()]
+        elems = []
+        for _ in range(12):
+            x = env.zero()
+            for _ in range(rng.randint(1, 3)):
+                g = env.t_pow(rng.choice(gens), rng.randint(0, 2))
+                x = env.add(x, env.scale(g, Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))))
+            # the same value built another way, and one that differs from it
+            elems += [x, env.add(env.scale(x, 3), env.scale(x, -2)),
+                      env.add(x, env.basis_a(rng.randrange(d)))]
+        counts = Counter()
+        for a, b in itertools.product(elems, repeat=2):
+            same = _old_eq(env, a, b)
+            assert env.eq(a, b) == same, (name, a, b)
+            counts[same] += 1
+        assert counts[True] > len(elems) and counts[False], name
+        spreads = []
+        for word in itertools.product(all_shapes(3), symmetric_group(3)):
+            args = rng.choice(_word_arguments(env, 3))
+            f = eval_term(env, word, args)
+            spreads += [f, closed_form_eval(env, word, args), f.scale(3).add(f.scale(-2)),
+                        f.add(Spread(env, 3, {(rng.randrange(2), 0): rng.choice(elems)}))]
+        counts = Counter()
+        for f, g in itertools.product(spreads, repeat=2):
+            same = _old_spread_eq(f, g)
+            assert f.eq(g) == same, (name, f.describe(), g.describe())
+            counts[same] += 1
+        assert counts[True] > len(spreads) and counts[False], name
