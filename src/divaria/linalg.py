@@ -6,10 +6,14 @@ data stay int: a Fraction comes in only with a non-integral input or a
 division by a pivot other than 1 or -1.  RowSpace maintains a reduced row
 echelon basis incrementally; the basis is canonical (independent of
 insertion order), which makes row spaces directly comparable.
+A new pivot is back-substituted only into the rows listed under its column:
+for each free column RowSpace lists the rows that took an entry there, and
+skips a listing whose entry has cancelled since.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from typing import Hashable, Iterable
 
@@ -51,6 +55,8 @@ class RowSpace:
 
     def __init__(self, rows: Iterable[Vec] = ()):  # rows are copied
         self._rows: dict[Hashable, Vec] = {}  # pivot key -> row (pivot coeff 1)
+        # free column -> pivots of the rows that took an entry there
+        self._holders: defaultdict[Hashable, list] = defaultdict(list)
         for r in rows:
             self.add(r)
 
@@ -87,11 +93,21 @@ class RowSpace:
         lead = min(red)
         inv = ONE / red[lead]
         row = {k: rational(inv * x) for k, x in red.items()}  # integral entries as int
-        # back-substitute into existing rows to keep full RREF
-        for p, r in self._rows.items():
-            if lead in r:
-                vec_axpy(r, -r[lead], row)
+        # back-substitute into the rows that hold lead, to keep full RREF
+        holders = self._holders
+        for p in holders.pop(lead, ()):
+            r = self._rows[p]
+            c = r.get(lead)
+            if c is None:  # cancelled since p was listed
+                continue
+            taken = [k for k in row if k not in r]
+            vec_axpy(r, -c, row)
+            for k in taken:
+                holders[k].append(p)
         self._rows[lead] = row
+        for k in row:
+            if k != lead:
+                holders[k].append(lead)
         return True
 
     def __eq__(self, other: object) -> bool:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from random import Random
 from typing import Sequence
 
@@ -342,12 +341,20 @@ class IdentitySet:
         return iter(self.identities)
 
 
-@lru_cache(maxsize=None)
-def _consequence_space(identities: tuple, n: int) -> RowSpace:
+def consequence_space(sigma: IdentitySet | Sequence[MultilinearPoly], n: int) -> RowSpace:
+    """RREF row space of the arity-n multilinear part of the ideal of Sigma.
+
+    Built afresh on every call: the caller owns the result."""
+    if n < 2:
+        raise InputError("consequence arity must be >= 2")
+    if n > CONSEQUENCE_ARITY_BOUND:
+        raise ResourceError(
+            f"consequence arity {n} exceeds the documented bound {CONSEQUENCE_ARITY_BOUND} "
+            f"(space dimension grows as Catalan(n-1) * n!)")
     space = RowSpace()
     unit = MultilinearPoly.monomial(LEAF, (1,))
     group = perms.symmetric_group(n)
-    for t in identities:
+    for t in sigma:
         m = t.arity
         if m > n:
             continue
@@ -368,18 +375,6 @@ def _consequence_space(identities: tuple, n: int) -> RowSpace:
                             for sig in group:
                                 space.add(to_vec(g0.act(sig)))
     return space
-
-
-def consequence_space(sigma: IdentitySet | Sequence[MultilinearPoly], n: int) -> RowSpace:
-    """RREF row space of the arity-n multilinear part of the ideal of Sigma."""
-    if n < 2:
-        raise InputError("consequence arity must be >= 2")
-    if n > CONSEQUENCE_ARITY_BOUND:
-        raise ResourceError(
-            f"consequence arity {n} exceeds the documented bound {CONSEQUENCE_ARITY_BOUND} "
-            f"(space dimension grows as Catalan(n-1) * n!)")
-    identities = tuple(sigma.identities if isinstance(sigma, IdentitySet) else sigma)
-    return _consequence_space(identities, n)
 
 
 def multilinear_consequences(sigma, n: int):

@@ -109,22 +109,6 @@ def pair_to_index(pi: Partition, i: int, j: int) -> int:
     return sum(pi[: i - 1]) + j
 
 
-def index_to_pair(pi: Partition, k: int) -> tuple[int, int]:
-    """Inverse of :func:`pair_to_index`.
-
-    >>> index_to_pair((3, 2, 4), 5)
-    (2, 2)
-    """
-    if not 1 <= k <= sum(pi):
-        raise InputError(f"index {k} out of range for partition {pi!r}")
-    acc = 0
-    for i, m in enumerate(pi, start=1):
-        if k <= acc + m:
-            return i, k - acc
-        acc += m
-    raise AssertionError("unreachable")
-
-
 def compose_partitions(tau: Partition, pi: Partition) -> tuple[Partition, tuple[Partition, ...]]:
     """Group tau's parts by pi's blocks.
 
@@ -184,7 +168,8 @@ def random_partition(m: int, n: int, rng: Random) -> Partition:
 
 def sym_compose(sigma: Perm, pi: Partition, taus: Sequence[Perm]) -> Perm:
     """Compose permutations along a partition: k = (i,j) maps to (i*sigma, j*tau_i)
-    read in the blocks of pi acted by sigma.
+    read in the blocks of pi acted by sigma.  One pass: the image of (i,j)
+    is the start offset of block i*sigma of pi*sigma plus j*tau_i.
 
     >>> sym_compose(from_cycles(3, [(1, 2, 3)]), (3, 2, 4),
     ...             [from_cycles(3, [(1, 3, 2)]), (2, 1), from_cycles(4, [(2, 3, 4)])])
@@ -196,9 +181,12 @@ def sym_compose(sigma: Perm, pi: Partition, taus: Sequence[Perm]) -> Perm:
     if len(taus) != n or any(len(taus[i]) != pi[i] for i in range(n)):
         raise InputError("inner permutation degrees do not match partition")
     pi_sigma = act_partition(pi, sigma)
-    m = sum(pi)
+    start = tuple(itertools.accumulate(pi_sigma, initial=0))  # block i: start[i-1]+1 .. start[i]
     images = []
-    for k in range(1, m + 1):
-        i, j = index_to_pair(pi, k)
-        images.append(pair_to_index(pi_sigma, sigma[i - 1], taus[i - 1][j - 1]))
+    for s, tau in zip(sigma, taus):
+        lo, hi = (start[s - 1], start[s]) if 1 <= s <= n else (0, 0)
+        for t in tau:
+            if not 0 < t <= hi - lo:
+                raise InputError(f"pair ({s},{t}) out of range for partition {pi_sigma!r}")
+            images.append(lo + t)
     return tuple(images)

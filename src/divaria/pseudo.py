@@ -101,7 +101,9 @@ class Spread:
     @classmethod
     def of_terms(cls, alg: PseudoAlgebra, n: int, terms: dict) -> "Spread":
         """The spread with these terms, taken as they are: no term is zero."""
-        out = cls(alg, n)
+        out = object.__new__(cls)
+        out.alg = alg
+        out.n = n
         out.terms = terms
         return out
 

@@ -6,8 +6,9 @@ from divaria.errors import InputError, ResourceError
 from divaria.operads import (ALGS, ALGSE, DIALGS, E, SYM, IdentitySet, SymOperad,
                              axiom_check, consequence_space,
                              multilinear_consequences, varalg_reduce)
-from divaria.perms import inverse, random_partition, random_perm, sym_compose
-from divaria.words import LEAF, MultilinearPoly, node
+from divaria.perms import inverse, random_partition, random_perm, sym_compose, symmetric_group
+from divaria.varieties import builtin_identity_set
+from divaria.words import LEAF, MultilinearPoly, all_shapes, node, to_vec
 
 B2 = node(LEAF, LEAF)
 LC3 = node(B2, LEAF)
@@ -129,11 +130,22 @@ def test_varalg_reduce_commutative():
     assert varalg_reduce(swapped, sigma) == varalg_reduce(plain, sigma)
 
 
+def test_each_call_builds_its_own_consequence_space():
+    lie = builtin_identity_set("lie")
+    first = consequence_space(lie, 3)
+    assert first.rank == 10
+    monomials = (to_vec(MultilinearPoly.monomial(s, p))
+                 for s in all_shapes(3) for p in symmetric_group(3))
+    assert first.add(next(v for v in monomials if not first.contains(v)))
+    assert first.rank == 11
+    second = consequence_space(lie, 3)
+    assert second is not first and second.rank == 10
+
+
 def test_reduce_difference_lies_in_span():
     rng = random.Random(7)
     sigma = IdentitySet("assoc", (ASSOC,))
     space = consequence_space(sigma, 3)
-    from divaria.words import all_shapes, to_vec
     for _ in range(25):
         p = MultilinearPoly.zero(3)
         for _ in range(3):

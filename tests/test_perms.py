@@ -5,8 +5,31 @@ from hypothesis import given, strategies as st
 
 from divaria.errors import InputError
 from divaria.perms import (act_partition, compose, compose_partitions, compositions,
-                           from_cycles, identity, index_to_pair, inverse,
-                           pair_to_index, random_partition, random_perm, sym_compose)
+                           from_cycles, identity, inverse, pair_to_index,
+                           random_partition, random_perm, sym_compose)
+
+
+def index_to_pair(pi, k):
+    """Inverse of pair_to_index: the block i and the place j of index k."""
+    if not 1 <= k <= sum(pi):
+        raise InputError(f"index {k} out of range for partition {pi!r}")
+    acc = 0
+    for i, m in enumerate(pi, start=1):
+        if k <= acc + m:
+            return i, k - acc
+        acc += m
+    raise AssertionError("unreachable")
+
+
+def _sym_compose_by_pairs(sigma, pi, taus):
+    """The definition of sym_compose read place by place, O(m^2): k = (i,j)
+    maps to the index of (i*sigma, j*tau_i) in the blocks of pi*sigma."""
+    pi_sigma = act_partition(pi, sigma)
+    images = []
+    for k in range(1, sum(pi) + 1):
+        i, j = index_to_pair(pi, k)
+        images.append(pair_to_index(pi_sigma, sigma[i - 1], taus[i - 1][j - 1]))
+    return tuple(images)
 
 
 def test_pair_to_index_examples():
@@ -29,6 +52,43 @@ def test_pair_index_roundtrip(parts):
     for k in range(1, sum(pi) + 1):
         i, j = index_to_pair(pi, k)
         assert pair_to_index(pi, i, j) == k
+
+
+def test_index_to_pair_example():
+    assert index_to_pair((3, 2, 4), 5) == (2, 2)
+    with pytest.raises(InputError):
+        index_to_pair((3, 2), 6)
+
+
+def test_sym_compose_matches_the_pairwise_definition():
+    rng = random.Random(23)
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        pi = random_partition(rng.randint(n, 9), n, rng)
+        sigma = random_perm(n, rng)
+        taus = [random_perm(k, rng) for k in pi]
+        assert sym_compose(sigma, pi, taus) == _sym_compose_by_pairs(sigma, pi, taus)
+
+
+def test_sym_compose_errors():
+    pi, sigma, taus = (3, 2, 4), (2, 3, 1), [(1, 3, 2), (2, 1), (2, 3, 4, 1)]
+    with pytest.raises(InputError, match="partition length does not match outer degree"):
+        sym_compose(sigma, (3, 2), taus)
+    with pytest.raises(InputError, match="inner permutation degrees do not match partition"):
+        sym_compose(sigma, pi, taus[:2])
+    with pytest.raises(InputError, match="inner permutation degrees do not match partition"):
+        sym_compose(sigma, pi, [(1, 2), (2, 1), (2, 3, 4, 1)])
+    # an inner image outside its block, and an outer image 0: both the
+    # one-pass rule and the pairwise definition refuse with the same message
+    for bad_sigma, bad_taus in [(sigma, [(1, 4, 2), (2, 1), (2, 3, 4, 1)]),
+                                (sigma, [(1, 3, 2), (0, 1), (2, 3, 4, 1)]),
+                                ((0, 3, 1), taus)]:
+        with pytest.raises(InputError) as fast:
+            sym_compose(bad_sigma, pi, bad_taus)
+        with pytest.raises(InputError) as slow:
+            _sym_compose_by_pairs(bad_sigma, pi, bad_taus)
+        assert str(fast.value) == str(slow.value)
+        assert "out of range for partition" in str(fast.value)
 
 
 def test_compose_partitions_examples():
