@@ -183,9 +183,6 @@ class RepReport:
         if not ok:
             self.failures.append(f"{name}: {detail}")
 
-    def lines(self) -> list[str]:
-        return [f"  {name}: {'pass' if ok else 'FAIL'}" for name, ok in self.checks.items()]
-
 
 def verify_representation(rep: ConformalRep) -> RepReport:
     """The four defining checks of the representation."""

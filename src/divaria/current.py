@@ -10,7 +10,7 @@ degree-bounded truncations closed under both.
 from __future__ import annotations
 
 from .errors import InputError
-from .linalg import add_term, vec_axpy
+from .linalg import add_term, decimal_str, vec_axpy
 from .pseudo import PseudoAlgebra
 
 PolyMat = dict  # {(k, r, c): coeff}, coeff an int or a Fraction, never a float
@@ -100,7 +100,7 @@ class CurrentPA(PseudoAlgebra):
         bits = []
         for (k, r, c) in sorted(a):
             t = f"T^{k} " if k > 1 else ("T " if k == 1 else "")
-            bits.append(f"{a[(k, r, c)]} {t}E{r + 1}{c + 1}")
+            bits.append(f"{decimal_str(a[(k, r, c)])} {t}E{r + 1}{c + 1}")
         return " + ".join(bits)
 
     def commutator(self, x: PolyMat, y: PolyMat) -> PolyMat:

@@ -1,4 +1,4 @@
-"""Identity DSL: parsing and printing.
+"""Identity DSL: parsing (str of a polynomial prints it in the same syntax).
 
 Grammar (ASCII, left-associative chains, '|-' and '-|' are the two
 dialgebra products, '*' the single product):
@@ -117,8 +117,11 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    """Parses tokens; an error at their end names the position of end."""
+
+    def __init__(self, tokens: list[Token], end: Token):
         self.toks = tokens
+        self.end = end
         self.pos = 0
 
     def peek(self) -> Token | None:
@@ -127,7 +130,7 @@ class _Parser:
     def next(self) -> Token:
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of input", 0, 0)
+            raise ParseError("unexpected end of input", self.end.line, self.end.col)
         self.pos += 1
         return tok
 
@@ -164,44 +167,28 @@ class _Parser:
         return (coeff, self.parse_factor())
 
     def parse_factor(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("expected a factor", 0, 0)
-        if tok.kind == "var":
-            self.next()
-            tree = ("var", int(tok.text[1:]), tok.line, tok.col)
-        elif tok.kind == "lparen":
-            self.next()
-            inner = self.parse_expr()
-            self.expect("rparen")
-            tree = ("expr", inner)
-        else:
-            raise ParseError(f"expected a variable or '(', found {tok.text!r}",
-                             tok.line, tok.col)
+        tree = self.parse_primary()
         while True:
             tok = self.peek()
             if tok and tok.kind == "op":
                 self.next()
-                rhs_tok = self.peek()
-                if rhs_tok is None:
-                    raise ParseError("missing right operand", tok.line, tok.col)
-                rhs = self.parse_primary()
-                tree = ("op", tok.text, tree, rhs, tok.line, tok.col)
+                tree = ("op", tok.text, tree, self.parse_primary(), tok.line, tok.col)
             else:
                 return tree
 
     def parse_primary(self):
         tok = self.peek()
-        if tok and tok.kind == "var":
+        if tok is None:
+            raise ParseError("expected a factor", self.end.line, self.end.col)
+        if tok.kind == "var":
             self.next()
             return ("var", int(tok.text[1:]), tok.line, tok.col)
-        if tok and tok.kind == "lparen":
+        if tok.kind == "lparen":
             self.next()
             inner = self.parse_expr()
             self.expect("rparen")
             return ("expr", inner)
-        where = (tok.line, tok.col) if tok else (0, 0)
-        raise ParseError("expected a variable or '('", *where)
+        raise ParseError(f"expected a variable or '(', found {tok.text!r}", tok.line, tok.col)
 
 
 def _tree_to_monomials(tree):
@@ -239,7 +226,7 @@ def _shape_of(st, di: bool):
     return node(ls, rs), lv + rv
 
 
-def expr_to_poly(terms, line: int = 0) -> TermPoly:
+def expr_to_poly(terms, line: int) -> TermPoly:
     """Signed-term list -> canonical polynomial; enforces multilinearity."""
     monos = []
     for coeff, tree in terms:
@@ -264,45 +251,42 @@ def expr_to_poly(terms, line: int = 0) -> TermPoly:
     return poly
 
 
-def parse_expression(text: str) -> TermPoly:
-    toks = [t for t in tokenize(text) if t.kind != "newline"]
-    parser = _Parser(toks)
+def parse_identity(tokens: list[Token]) -> TermPoly:
+    """The polynomial of one line of tokens, its newline token last; an
+    expression that ends early is an error at the end of the line."""
+    *body, end = tokens
+    parser = _Parser(body, end)
     terms = parser.parse_expr()
-    if parser.peek() is not None:
-        tok = parser.peek()
+    tok = parser.peek()
+    if tok is not None:
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return expr_to_poly(terms)
+    return expr_to_poly(terms, end.line)
 
 
 def parse_variety(text: str) -> IdentitySet:
     """Parse a variety file into an identity set of one-product polynomials."""
-    toks = tokenize(text)
     lines: dict[int, list[Token]] = {}
-    for t in toks:
-        if t.kind != "newline":
-            lines.setdefault(t.line, []).append(t)
+    for t in tokenize(text):
+        lines.setdefault(t.line, []).append(t)
     name = None
     declared_vars: list[int] = []
     identities: list[MultilinearPoly] = []
     for ln in sorted(lines):
-        ts = lines[ln]
+        ts = lines[ln]  # the line's tokens, its newline last
         head = ts[0]
+        if head.kind == "newline":
+            continue
         if head.kind == "name" and head.text == "variety":
-            if len(ts) != 2 or ts[1].kind != "name":
+            if len(ts) != 3 or ts[1].kind != "name":
                 raise ParseError("expected: variety <name>", ln, head.col)
             name = ts[1].text
         elif head.kind == "name" and head.text == "vars":
-            for t in ts[1:]:
+            for t in ts[1:-1]:
                 if t.kind != "var":
                     raise ParseError("vars expects x<digits> entries", t.line, t.col)
                 declared_vars.append(int(t.text[1:]))
         elif head.kind == "name" and head.text == "identity":
-            parser = _Parser(ts[1:])
-            terms = parser.parse_expr()
-            if parser.peek() is not None:
-                bad = parser.peek()
-                raise ParseError(f"trailing input {bad.text!r}", bad.line, bad.col)
-            poly = expr_to_poly(terms, line=ln)
+            poly = parse_identity(ts[1:])
             if not isinstance(poly, MultilinearPoly):
                 raise InputError(f"line {ln}: variety identities use '*' only")
             identities.append(poly)
@@ -317,14 +301,3 @@ def parse_variety(text: str) -> IdentitySet:
         if sorted(declared_vars) != list(range(1, top + 1)):
             raise InputError("declared vars do not match the identities' arity")
     return IdentitySet(name, tuple(identities))
-
-
-def poly_to_source(p: TermPoly) -> str:
-    """Canonical printable form; parses back to the same polynomial."""
-    return str(p)
-
-
-def variety_to_source(s: IdentitySet) -> str:
-    lines = [f"variety {s.name}"]
-    lines.extend(f"identity {poly_to_source(t)}" for t in s.identities)
-    return "\n".join(lines) + "\n"

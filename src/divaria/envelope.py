@@ -23,7 +23,7 @@ from typing import Sequence
 from . import perms
 from .errors import InputError, guard_tuples
 from .fd import FDDialgebra, is_zero_dialgebra
-from .linalg import RowSpace, Vec, add_term, vec_axpy
+from .linalg import RowSpace, Vec, add_term, decimal_str, vec_axpy
 from .operads import IdentitySet
 from .pseudo import (CoefficientDialgebra, PseudoAlgebra, Spread, accumulate, eval_term, kept,
                      leaf_spread, n_product, pseudo_product)
@@ -101,9 +101,6 @@ class EnvelopePA(PseudoAlgebra):
     def pair(self, i: int, j: int) -> CElement:
         return CElement({}, self.rel.reduce({(i, j): 1}))
 
-    def from_c1(self, vec: dict) -> CElement:
-        return CElement({}, self.rel.reduce(dict(vec)))
-
     def tensor_pair(self, x: Vec, y: Vec) -> dict:
         return self.rel.reduce(_outer(x, y))
 
@@ -178,9 +175,9 @@ class EnvelopePA(PseudoAlgebra):
         for (k, i) in sorted(a.c0):
             coeff = a.c0[(k, i)]
             t = f"T^{k} " if k > 1 else ("T " if k == 1 else "")
-            bits.append(f"{coeff} {t}{self.A.labels[i]}")
+            bits.append(f"{decimal_str(coeff)} {t}{self.A.labels[i]}")
         for (i, j) in sorted(a.c1):
-            bits.append(f"{a.c1[(i, j)]} [{self.A.labels[i]}(x){self.A.labels[j]}]")
+            bits.append(f"{decimal_str(a.c1[(i, j)])} [{self.A.labels[i]}(x){self.A.labels[j]}]")
         return " + ".join(bits) if bits else "0"
 
     # -- classification ------------------------------------------------------

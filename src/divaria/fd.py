@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError, guard_tuples
-from .linalg import Vec, add_term, rational, vec_axpy
+from .linalg import Vec, add_term, decimal_str, rational, vec_axpy
 from .words import DiPoly, MultilinearPoly, TermPoly, eval_shape_tree
 
 
@@ -69,7 +69,7 @@ class Witness:
 
     def describe(self, labels: Sequence[str]) -> str:
         names = [labels[i] for i in self.tuple_indices]
-        dense = tuple(str(self.defect.get(k, 0)) for k in range(len(labels)))
+        dense = tuple(decimal_str(self.defect.get(k, 0)) for k in range(len(labels)))
         return f"identity {self.identity} fails at ({', '.join(names)}); defect {dense}"
 
 
@@ -95,9 +95,6 @@ class FDAlgebra:
             leaves = [args[perm[k] - 1] for k in range(shape.arity)]
             vec_axpy(acc, coeff, eval_shape_tree(shape, leaves, self.product))
         return acc
-
-    def check_identity(self, p: MultilinearPoly) -> Witness | None:
-        return _scan(self, p, lambda args: self.eval_poly(p, args))
 
 
 class FDDialgebra:
@@ -138,20 +135,16 @@ class FDDialgebra:
         return acc
 
 
-def _scan(alg, p: TermPoly, evaluate) -> Witness | None:
+def eval_identity(alg: FDAlgebra | FDDialgebra, p: TermPoly) -> Witness | None:
+    """None if p vanishes on all basis tuples of alg, else the first lex witness."""
     n = p.arity
     guard_tuples(alg.dim ** n, f"{alg.dim}^{n} basis tuples")
     basis = [alg.basis(i) for i in range(alg.dim)]
     for idx in itertools.product(range(alg.dim), repeat=n):
-        val = evaluate([basis[i] for i in idx])
+        val = alg.eval_poly(p, [basis[i] for i in idx])
         if val:
             return Witness(p, idx, val)
     return None
-
-
-def eval_identity(d: FDDialgebra, p: DiPoly) -> Witness | None:
-    """None if p vanishes on all basis tuples, else the first lex witness."""
-    return _scan(d, p, lambda args: d.eval_poly(p, args))
 
 
 def is_zero_dialgebra(d: FDDialgebra) -> Witness | None:
@@ -187,7 +180,7 @@ def _left_leibniz_poly() -> MultilinearPoly:
 
 def leibniz_to_dialgebra(bracket: FDAlgebra) -> FDDialgebra:
     """Dialgebra of a left Leibniz bracket: a|-b = [ab], a-|b = -[ba]."""
-    w = bracket.check_identity(_left_leibniz_poly())
+    w = eval_identity(bracket, _left_leibniz_poly())
     if w is not None:
         raise InputError(f"not a left Leibniz algebra: {w.describe(bracket.labels)}")
     d = bracket.dim
@@ -234,19 +227,6 @@ def sl2() -> FDAlgebra:
     t[2][1] = (0, -2, 0)      # [h,f]=-2f
     t[1][2] = (0, 2, 0)
     return FDAlgebra(t, ("e", "f", "h"))
-
-
-def gl(n: int) -> FDAlgebra:
-    """The commutator Lie algebra of the n x n matrix units E_ij."""
-    units = [(i, j) for i in range(n) for j in range(n)]
-    table = [[[0] * n * n for _ in units] for _ in units]
-    for a, (i, j) in enumerate(units):
-        for b, (k, l) in enumerate(units):  # [E_ij, E_kl] = [j = k] E_il - [l = i] E_kj
-            if j == k:
-                table[a][b][i * n + l] += 1
-            if l == i:
-                table[a][b][k * n + j] -= 1
-    return FDAlgebra(table, [f"E{i + 1}{j + 1}" for i, j in units])
 
 
 def upper_triangular2() -> FDAlgebra:

@@ -29,6 +29,22 @@ def rational(x):
     return q.numerator if q.denominator == 1 else q
 
 
+def decimal_str(x) -> str:
+    """str(x) for an int or a Fraction x, at any size: str refuses an int of
+    more than sys.get_int_max_str_digits() digits (at least 640 when set),
+    so this writes one in blocks of 500 digits."""
+    if isinstance(x, Fraction) and x.denominator != 1:
+        return f"{decimal_str(x.numerator)}/{decimal_str(x.denominator)}"
+    n = int(x)
+    if n < 0:
+        return "-" + decimal_str(-n)
+    base, blocks = 10 ** 500, []
+    while n >= base:
+        n, low = divmod(n, base)
+        blocks.append(f"{low:0500d}")
+    return str(n) + "".join(reversed(blocks))
+
+
 def vec_axpy(target: Vec, coeff: Fraction, source: Vec) -> None:
     """target += coeff * source, dropping cancellations."""
     if not coeff:

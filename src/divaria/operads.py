@@ -21,7 +21,7 @@ from .errors import InputError, ResourceError
 from .linalg import RowSpace
 from .perms import Partition, Perm
 from .words import (DiPoly, MultilinearPoly, TensorPoly, TermPoly, all_dishapes,
-                    all_shapes, DILEAF, LEAF, from_vec, graft, graft_di, to_vec)
+                    all_shapes, DILEAF, LEAF, graft, graft_di, to_vec)
 
 CONSEQUENCE_ARITY_BOUND = 5  # dimension Catalan(n-1) * n! makes n > 5 impractical
 
@@ -152,12 +152,9 @@ class _PolyOperad(Operad):
                 total = coeff
                 for _, c in combo:
                     total *= c
-                new_mono = self._compose_mono(mono, pi, [mc[0] for mc in combo])
+                new_mono = _compose_word_mono(mono, pi, [mc[0] for mc in combo], self.di)
                 out = out + self.poly_cls(m, {new_mono: total})
         return out
-
-    def _compose_mono(self, mono, pi, g_monos):
-        return _compose_word_mono(mono, pi, g_monos, self.di)
 
     def act(self, f, sigma):
         return f.act(sigma)
@@ -375,15 +372,3 @@ def consequence_space(sigma: IdentitySet | Sequence[MultilinearPoly], n: int) ->
                             for sig in group:
                                 space.add(to_vec(g0.act(sig)))
     return space
-
-
-def multilinear_consequences(sigma, n: int):
-    """Deterministic row-reduced basis of the arity-n consequences of Sigma."""
-    space = consequence_space(sigma, n)
-    return [from_vec(MultilinearPoly, n, row) for row in space.rows()]
-
-
-def varalg_reduce(p: MultilinearPoly, sigma) -> MultilinearPoly:
-    """Normal form of p modulo the consequence span of Sigma."""
-    space = consequence_space(sigma, p.arity)
-    return from_vec(MultilinearPoly, p.arity, space.reduce(to_vec(p)))

@@ -59,11 +59,6 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def apply(p: Perm, i: int) -> int:
-    """The image i*p."""
-    return p[i - 1]
-
-
 def from_cycles(n: int, cycles: Sequence[Sequence[int]]) -> Perm:
     """Build a permutation of 1..n from disjoint cycles (a b c): a->b->c->a.
 

@@ -17,7 +17,6 @@ dialgebra and the identity check on generators.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
@@ -26,9 +25,9 @@ from typing import Sequence
 from . import perms
 from .errors import InputError, ResourceError, guard_tuples
 from .hopf import antipode_sign, coproduct_splits
-from .linalg import add_term, rational
+from .linalg import add_term
 from .operads import IdentitySet
-from .words import MultilinearPoly, Shape, TensorPoly, eval_shape_tree
+from .words import MultilinearPoly, Shape, eval_shape_tree
 
 DEGREE_BOUND = 16  # largest T-power a normalized term may carry
 
@@ -195,8 +194,8 @@ def _product_table(p: int, q: int, k: int, m: int) -> tuple:
     return _by_power((off, power, coeff) for (off, power), coeff in merged.items())
 
 
-def _spread_into(alg, acc: dict, base: tuple, elem, table: tuple, coeff=1):
-    """acc += coeff * sum over the table of T^(base + offsets) (x)_H T^power elem.
+def _spread_into(alg, acc: dict, base: tuple, elem, table: tuple):
+    """acc += the sum over the table of c T^(base + offsets) (x)_H T^power elem.
 
     The table rises in T-power, so each power of elem is computed once; once
     T kills elem, no later entry adds anything."""
@@ -207,26 +206,7 @@ def _spread_into(alg, acc: dict, base: tuple, elem, table: tuple, coeff=1):
             power += 1
             if alg.is_zero(shifted):
                 return
-        accumulate(alg, acc, tuple(map(add, base, off)), shifted, coeff * c)
-
-
-def normalize(alg, hs: Sequence[Sequence], c) -> Spread:
-    """Normalize h_1 (x) ... (x) h_n (x)_H c to a polynomial in T_1..T_{n-1}.
-
-    Each h_i is a T-polynomial given by its coefficient sequence (index =
-    power).  The last slot is eliminated through the coproduct and the
-    antipode; slot-i coefficients stay put.
-    """
-    n = len(hs)
-    if n < 1:
-        raise InputError("need at least one tensor slot")
-    acc: dict = {}
-    for exps in itertools.product(*[range(len(h)) for h in hs]):
-        coeff = math.prod(rational(h[e]) for h, e in zip(hs, exps))
-        if coeff:
-            _check_degree(max(exps))
-            _spread_into(alg, acc, exps[:-1], c, _slot_table(exps[-1], n), coeff)
-    return Spread.of_terms(alg, n, acc)
+        accumulate(alg, acc, tuple(map(add, base, off)), shifted, c)
 
 
 def leaf_spread(alg, x) -> Spread:
@@ -353,30 +333,6 @@ class CoefficientDialgebra:
             val = eval_shape_tree(shape, leaves, None, (self.lprod, self.rprod))
             acc = self.alg.add(acc, self.alg.scale(val, coeff))
         return acc
-
-
-def epsilon_eval(alg, f, args) -> object:
-    """Counit-collapse of a tensor element evaluated on args.
-
-    For f0 (x) e_i only the slot-i variable survives; its power acts
-    through T on the coefficient.  Accepts a TensorPoly or a single
-    (shape, perm, center) monomial.
-    """
-    if isinstance(f, TensorPoly):
-        acc = alg.zero()
-        for mono, coeff in f.terms.items():
-            acc = alg.add(acc, alg.scale(epsilon_eval(alg, mono, args), coeff))
-        return acc
-    shape, sigma, center = f
-    spread = eval_term(alg, (shape, sigma), args)
-    n = shape.arity
-    out = alg.zero()
-    if center == n:
-        return spread.constant()
-    for exps, elem in spread.terms.items():
-        if all(e == 0 for i, e in enumerate(exps) if i != center - 1):
-            out = alg.add(out, alg.t_pow(elem, exps[center - 1]))
-    return out
 
 
 def check_var_pseudo(alg: PseudoAlgebra, sigma: IdentitySet):

@@ -1,10 +1,11 @@
 """From two-product identities to single-product data and back.
 
-The forgetful direction sends a labeled monomial to its underlying word
-together with a distinguished variable, the *center*: the leaf reached
-from the root by going left at every -| and right at every |-.  The
-center can equivalently be computed through a recursion into the
-symmetric-group operad; both routes are implemented and cross-checked.
+The forgetful direction psi sends a labeled monomial to its underlying
+word together with a distinguished variable, the *center*: the leaf
+reached from the root by going left at every -| and right at every |-.
+The test suite holds psi and the recursion into the symmetric-group
+operad that computes the same center; it cross-checks the two and checks
+that psi_section below is a section of psi.
 
 The section direction labels a word so that every product sign points at
 the center leaf, which reproduces the standard dialgebra identity tables
@@ -15,64 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import perms
 from .errors import InputError
 from .operads import IdentitySet
-from .perms import Perm
 from .words import (DiPoly, DiShape, DILEAF, LPROD, MultilinearPoly, RPROD,
-                    Shape, TensorPoly, center_leaf_position, dinode,
-                    erase_labels, section_dishape)
+                    Shape, TensorPoly, dinode, section_dishape)
 
 
 # ---------------------------------------------------------------------------
-# the forgetful functor and the center
+# the section of the forgetful functor
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def alpha_perm(ds: DiShape) -> Perm:
-    """The permutation attached to a labeled shape by the binary recursion
-    x|-y -> id_2, x-|y -> (12) composed in the symmetric-group operad."""
-    if ds.is_leaf:
-        return (1,)
-    base = (1, 2) if ds.label == RPROD else (2, 1)
-    lp = alpha_perm(ds.left)
-    rp = alpha_perm(ds.right)
-    return perms.sym_compose(base, (ds.left.arity, ds.right.arity), [lp, rp])
-
-
-def alpha_center(mono) -> tuple[tuple, Perm, int]:
-    """(underlying word monomial, recursion permutation, center variable).
-
-    The center variable index is the path-descent leaf position pushed
-    through the monomial's permutation; it always equals n*tau^{-1}
-    transported the same way, which the recursion cross-check asserts.
-    """
-    ds, sigma = mono
-    tau = alpha_perm(ds)
-    p = center_leaf_position(ds)
-    n = ds.arity
-    if perms.inverse(tau)[n - 1] != p:
-        raise AssertionError("center path and recursion disagree")  # pragma: no cover
-    return (erase_labels(ds), sigma), tau, sigma[p - 1]
-
-
-def psi_monomial(mono) -> tuple:
-    """Tensor monomial image (word, perm, center index) of a labeled monomial."""
-    ds, sigma = mono
-    p = center_leaf_position(ds)
-    return (erase_labels(ds), sigma, sigma[p - 1])
-
-
-def psi(p: DiPoly) -> TensorPoly:
-    """Linear extension of the label-erasing functor."""
-    out: dict = {}
-    for mono, coeff in p.terms.items():
-        t = psi_monomial(mono)
-        out[t] = out.get(t, 0) + coeff
-    return TensorPoly(p.arity, out)
-
 
 def psi_section_monomial(mono) -> tuple:
     """Canonical preimage of a tensor monomial: all signs point at the center."""

@@ -136,13 +136,6 @@ def all_dishapes(n: int) -> tuple[DiShape, ...]:
     return tuple(sorted(out, key=lambda s: s.key))
 
 
-@lru_cache(maxsize=None)
-def erase_labels(ds: DiShape) -> Shape:
-    if ds.is_leaf:
-        return LEAF
-    return node(erase_labels(ds.left), erase_labels(ds.right))
-
-
 def graft(outer: Shape, inners: Sequence[Shape]) -> Shape:
     """Replace leaf i of outer by inners[i-1], left to right."""
     if len(inners) != outer.arity:
@@ -164,18 +157,6 @@ def _graft(s, it):
     left = _graft(s.left, it)
     right = _graft(s.right, it)
     return node(left, right) if isinstance(s, Shape) else dinode(s.label, left, right)
-
-
-def center_leaf_position(ds: DiShape) -> int:
-    """Leaf position reached from the root going left at -| and right at |-."""
-    pos = 1
-    while not ds.is_leaf:
-        if ds.label == LPROD:
-            ds = ds.left
-        else:
-            pos += ds.left.arity
-            ds = ds.right
-    return pos
 
 
 def section_dishape(shape: Shape, p: int) -> DiShape:
@@ -424,12 +405,6 @@ def basis_monomials(cls_name: str, n: int) -> dict:
 def to_vec(p: TermPoly) -> dict:
     index = basis_monomials(type(p).__name__, p.arity)
     return {index[m]: c for m, c in p.terms.items()}
-
-
-def from_vec(cls, n: int, vec: dict) -> TermPoly:
-    index = basis_monomials(cls.__name__, n)
-    rev = {i: m for m, i in index.items()}
-    return cls(n, {rev[i]: c for i, c in vec.items()})
 
 
 # ---------------------------------------------------------------------------

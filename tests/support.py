@@ -1,0 +1,141 @@
+"""References that the tests compare the program against.  The program
+never calls them, so they live here and not in the package.
+
+- psi, the label-erasing map from labeled (dialgebra) monomials to
+  tensor monomials, with its center computed two ways: by descent from
+  the root (center_leaf_position) and by the recursion into the
+  symmetric-group operad (alpha_center, which asserts that they agree);
+- epsilon_eval, the counit collapse of a tensor element evaluated in a
+  pseudo-algebra;
+- gl, the commutator Lie algebra of the n x n matrix units;
+- from_vec, the inverse of words.to_vec;
+- parse_expression, one identity read by the parser of variety files.
+"""
+
+from functools import lru_cache
+
+from divaria import perms
+from divaria.dsl import parse_identity, tokenize
+from divaria.fd import FDAlgebra
+from divaria.perms import Perm
+from divaria.pseudo import eval_term
+from divaria.words import (DiPoly, DiShape, LEAF, LPROD, RPROD, Shape, TensorPoly,
+                           basis_monomials, node)
+
+
+def parse_expression(text: str):
+    return parse_identity(tokenize(text))
+
+
+# ---------------------------------------------------------------------------
+# the label-erasing map and the center
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def erase_labels(ds: DiShape) -> Shape:
+    if ds.is_leaf:
+        return LEAF
+    return node(erase_labels(ds.left), erase_labels(ds.right))
+
+
+def center_leaf_position(ds: DiShape) -> int:
+    """Leaf position reached from the root going left at -| and right at |-."""
+    pos = 1
+    while not ds.is_leaf:
+        if ds.label == LPROD:
+            ds = ds.left
+        else:
+            pos += ds.left.arity
+            ds = ds.right
+    return pos
+
+
+@lru_cache(maxsize=None)
+def alpha_perm(ds: DiShape) -> Perm:
+    """The permutation attached to a labeled shape by the binary recursion
+    x|-y -> id_2, x-|y -> (12) composed in the symmetric-group operad."""
+    if ds.is_leaf:
+        return (1,)
+    base = (1, 2) if ds.label == RPROD else (2, 1)
+    lp = alpha_perm(ds.left)
+    rp = alpha_perm(ds.right)
+    return perms.sym_compose(base, (ds.left.arity, ds.right.arity), [lp, rp])
+
+
+def alpha_center(mono) -> tuple[tuple, Perm, int]:
+    """(underlying word monomial, recursion permutation, center variable).
+
+    The center variable index is the path-descent leaf position pushed
+    through the monomial's permutation; it always equals n*tau^{-1}
+    transported the same way, which this asserts.
+    """
+    ds, sigma = mono
+    tau = alpha_perm(ds)
+    p = center_leaf_position(ds)
+    n = ds.arity
+    if perms.inverse(tau)[n - 1] != p:
+        raise AssertionError("center path and recursion disagree")
+    return (erase_labels(ds), sigma), tau, sigma[p - 1]
+
+
+def psi_monomial(mono) -> tuple:
+    """Tensor monomial image (word, perm, center index) of a labeled monomial."""
+    ds, sigma = mono
+    p = center_leaf_position(ds)
+    return (erase_labels(ds), sigma, sigma[p - 1])
+
+
+def psi(p: DiPoly) -> TensorPoly:
+    """Linear extension of the label-erasing functor."""
+    out: dict = {}
+    for mono, coeff in p.terms.items():
+        t = psi_monomial(mono)
+        out[t] = out.get(t, 0) + coeff
+    return TensorPoly(p.arity, out)
+
+
+# ---------------------------------------------------------------------------
+# the counit collapse, gl(n) and coordinates
+# ---------------------------------------------------------------------------
+
+def epsilon_eval(alg, f, args) -> object:
+    """Counit-collapse of a tensor element evaluated on args.
+
+    For f0 (x) e_i only the slot-i variable survives; its power acts
+    through T on the coefficient.  Accepts a TensorPoly or a single
+    (shape, perm, center) monomial.
+    """
+    if isinstance(f, TensorPoly):
+        acc = alg.zero()
+        for mono, coeff in f.terms.items():
+            acc = alg.add(acc, alg.scale(epsilon_eval(alg, mono, args), coeff))
+        return acc
+    shape, sigma, center = f
+    spread = eval_term(alg, (shape, sigma), args)
+    n = shape.arity
+    out = alg.zero()
+    if center == n:
+        return spread.constant()
+    for exps, elem in spread.terms.items():
+        if all(e == 0 for i, e in enumerate(exps) if i != center - 1):
+            out = alg.add(out, alg.t_pow(elem, exps[center - 1]))
+    return out
+
+
+def gl(n: int) -> FDAlgebra:
+    """The commutator Lie algebra of the n x n matrix units E_ij."""
+    units = [(i, j) for i in range(n) for j in range(n)]
+    table = [[[0] * n * n for _ in units] for _ in units]
+    for a, (i, j) in enumerate(units):
+        for b, (k, l) in enumerate(units):  # [E_ij, E_kl] = [j = k] E_il - [l = i] E_kj
+            if j == k:
+                table[a][b][i * n + l] += 1
+            if l == i:
+                table[a][b][k * n + j] -= 1
+    return FDAlgebra(table, [f"E{i + 1}{j + 1}" for i, j in units])
+
+
+def from_vec(cls, n: int, vec: dict):
+    index = basis_monomials(cls.__name__, n)
+    rev = {i: m for m, i in index.items()}
+    return cls(n, {rev[i]: c for i, c in vec.items()})

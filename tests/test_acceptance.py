@@ -11,16 +11,16 @@ import time
 
 from divaria.conformal import build_rho, embed_associative, verify_representation
 from divaria.current import CurrentPA, pm_unit
-from divaria.dsl import parse_expression
 from divaria.envelope import build_envelope, build_var_quotient, extend_hom, oracle_sweep
 from divaria.fd import corpus, leibniz2, leibniz_to_dialgebra
 from divaria.operads import (ALGS, ALGSE, DIALGS, E, IdentitySet, SYM, axiom_check,
                              consequence_space)
 from divaria.perms import from_cycles, random_partition, random_perm, sym_compose, symmetric_group
 from divaria.pseudo import CoefficientDialgebra, check_var_pseudo
-from divaria.translate import derive_variety, psi, psi_section, rewrite_single_op, zero_dialgebra_axioms
+from divaria.translate import derive_variety, psi_section, rewrite_single_op, zero_dialgebra_axioms
 from divaria.varieties import builtin_identity_set
 from divaria.words import DiPoly, all_dishapes
+from support import alpha_center, parse_expression, psi
 
 DP = parse_expression
 
@@ -151,7 +151,6 @@ def test_criterion_07_translation_suite():
         ok = ok and psi(p.act(sigma)) == psi(p).act(sigma)          # equivariance
         q = psi(p)
         ok = ok and psi(psi_section(q)) == q                        # section
-        from divaria.translate import alpha_center
         alpha_center(mono)                                          # center vs recursion
     for _ in range(500):
         n = rng.randint(1, 3)

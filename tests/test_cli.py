@@ -5,8 +5,7 @@ import pytest
 
 from divaria import cli, conformal, pseudo
 from divaria.cli import main
-from divaria.dsl import parse_expression
-from divaria.fd import gl
+from support import gl, parse_expression
 
 
 def run(capsys, *args):
@@ -172,6 +171,8 @@ def test_malformed_dialgebra_exits_2(tmp_path, capsys, data, message):
 
 
 BIG = "1" * 5000  # more digits than Python converts to an int (4300 by default)
+# -(10^3000 - 1)^2, the defect of the witnesses below: 6001 digits
+SQUARE = "-" + "9" * 2999 + "8" + "0" * 2999 + "1"
 
 
 @pytest.mark.parametrize("entry,message", [
@@ -182,7 +183,8 @@ BIG = "1" * 5000  # more digits than Python converts to an int (4300 by default)
     (f'"{BIG}"', "(more than 4300 digits)"),
     (f'"1/{BIG}"', "(more than 4300 digits)"),
     (f'"0.{BIG}"', "(more than 4300 digits)"),
-    ('"' + "9" * 3000 + '"', "a result is too large to print"),  # the Leibniz defect is -c^2
+    ('"' + "9" * 3000 + '"', "not a left Leibniz algebra: identity - (x1*x2)*x3 + x1*(x2*x3)"
+     f" - x2*(x1*x3) fails at (b1, b1, b1); defect ('{SQUARE}',)\n"),  # the defect is -c^2
 ], ids=["exponent-huge", "exponent", "exponent-decimal", "json-int", "digits", "denominator",
         "decimal", "result"])
 def test_huge_numbers_exit_2(tmp_path, capsys, entry, message):
@@ -206,6 +208,30 @@ def test_bad_numbers_in_variety_files_exit_2(tmp_path, capsys, identity, message
     assert main(["derive", "--variety", str(f)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and message in out.err
+
+
+def test_huge_defect_is_a_witness(tmp_path, capsys):
+    # (x1-|x2)|-x3 = 0 but (x1|-x2)|-x3 = c^2 b1, c of 3000 digits
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps({"dim": 1, "left": [[[0]]], "right": [[["9" * 3000]]]}))
+    assert main(["check", "--dialgebra", str(f), "--variety", "lie"]) == 1
+    out = capsys.readouterr()
+    assert out.out.startswith("FAIL: identity (x1-|x2)|-x3 - (x1|-x2)|-x3 fails at (b1, b1, b1);"
+                              f" defect ('{SQUARE}',)\n")
+    assert out.err.startswith("elapsed: ")
+
+
+@pytest.mark.parametrize("identity,column,message", [
+    ("x1*x2 -", 17, "expected a factor"),
+    ("(x1*x2", 16, "unexpected end of input"),
+    ("x1*x2 - x2*x1 +", 25, "expected a factor"),
+])
+def test_identity_ending_early_names_its_line_end(tmp_path, capsys, identity, column, message):
+    f = tmp_path / "v.var"
+    f.write_text(f"variety v\nidentity {identity}\n")
+    assert main(["derive", "--variety", str(f)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: line 2, column {column}: {message}\n"
 
 
 def test_decimal_entries_still_load(tmp_path, capsys):

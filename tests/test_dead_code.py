@@ -1,43 +1,67 @@
-"""No dead code: every module-level function and class of the package is
-referenced somewhere outside its own definition."""
+"""No dead code: every module-level function and class of the package has
+a caller in the program, and every import and default is used."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "divaria"
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+# the program: the package and the benchmark harness, without tests
+PROGRAM = sorted(PACKAGE.glob("*.py")) + [
+    path for path in sorted((ROOT / "perfbench").glob("*.py")) if not path.name.startswith("test_")]
 
 
-def _names(tree) -> set:
-    """Every name that a node of tree reads, imports or looks up as an attribute."""
-    out = set()
+def _package_module(path: Path, node: ast.ImportFrom) -> str | None:
+    """The package module that node imports from, "" for the package itself."""
+    if node.level == 1 and path.parent == PACKAGE:
+        return node.module or ""
+    if not node.level and node.module and node.module.split(".")[0] == "divaria":
+        return node.module.partition(".")[2]
+    return None
+
+
+def _uses(path: Path) -> set:
+    """(module, name) of each package def that path reads: by its bare name
+    in its own module outside its own body, as a name imported from its
+    module, or as an attribute of an alias of its module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    own = path.stem if path.parent == PACKAGE else None
+    imported, aliases = {}, {}  # local name -> (module, name); local name -> module
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.alias):
-            out.add(node.name.rsplit(".", 1)[-1])
-    return out
+        if isinstance(node, ast.ImportFrom):
+            module = _package_module(path, node)
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if module == "" and alias.name in MODULES:
+                    aliases[local] = alias.name
+                elif module in MODULES:
+                    imported[local] = (module, alias.name)
+    used = set()
+    for stmt in tree.body:
+        body_of = stmt.name if isinstance(
+            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if own and node.id != body_of:
+                    used.add((own, node.id))
+                if node.id in imported:
+                    used.add(imported[node.id])
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in aliases:
+                used.add((aliases[node.value.id], node.attr))
+    return used
 
 
 def test_every_module_level_def_is_referenced():
-    defined = {}  # name -> the module that defines it
-    used = set()
-    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")) \
-            + sorted((ROOT / "perfbench").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if path.parent == PACKAGE:
-                    defined.setdefault(stmt.name, path.name)
-                # a recursive call inside the def does not count as a use
-                used |= _names(stmt) - {stmt.name}
-            else:
-                used |= _names(stmt)
+    """Calls from tests do not count, and a use must name the def's module:
+    a same-named method or function elsewhere does not keep it alive."""
+    defined = {(path.stem, stmt.name) for path in PACKAGE.glob("*.py")
+               for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    used = set().union(*map(_uses, PROGRAM))
     assert defined
-    dead = sorted(f"{module}: {name}" for name, module in defined.items() if name not in used)
-    assert dead == []
+    assert sorted(f"{module}.{name}" for module, name in defined - used) == []
 
 
 def test_every_import_is_used():
@@ -121,8 +145,7 @@ def test_every_default_is_set_by_a_caller():
         return by_name.get(func.attr, [])
 
     passed = set()  # (id of def, parameter name)
-    programs = [p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
-    for path in sorted(PACKAGE.glob("*.py")) + programs:
+    for path in PROGRAM:
         for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(call, ast.Call):
                 continue

@@ -9,10 +9,11 @@ from divaria.fd import (FDAlgebra, FDDialgebra, abelian, bar_unit, corpus,
                         diagonal_lift, eval_identity,
                         is_var_dialgebra, is_zero_dialgebra, leibniz2, leibniz3,
                         leibniz_to_dialgebra, sl2, upper_triangular2)
-from divaria.translate import psi, psi_section
+from divaria.translate import psi_section
 from divaria.varieties import builtin_identity_set
 from divaria.words import DiPoly, all_dishapes
 from divaria.perms import random_perm
+from support import psi
 
 LIE = builtin_identity_set("lie")
 ASSOC = builtin_identity_set("associative")

@@ -2,13 +2,12 @@
 
 _slot_table and _product_table replace the expansion through coproduct
 splits that the normalizer used to walk on every call.  The tests compare
-pseudo_product, act_spread and normalize with that unfused expansion,
-which is kept here as the reference, and check that the tables stay
-within DEGREE_BOUND.
+pseudo_product and act_spread with that unfused expansion, which is kept
+here as the reference, and check that the tables stay within
+DEGREE_BOUND.
 """
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -20,9 +19,8 @@ from divaria.envelope import build_envelope, oracle_sweep
 from divaria.errors import ResourceError
 from divaria.fd import corpus
 from divaria.hopf import coproduct_splits
-from divaria.linalg import rational
 from divaria.perms import symmetric_group
-from divaria.pseudo import Spread, accumulate, act_spread, normalize, pseudo_product
+from divaria.pseudo import Spread, accumulate, act_spread, pseudo_product
 
 CORPUS = dict(corpus())
 ALGEBRAS = ["leibniz3", "sl2", "bar-unit", "current2"]
@@ -76,15 +74,6 @@ def unfused_act(alg, f: Spread, sigma) -> Spread:
             moved[sigma[i] - 1] = full[i]
         normalize_into(alg, acc, tuple(moved), elem)
     return Spread.of_terms(alg, n, acc)
-
-
-def unfused_normalize(alg, hs, c) -> Spread:
-    acc: dict = {}
-    for exps in itertools.product(*[range(len(h)) for h in hs]):
-        coeff = math.prod(rational(h[e]) for h, e in zip(hs, exps))
-        if coeff:
-            normalize_into(alg, acc, tuple(exps), c, coeff)
-    return Spread.of_terms(alg, len(hs), acc)
 
 
 def same(alg, got: Spread, want: Spread) -> bool:
@@ -163,22 +152,6 @@ def test_act_spread_matches_the_unfused_expansion(name):
                 assert same(alg, act_spread(alg, f, sigma), unfused_act(alg, f, sigma)), sigma
 
 
-@pytest.mark.parametrize("name", ALGEBRAS)
-def test_normalize_matches_the_unfused_expansion(name):
-    alg = _algebra(name)
-    rng = random.Random(13)
-    nonzero = 0
-    for n in range(1, 5):
-        for _ in range(4):
-            hs = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(rng.randint(1, 4))]
-                  for _ in range(n)]
-            c = random_element(alg, rng)
-            got = normalize(alg, hs, c)
-            assert same(alg, got, unfused_normalize(alg, hs, c)), hs
-            nonzero += not got.is_zero()
-    assert nonzero >= 8
-
-
 # ---------------------------------------------------------------------------
 # the degree bound and the size of the tables
 # ---------------------------------------------------------------------------
@@ -200,8 +173,6 @@ def test_over_the_bound_raises_before_a_table_entry(monkeypatch):
         pseudo_product(env, Spread(env, 3, {(0, 0): x}), Spread(env, 3, {(0, 0): x}))
     with pytest.raises(ResourceError, match="T-degree 3 exceeds cap 2"):
         act_spread(env, Spread(env, 6, {(3, 0, 0, 0, 0): env.basis_a(0)}), (6, 5, 4, 3, 2, 1))
-    with pytest.raises(ResourceError, match="T-degree 3 exceeds cap 2"):
-        normalize(env, [[1]] * 5 + [[0, 0, 0, 1]], env.basis_a(0))
     assert _sizes() == before
 
 

@@ -9,13 +9,14 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from divaria.envelope import build_envelope, build_var_quotient, closed_form_eval
-from divaria.fd import corpus, gl, leibniz_to_dialgebra
+from divaria.envelope import CElement, build_envelope, build_var_quotient, closed_form_eval
+from divaria.fd import corpus, leibniz_to_dialgebra
 from divaria.perms import symmetric_group
 from divaria.pseudo import Spread, eval_term
 from divaria.translate import derive_variety, zero_dialgebra_axioms
 from divaria.varieties import builtin_identity_set
 from divaria.words import all_shapes
+from support import gl
 
 ALGEBRAS = corpus() + [("gl2", leibniz_to_dialgebra(gl(2)))]
 
@@ -120,7 +121,7 @@ def test_tensor_parts_are_reduced():
         d = env.A.dim
         pairs = list(itertools.product(range(d), repeat=2))
         elems = [env.pair(i, j) for i, j in pairs]
-        elems += [env.from_c1({p: 1, q: s}) for p, q in itertools.combinations(pairs, 2)
+        elems += [CElement({}, env.rel.reduce({p: 1, q: s})) for p, q in itertools.combinations(pairs, 2)
                   for s in (1, -1)]
         elems += [g for _name, g in env.generators()] + [env.basis_a(i) for i in range(d)]
         elems += [env.t_act(x) for x in elems]

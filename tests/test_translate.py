@@ -6,12 +6,12 @@ import pytest
 from divaria.errors import InputError
 from divaria.operads import ALGSE, DIALGS, IdentitySet
 from divaria.perms import random_partition, random_perm, symmetric_group
-from divaria.translate import (_orbit_key, alpha_center, derive_variety, psi, psi_section,
-                               rewrite_single_op, zero_dialgebra_axioms)
-from divaria.dsl import parse_expression
+from divaria.translate import (_orbit_key, derive_variety, psi_section, rewrite_single_op,
+                               zero_dialgebra_axioms)
 from divaria.varieties import builtin_identity_set
 from divaria.words import (DiPoly, DILEAF, LEAF, LPROD, RPROD, TensorPoly,
                            all_dishapes, all_shapes, dinode, node)
+from support import alpha_center, parse_expression, psi
 
 B2D_L = dinode(LPROD, DILEAF, DILEAF)
 B2D_R = dinode(RPROD, DILEAF, DILEAF)

@@ -8,8 +8,8 @@ from divaria.errors import InputError
 from divaria.perms import random_perm, symmetric_group
 from divaria.words import (DiPoly, DILEAF, LEAF, LPROD, MultilinearPoly, RPROD,
                            TensorPoly, all_dishapes, all_shapes, basis_monomials,
-                           center_leaf_position, dinode, from_vec,
-                           graft, node, section_dishape, to_vec)
+                           dinode, graft, node, section_dishape, to_vec)
+from support import center_leaf_position, from_vec
 
 LC3 = node(node(LEAF, LEAF), LEAF)
 RC3 = node(LEAF, node(LEAF, LEAF))
