@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from . import perms
@@ -46,6 +47,19 @@ class CElement:
 
     def __repr__(self):
         return f"CElement(c0={self.c0}, c1={self.c1})"
+
+
+class BasisElement(CElement):
+    """The basis element i of A, in degree zero.  An envelope builds each one
+    once and hands out that object, so it is shared and never mutated; it
+    carries its index and its A-vector, which classify it in O(1)."""
+
+    __slots__ = ("index", "avec")
+
+    def __init__(self, i: int):
+        super().__init__({(0, i): 1}, {})
+        self.index = i
+        self.avec = {i: 1}
 
 
 def _outer(x: Vec, y: Vec) -> dict:
@@ -89,14 +103,15 @@ class EnvelopePA(PseudoAlgebra):
         pivots = set(rel.pivots())
         self.c1_basis = tuple(p for p in sorted(itertools.product(range(d), repeat=2))
                               if p not in pivots)
+        self._basis = tuple(map(BasisElement, range(d)))
 
     # -- constructors ------------------------------------------------------
 
     def from_a(self, vec: Vec) -> CElement:
         return CElement({(0, i): x for i, x in vec.items()}, {})
 
-    def basis_a(self, i: int) -> CElement:
-        return CElement({(0, i): 1}, {})
+    def basis_a(self, i: int) -> BasisElement:
+        return self._basis[i]
 
     def pair(self, i: int, j: int) -> CElement:
         return CElement({}, self.rel.reduce({(i, j): 1}))
@@ -182,7 +197,12 @@ class EnvelopePA(PseudoAlgebra):
 
     # -- classification ------------------------------------------------------
 
+    # A shared basis element reads its stored classification; any other
+    # element, equal to one or not, is scanned.
+
     def basis_index(self, x: CElement) -> int | None:
+        if type(x) is BasisElement:
+            return x.index
         if not x.c1 and len(x.c0) == 1:
             ((k, i), v), = x.c0.items()
             if k == 0 and v == 1:
@@ -190,7 +210,10 @@ class EnvelopePA(PseudoAlgebra):
         return None
 
     def a_part(self, x: CElement) -> tuple[Vec, int | None] | None:
-        """x as (A-vector, basis_index(x)) if x lies in A, else None."""
+        """x as (A-vector, basis_index(x)) if x lies in A, else None.  The
+        A-vector of a shared basis element is its own: never change it."""
+        if type(x) is BasisElement:
+            return x.avec, x.index
         if x.c1:
             return None
         out: Vec = {}
@@ -260,12 +283,14 @@ def _closed_mono_a(env: EnvelopePA, mono, avecs: list, idx) -> tuple[Vec, dict]:
     plain value is kept in env's own table, apart from eval_term's."""
     shape, sigma = mono
     n = shape.arity
-    permuted = [avecs[s - 1] for s in sigma]
+
+    def plain():  # the permuted arguments are built only when a value is computed
+        return _plain_closed(env, shape, [avecs[s - 1] for s in sigma])
+
     if idx is None:
-        y0, ys = _plain_closed(env, shape, permuted)
+        y0, ys = plain()
     else:
-        y0, ys = kept(env, "_closed", shape, tuple(idx[s - 1] for s in sigma),
-                       lambda: _plain_closed(env, shape, permuted))
+        y0, ys = kept(env, "_closed", shape, tuple([idx[s - 1] for s in sigma]), plain)
     inv = perms.inverse(sigma)
     if sigma[n - 1] == n:
         x0 = y0
@@ -350,10 +375,18 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
         xs = {j: {k: -v for k, v in pair.items()} for j, pair in ys.items()}
     # fresh dicts, zero-free and reduced, never the kept values themselves
     terms = {zero: env.from_a(x0)} if x0 else {}
+    units = _unit_exps(n)
     for j, pair in xs.items():
         if pair:
-            terms[tuple(int(i == j - 1) for i in range(n - 1))] = CElement({}, pair)
+            terms[units[j - 1]] = CElement({}, pair)
     return Spread.of_terms(env, n, terms)
+
+
+@lru_cache(maxsize=None)
+def _unit_exps(n: int) -> tuple:
+    """The exponents of T_1, ..., T_{n-1} in a spread over n slots."""
+    zero = (0,) * (n - 1)
+    return tuple(zero[:j] + (1,) + zero[j + 1:] for j in range(n - 1))
 
 
 def _add_scaled(acc: dict, key, coeff, vec: dict) -> None:

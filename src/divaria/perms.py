@@ -37,10 +37,6 @@ def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
-def is_identity(p: Perm) -> bool:
-    return all(p[i] == i + 1 for i in range(len(p)))
-
-
 def compose(s: Perm, t: Perm) -> Perm:
     """Right-to-left application order: i -> (i*s)*t.
 

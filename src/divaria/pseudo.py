@@ -233,7 +233,7 @@ def pseudo_product(alg, f: Spread, g: Spread) -> Spread:
 def act_spread(alg, f: Spread, sigma) -> Spread:
     """Slot relabeling T_i -> T_{i*sigma} followed by renormalization."""
     n = f.n
-    if perms.is_identity(sigma):
+    if sigma == perms.identity(n):
         return f
     acc: dict = {}
     for exps, elem in f.terms.items():

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from . import perms
 from .errors import InputError
-from .linalg import rational, vec_axpy
+from .linalg import decimal_str, rational, vec_axpy
 from .perms import Perm
 
 LPROD = 0  # the product written  -|
@@ -266,7 +266,7 @@ class TermPoly:
             mag = abs(coeff)
             body = self._render_mono(mono)
             if mag != 1:
-                body = f"{mag} {body}"
+                body = f"{decimal_str(mag)} {body}"
             if i == 0:
                 parts.append(body if sign == "+" else f"- {body}")
             else:

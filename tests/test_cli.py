@@ -221,6 +221,21 @@ def test_huge_defect_is_a_witness(tmp_path, capsys):
     assert out.err.startswith("elapsed: ")
 
 
+def test_huge_identity_coefficients_are_printed(tmp_path, capsys):
+    # c (c x1*x2) - x2*x1, c = 10^3000 - 1: the coefficient c^2 has 6000 digits
+    c = "9" * 3000
+    f = tmp_path / "big.var"
+    f.write_text(f"variety big\nidentity {c} ({c} x1*x2) - x2*x1\n")
+    assert main(["derive", "--variety", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert f"\n  {SQUARE[1:]} x1-|x2 - x2|-x1\n" in out
+    assert f"\n  - x2-|x1 + {SQUARE[1:]} x1|-x2\n" in out
+    assert main(["check", "--dialgebra", "leibniz2.json", "--variety", str(f)]) == 1
+    out = capsys.readouterr()
+    assert out.out.startswith(f"FAIL: identity {SQUARE[1:]} x1-|x2 - x2|-x1 fails at (e1, e1);")
+    assert out.out.endswith("status: fail\n") and out.err.startswith("elapsed: ")
+
+
 @pytest.mark.parametrize("identity,column,message", [
     ("x1*x2 -", 17, "expected a factor"),
     ("(x1*x2", 16, "unexpected end of input"),

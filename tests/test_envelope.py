@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from divaria import envelope, pseudo
-from divaria.envelope import (CElement, EnvelopePA, _word_last, _word_values, build_envelope,
-                              build_var_quotient, closed_form_eval, extend_hom, oracle_sweep)
+from divaria.envelope import (BasisElement, CElement, EnvelopePA, _word_last, _word_values,
+                              build_envelope, build_var_quotient, closed_form_eval, extend_hom,
+                              oracle_sweep)
 from divaria.pseudo import (CoefficientDialgebra, Spread, _eval_plain, act_spread,
                             check_var_pseudo, eval_term, leaf_spread, n_product, pseudo_product)
 from divaria.errors import InputError, ResourceError
@@ -386,6 +387,60 @@ def test_d_form_matches_substitution_formula(env2):
             lo = psi_section(TensorPoly(4, {(s, p, slot): c for (s, p), c in f.terms.items()}))
             want = difference(d.eval_poly(hi, flat), d.eval_poly(lo, flat))
             assert env2.eq(env2.t_act(x), env2.from_a(want))
+
+
+# ---------------------------------------------------------------------------
+# shared basis elements
+# ---------------------------------------------------------------------------
+
+def test_shared_basis_elements_never_change():
+    # a sweep hands the same basis elements to both evaluators and their tables
+    rng = random.Random(13)
+    for name, a in corpus():
+        env = build_envelope(a)
+        d = a.dim
+        shared = [env.basis_a(i) for i in range(d)]
+
+        def one_pair(n):
+            return [(rng.choice(env.c1_basis), tuple(rng.randrange(d) for _ in range(n - 1)))]
+        assert oracle_sweep(env, 3, one_pair)[0] is None, name
+        for i, e in enumerate(shared):
+            assert env.basis_a(i) is e
+            fresh = CElement({(0, i): 1}, {})
+            assert (e.c0, e.c1) == (fresh.c0, fresh.c1), (name, i)
+            assert (e.index, e.avec) == (i, {i: 1}), (name, i)
+
+
+def _scan(x):
+    """(basis_index, a_part) of x, read off its coordinates."""
+    if x.c1 or any(k for k, _i in x.c0):
+        return None, None
+    avec = {i: v for (_k, i), v in x.c0.items()}
+    index = next(iter(avec)) if list(avec.values()) == [1] else None
+    return index, (avec, index)
+
+
+@pytest.mark.parametrize("name", ["leibniz2", "bar-unit"])
+def test_stored_classification_agrees_with_the_scan(name):
+    env = build_envelope(dict(corpus())[name])
+    d = env.A.dim
+    shared = [env.basis_a(i) for i in range(d)]
+    fresh = [CElement({(0, i): 1}, {}) for i in range(d)]
+    assert all(type(e) is BasisElement for e in shared)
+    others = [env.from_a({i: 1}) for i in range(d)] + [env.zero()]
+    for i, j in itertools.product(range(d), repeat=2):
+        others += [env.scale(shared[i], 2), env.add(shared[i], shared[j]), env.t_act(shared[i]),
+                   env.pair(i, j), env.add(shared[i], env.pair(i, j)),
+                   env.add(shared[i], env.scale(shared[j], Fraction(1, 2)))]
+    for x in shared + fresh + others:
+        assert (env.basis_index(x), env.a_part(x)) == _scan(x), x
+    # interleaved on one envelope, so a wrong stored index reads a wrong table entry
+    for n in range(1, 4):
+        for word in itertools.product(all_shapes(n), symmetric_group(n)):
+            for idx in itertools.product(range(d), repeat=n):
+                values = [f(env, word, [pool[i] for i in idx]) for pool in (shared, fresh)
+                          for f in (eval_term, closed_form_eval)]
+                assert all(values[0].eq(v) for v in values[1:]), (word, idx)
 
 
 # ---------------------------------------------------------------------------
