@@ -26,6 +26,7 @@ from .fd import FDAlgebra, FDDialgebra, leibniz_to_dialgebra
 from .linalg import RowSpace, Vec, add_term, vec_axpy
 from .pseudo import CoefficientDialgebra
 from .translate import derive_variety, zero_dialgebra_axioms
+from .words import eval_on_tuples
 
 
 class LeibnizData:
@@ -249,31 +250,16 @@ def _lin_comb(cur: CurrentPA, mats: Sequence[PolyMat], vec: Vec) -> PolyMat:
     return out
 
 
-class _BasisProducts(CoefficientDialgebra):
-    """The coefficient operations with basis indices as arguments.  The
-    product of two basis elements is computed on first use and kept in a
-    table (at most 2 |B|^2 entries) that lives as long as this object."""
-
-    def __init__(self, alg: CurrentPA, basis: list):
-        super().__init__(alg)
-        self.basis = basis
-        self.table: dict = {}
-
-    def _product(self, op, x, y):
-        if isinstance(x, int) and isinstance(y, int):
-            key = (op, x, y)
-            got = self.table.get(key)
-            if got is None:
-                got = self.table[key] = op(self, self.basis[x], self.basis[y])
-            return got
-        return op(self, self.basis[x] if isinstance(x, int) else x,
-                  self.basis[y] if isinstance(y, int) else y)
-
-    def lprod(self, x, y):
-        return self._product(CoefficientDialgebra.lprod, x, y)
-
-    def rprod(self, x, y):
-        return self._product(CoefficientDialgebra.rprod, x, y)
+def generated_basis(rep: ConformalRep, cd: CoefficientDialgebra) -> list:
+    """A basis of the span of the words of length <= 3 in the images rho(x)
+    under both coefficient products, the first independent ones in order."""
+    layer1 = rep.rho
+    layer2 = [op(x, y) for x in layer1 for y in layer1 for op in (cd.rprod, cd.lprod)]
+    layer3 = [op(x, y) for x, y in itertools.chain(
+        itertools.product(layer1, layer2), itertools.product(layer2, layer1))
+        for op in (cd.rprod, cd.lprod)]
+    span = RowSpace()
+    return [m for m in itertools.chain(layer1, layer2, layer3) if m and span.add(dict(m))]
 
 
 def embed_associative(bracket: FDAlgebra,
@@ -288,16 +274,7 @@ def embed_associative(bracket: FDAlgebra,
     report = RepReport()
 
     d = bracket.dim
-    layer1 = [rep.rho[i] for i in range(d)]
-    layer2 = [op(x, y) for x in layer1 for y in layer1 for op in (cd.rprod, cd.lprod)]
-    layer3 = [op(x, y) for x, y in itertools.chain(
-        itertools.product(layer1, layer2), itertools.product(layer2, layer1))
-        for op in (cd.rprod, cd.lprod)]
-    span = RowSpace()
-    basis_mats = []
-    for m in itertools.chain(layer1, layer2, layer3):
-        if m and span.add(dict(m)):
-            basis_mats.append(m)
+    basis_mats = generated_basis(rep, cd)
     report.record("generated-subspace", True, "")
 
     ok = all(max((k for (k, _r, _c) in m), default=0) <= 2 for m in basis_mats)
@@ -307,14 +284,12 @@ def embed_associative(bracket: FDAlgebra,
     from .varieties import builtin_identity_set
     diass = derive_variety(builtin_identity_set("associative")).derived
     guard_tuples(len(basis_mats) ** 3, f"{len(basis_mats)}^3 triples of the generated subspace")
-    on_basis = _BasisProducts(cur, basis_mats)
+    subwords: dict = {}  # the basis products, computed once for every identity
     bad = None
     for p in itertools.chain(dv_axioms, diass):
-        for combo in itertools.product(range(len(basis_mats)), repeat=3):
-            if not cur.is_zero(on_basis.eval_dipoly(p, list(combo))):
-                bad = f"{p} fails on generated subspace"
-                break
-        if bad:
+        values = eval_on_tuples(p, basis_mats, (cd.lprod, cd.rprod), subwords)
+        if any(not cur.is_zero(val) for _idx, val in values):
+            bad = f"{p} fails on generated subspace"
             break
     report.record("associative-dialgebra-identities", bad is None, bad or "")
 

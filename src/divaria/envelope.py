@@ -23,7 +23,7 @@ from typing import Sequence
 
 from . import perms
 from .errors import InputError, guard_tuples
-from .fd import FDDialgebra, is_zero_dialgebra
+from .fd import FDDialgebra, first_witness, is_zero_dialgebra
 from .linalg import RowSpace, Vec, add_term, decimal_str, vec_axpy
 from .operads import IdentitySet
 from .pseudo import (CoefficientDialgebra, PseudoAlgebra, Spread, accumulate, eval_term, kept,
@@ -465,8 +465,8 @@ def build_var_quotient(env: EnvelopePA, sigma: IdentitySet) -> VarQuotient:
     """
     a = env.A
     d = a.dim
-    from .fd import is_var_dialgebra
-    w = is_var_dialgebra(a, sigma)
+    from .translate import derive_variety
+    w = first_witness(a, derive_variety(sigma).derived)  # env exists, so A is a 0-dialgebra
     if w is not None:
         raise InputError(f"dialgebra fails the variety: {w.describe(a.labels)}")
     rows = RowSpace()

@@ -2,9 +2,10 @@
 
 Structure tables: ``table[i][j]`` is the dense coordinate tuple of the
 product of basis elements i and j (0-based indices; an entry is an int
-when integral, a Fraction otherwise).  Elements are sparse vectors
-(``linalg.Vec``).  Identity checks enumerate basis tuples, which suffices
-by multilinearity; the d^n cost is guarded.
+when integral, a Fraction otherwise).  Each table is kept beside a copy
+of its cells as zero-free ``{k: t}`` dicts, which the products walk.
+Elements are sparse vectors (``linalg.Vec``).  Identity checks enumerate
+basis tuples, which suffices by multilinearity; the d^n cost is guarded.
 
 Leibniz conventions: brackets are LEFT Leibniz, x(yz) = (xy)z + y(xz).
 The induced dialgebra is a |- b = [ab], a -| b = -[ba]; the mirror (right
@@ -14,13 +15,12 @@ the roles of |- and -| up to sign.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError, guard_tuples
-from .linalg import Vec, add_term, decimal_str, rational, vec_axpy
-from .words import DiPoly, MultilinearPoly, TermPoly, eval_shape_tree
+from .linalg import Vec, decimal_str, rational, vec_axpy
+from .words import MultilinearPoly, TermPoly, eval_on_tuples
 
 
 def _as_cell(v, dim: int) -> tuple:
@@ -47,15 +47,18 @@ def _table(raw, dim: int):
     return rows
 
 
-def _bilinear(table, x: Vec, y: Vec) -> Vec:
+def _sparse(table) -> tuple:
+    """The cells of a dense table as zero-free {k: t} dicts."""
+    return tuple(tuple({k: t for k, t in enumerate(cell) if t} for cell in row)
+                 for row in table)
+
+
+def _bilinear(cells, x: Vec, y: Vec) -> Vec:
     out: Vec = {}
     for i, xi in x.items():
-        row = table[i]
+        row = cells[i]
         for j, yj in y.items():
-            c = xi * yj
-            for k, t in enumerate(row[j]):
-                if t:
-                    add_term(out, k, c * t)
+            vec_axpy(out, xi * yj, row[j])
     return out
 
 
@@ -79,22 +82,14 @@ class FDAlgebra:
     def __init__(self, table, labels: Sequence[str] | None = None):
         self.dim = len(table)
         self.table = _table(table, self.dim)
+        self.cells = _sparse(self.table)
         self.labels = _labels(labels, self.dim)
 
     def basis(self, i: int) -> Vec:
         return {i: 1}
 
     def product(self, x: Vec, y: Vec) -> Vec:
-        return _bilinear(self.table, x, y)
-
-    def eval_poly(self, p: MultilinearPoly, args: Sequence[Vec]) -> Vec:
-        if len(args) != p.arity:
-            raise InputError("argument count does not match arity")
-        acc: Vec = {}
-        for (shape, perm), coeff in p.terms.items():
-            leaves = [args[perm[k] - 1] for k in range(shape.arity)]
-            vec_axpy(acc, coeff, eval_shape_tree(shape, leaves, self.product))
-        return acc
+        return _bilinear(self.cells, x, y)
 
 
 class FDDialgebra:
@@ -106,6 +101,8 @@ class FDDialgebra:
             raise InputError("left/right tables disagree on dimension")
         self.left = _table(left, self.dim)
         self.right = _table(right, self.dim)
+        self.left_cells = _sparse(self.left)
+        self.right_cells = _sparse(self.right)
         self.labels = _labels(labels, self.dim)
 
     def basis(self, i: int) -> Vec:
@@ -113,11 +110,11 @@ class FDDialgebra:
 
     def lprod(self, x: Vec, y: Vec) -> Vec:
         """x -| y"""
-        return _bilinear(self.left, x, y)
+        return _bilinear(self.left_cells, x, y)
 
     def rprod(self, x: Vec, y: Vec) -> Vec:
         """x |- y"""
-        return _bilinear(self.right, x, y)
+        return _bilinear(self.right_cells, x, y)
 
     def defect(self, x: Vec, y: Vec) -> Vec:
         """<x,y> = x|-y - x-|y, the obstruction to the two products agreeing."""
@@ -125,48 +122,38 @@ class FDDialgebra:
         vec_axpy(out, -1, self.lprod(x, y))
         return out
 
-    def eval_poly(self, p: DiPoly, args: Sequence[Vec]) -> Vec:
-        if len(args) != p.arity:
-            raise InputError("argument count does not match arity")
-        acc: Vec = {}
-        for (shape, perm), coeff in p.terms.items():
-            leaves = [args[perm[k] - 1] for k in range(shape.arity)]
-            vec_axpy(acc, coeff, eval_shape_tree(shape, leaves, None, (self.lprod, self.rprod)))
-        return acc
-
 
 def eval_identity(alg: FDAlgebra | FDDialgebra, p: TermPoly) -> Witness | None:
     """None if p vanishes on all basis tuples of alg, else the first lex witness."""
     n = p.arity
     guard_tuples(alg.dim ** n, f"{alg.dim}^{n} basis tuples")
     basis = [alg.basis(i) for i in range(alg.dim)]
-    for idx in itertools.product(range(alg.dim), repeat=n):
-        val = alg.eval_poly(p, [basis[i] for i in idx])
+    products = (alg.lprod, alg.rprod) if isinstance(alg, FDDialgebra) else (alg.product,)
+    for idx, val in eval_on_tuples(p, basis, products, {}):
         if val:
             return Witness(p, idx, val)
     return None
 
 
-def is_zero_dialgebra(d: FDDialgebra) -> Witness | None:
-    from .translate import zero_dialgebra_axioms
-    for ax in zero_dialgebra_axioms():
-        w = eval_identity(d, ax)
+def first_witness(alg: FDAlgebra | FDDialgebra, identities) -> Witness | None:
+    """The witness of the first of identities that fails on alg, or None."""
+    for p in identities:
+        w = eval_identity(alg, p)
         if w is not None:
             return w
     return None
+
+
+def is_zero_dialgebra(d: FDDialgebra) -> Witness | None:
+    from .translate import zero_dialgebra_axioms
+    return first_witness(d, zero_dialgebra_axioms())
 
 
 def is_var_dialgebra(d: FDDialgebra, sigma) -> Witness | None:
     """Zero-dialgebra axioms plus every derived identity of the variety."""
     from .translate import derive_variety
     w = is_zero_dialgebra(d)
-    if w is not None:
-        return w
-    for p in derive_variety(sigma).derived:
-        w = eval_identity(d, p)
-        if w is not None:
-            return w
-    return None
+    return w if w is not None else first_witness(d, derive_variety(sigma).derived)
 
 
 def _left_leibniz_poly() -> MultilinearPoly:

@@ -15,7 +15,9 @@ so left combs come first; monomials sort by (shape, one-line perm, center).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Sequence
+from itertools import product as index_tuples
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 from . import perms
 from .errors import InputError
@@ -430,3 +432,61 @@ def _fold(s, it, product, diproducts):
     if diproducts is not None:
         return diproducts[s.label](lv, rv)
     return product(lv, rv)
+
+
+def eval_on_tuples(p: TermPoly, basis: Sequence, products: Sequence[Callable],
+                   subwords: dict) -> Iterator[tuple]:
+    """Yield (index tuple, value of p) for every tuple of basis indices, in
+    lex order; a caller that stops at the first nonzero value computes
+    nothing past it.  p has arity >= 2, as every identity has.
+
+    products is (product,) for a MultilinearPoly and (-|, |-), indexed by
+    LPROD and RPROD, for a DiPoly; values are zero-free dicts.  The value
+    of each proper subword with two or more leaves is computed once per
+    tuple of leaf indices and kept in subwords, keyed by its interned shape
+    and that tuple, so an arity-3 check makes d^2 inner products where a
+    fold per tuple makes d^3.  Kept values are shared and never mutated:
+    each monomial's top product is added into a fresh accumulator.
+
+    >>> ab = node(LEAF, LEAF)
+    >>> assoc = (MultilinearPoly.monomial(node(ab, LEAF), (1, 2, 3))
+    ...          - MultilinearPoly.monomial(node(LEAF, ab), (1, 2, 3)))
+    >>> basis = [{0: 1}, {1: 1}]  # e0 e0 = e0, e0 e1 = e1, e1 x = 0
+    >>> mul = lambda x, y: {k: x[0] * v for k, v in y.items()} if 0 in x else {}
+    >>> subwords = {}
+    >>> [idx for idx, val in eval_on_tuples(assoc, basis, (mul,), subwords) if val]
+    []
+    >>> len(subwords)  # x1 x2 and x2 x3 share their keys: d^2 entries for 2 d^3 subwords
+    4
+    >>> comm = MultilinearPoly.monomial(ab, (1, 2)) - MultilinearPoly.monomial(ab, (2, 1))
+    >>> next((idx, val) for idx, val in eval_on_tuples(comm, basis, (mul,), {}) if val)
+    ((0, 1), {1: 1})
+    """
+    plan = [(coeff, shape, itemgetter(*[k - 1 for k in perm]))
+            for (shape, perm), coeff in p.terms.items()]
+    for idx in index_tuples(range(len(basis)), repeat=p.arity):
+        acc: dict = {}
+        for coeff, shape, pick in plan:
+            vec_axpy(acc, coeff, _product(shape, pick(idx), basis, products, subwords))
+        yield idx, acc
+
+
+def _product(s, leaves: tuple, basis, products, subwords):
+    """The top product of the word of shape s on the basis elements at
+    leaves, its proper subwords read from or kept in subwords (module level
+    for the reason given at _fold)."""
+    m = s.left.arity
+    left = (basis[leaves[0]] if s.left.is_leaf
+            else _subword(s.left, leaves[:m], basis, products, subwords))
+    right = (basis[leaves[m]] if s.right.is_leaf
+             else _subword(s.right, leaves[m:], basis, products, subwords))
+    op = products[s.label] if isinstance(s, DiShape) else products[0]
+    return op(left, right)
+
+
+def _subword(s, leaves: tuple, basis, products, subwords):
+    key = (s, leaves)
+    got = subwords.get(key)
+    if got is None:
+        got = subwords[key] = _product(s, leaves, basis, products, subwords)
+    return got

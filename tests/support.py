@@ -8,19 +8,25 @@ never calls them, so they live here and not in the package.
 - epsilon_eval, the counit collapse of a tensor element evaluated in a
   pseudo-algebra;
 - gl, the commutator Lie algebra of the n x n matrix units;
+- eval_poly and first_lex_witness, a polynomial folded monomial by
+  monomial at one argument tuple of a structure-constant (di)algebra, and
+  the identity check that scans the basis tuples with it, the per-tuple
+  references of words.eval_on_tuples and fd.eval_identity;
 - from_vec, the inverse of words.to_vec;
 - parse_expression, one identity read by the parser of variety files.
 """
 
+import itertools
 from functools import lru_cache
 
 from divaria import perms
 from divaria.dsl import parse_identity, tokenize
-from divaria.fd import FDAlgebra
+from divaria.fd import FDAlgebra, FDDialgebra, Witness
+from divaria.linalg import vec_axpy
 from divaria.perms import Perm
 from divaria.pseudo import eval_term
 from divaria.words import (DiPoly, DiShape, LEAF, LPROD, RPROD, Shape, TensorPoly,
-                           basis_monomials, node)
+                           basis_monomials, eval_shape_tree, node)
 
 
 def parse_expression(text: str):
@@ -133,6 +139,31 @@ def gl(n: int) -> FDAlgebra:
             if l == i:
                 table[a][b][k * n + j] -= 1
     return FDAlgebra(table, [f"E{i + 1}{j + 1}" for i, j in units])
+
+
+def eval_poly(alg, p, args) -> dict:
+    """p at args in an FDAlgebra (a MultilinearPoly) or an FDDialgebra (a
+    DiPoly), each monomial folded over its own leaves."""
+    assert len(args) == p.arity
+    if isinstance(alg, FDDialgebra):
+        product, diproducts = None, (alg.lprod, alg.rprod)
+    else:
+        product, diproducts = alg.product, None
+    acc: dict = {}
+    for (shape, perm), coeff in p.terms.items():
+        leaves = [args[perm[k] - 1] for k in range(shape.arity)]
+        vec_axpy(acc, coeff, eval_shape_tree(shape, leaves, product, diproducts))
+    return acc
+
+
+def first_lex_witness(alg, p):
+    """The Witness of the first basis tuple, in lex order, at which p does not vanish."""
+    basis = [alg.basis(i) for i in range(alg.dim)]
+    for idx in itertools.product(range(alg.dim), repeat=p.arity):
+        val = eval_poly(alg, p, [basis[i] for i in idx])
+        if val:
+            return Witness(p, idx, val)
+    return None
 
 
 def from_vec(cls, n: int, vec: dict):

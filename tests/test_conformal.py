@@ -4,14 +4,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from divaria.conformal import (LeibnizData, _BasisProducts, build_rho, embed_associative,
+from divaria.conformal import (LeibnizData, build_rho, embed_associative, generated_basis,
                                verify_representation)
 from divaria.envelope import build_envelope, build_var_quotient, extend_hom
 from divaria.errors import InputError
 from divaria.fd import FDAlgebra, leibniz2, leibniz3, leibniz_to_dialgebra, sl2
 from divaria.pseudo import CoefficientDialgebra
 from divaria.varieties import builtin_identity_set
-from divaria.words import DiPoly, all_dishapes
+from divaria.words import DiPoly, all_dishapes, eval_on_tuples
 
 
 def test_leibniz_data_quotient():
@@ -80,23 +80,25 @@ def test_embed_associative():
         assert report.passed, report.failures
 
 
-def test_basis_products_match_the_coefficient_dialgebra():
+def test_tuple_values_match_the_per_tuple_coefficient_dialgebra():
     # single labeled monomials are not identities, so the values are not all
-    # zero and a product looked up under the wrong label or order shows
-    rep = build_rho(leibniz3(), "trivial")
+    # zero and a product kept under the wrong label or leaf order shows; the
+    # first 6 of the 12 generated basis matrices of sl2 keep the test short
+    rep = build_rho(sl2(), "trivial")
     cd = CoefficientDialgebra(rep.cur)
-    basis = [rep.rho[0], rep.rho[2], cd.rprod(rep.rho[0], rep.rho[1]),
-             cd.lprod(rep.rho[1], rep.rho[2])]
-    on_basis = _BasisProducts(rep.cur, basis)
+    basis = generated_basis(rep, cd)[:6]
     nonzero = 0
+    subwords: dict = {}  # shared, as embed_associative shares it across identities
     for shape, perm in itertools.product(all_dishapes(3), [(1, 2, 3), (3, 1, 2)]):
         p = DiPoly.monomial(shape, perm)
-        for combo in itertools.product(range(len(basis)), repeat=3):
-            want = cd.eval_dipoly(p, [basis[i] for i in combo])
-            assert on_basis.eval_dipoly(p, list(combo)) == want, (shape.key, perm, combo)
+        values = list(eval_on_tuples(p, basis, (cd.lprod, cd.rprod), subwords))
+        assert [idx for idx, _val in values] == list(itertools.product(range(6), repeat=3))
+        for idx, val in values:
+            want = cd.eval_dipoly(p, [basis[i] for i in idx])
+            assert val == want, (shape.key, perm, idx)
             nonzero += bool(want)
     assert nonzero
-    assert len(on_basis.table) <= 2 * len(basis) ** 2
+    assert len(subwords) <= 2 * len(basis) ** 2  # x1-|x2 and x1|-x2 on every pair
 
 
 def test_embed_associative_reports_a_failing_identity(monkeypatch):

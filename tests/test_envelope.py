@@ -20,7 +20,7 @@ from divaria.perms import random_perm, symmetric_group
 from divaria.varieties import builtin_identity_set
 from divaria.words import (DiPoly, LEAF, TensorPoly, all_dishapes, all_shapes,
                            eval_shape_tree, node, section_dishape)
-from support import epsilon_eval, parse_expression, psi
+from support import epsilon_eval, eval_poly, parse_expression, psi
 
 LIE = builtin_identity_set("lie")
 B2 = node(LEAF, LEAF)
@@ -385,7 +385,7 @@ def test_d_form_matches_substitution_formula(env2):
             from divaria.translate import psi_section
             hi = psi_section(TensorPoly(4, {(s, p, slot + 1): c for (s, p), c in f.terms.items()}))
             lo = psi_section(TensorPoly(4, {(s, p, slot): c for (s, p), c in f.terms.items()}))
-            want = difference(d.eval_poly(hi, flat), d.eval_poly(lo, flat))
+            want = difference(eval_poly(d, hi, flat), eval_poly(d, lo, flat))
             assert env2.eq(env2.t_act(x), env2.from_a(want))
 
 
