@@ -22,7 +22,7 @@ from .errors import InputError, ResourceError, read_text
 from .fd import FDAlgebra, FDDialgebra, is_var_dialgebra, leibniz_to_dialgebra
 from .operads import ALGS, ALGSE, DIALGS, E, SYM, axiom_check
 from .perms import from_cycles, sym_compose
-from .pseudo import CoefficientDialgebra, check_var_pseudo
+from .pseudo import check_var_pseudo, hom_failure
 from .translate import derive_variety, rewrite_single_op
 from .varieties import load_variety
 
@@ -193,16 +193,8 @@ def cmd_envelope(args) -> int:
             rep.line("quotient satisfies the variety's pseudo-algebra identities")
         else:
             rep.fail(f"{w[0]} at {w[1]}: {w[2].describe()}")
-        cd = CoefficientDialgebra(vq.quotient)
-        ok = True
-        for i in range(d.dim):
-            for j in range(d.dim):
-                bi, bj = d.basis(i), d.basis(j)
-                qi, qj = vq.quotient.basis_a(i), vq.quotient.basis_a(j)
-                if not (vq.quotient.eq(cd.rprod(qi, qj), vq.quotient.from_a(d.rprod(bi, bj)))
-                        and vq.quotient.eq(cd.lprod(qi, qj), vq.quotient.from_a(d.lprod(bi, bj)))):
-                    ok = False
-        if ok:
+        basis = [vq.quotient.basis_a(i) for i in range(d.dim)]
+        if hom_failure(d, basis, vq.quotient) is None:
             rep.line("base dialgebra embeds into the quotient's coefficient dialgebra")
         else:
             rep.fail("embedding into the coefficient dialgebra is not operation-preserving")

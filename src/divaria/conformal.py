@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .current import CurrentPA, PolyMat, _mat_mult
 from .errors import InputError, guard_tuples
 from .fd import FDAlgebra, FDDialgebra, leibniz_to_dialgebra
 from .linalg import RowSpace, Vec, add_term, vec_axpy
-from .pseudo import CoefficientDialgebra
+from .pseudo import CoefficientDialgebra, hom_failure, lin_comb
 from .translate import derive_variety, zero_dialgebra_axioms
 from .words import eval_on_tuples
 
@@ -120,12 +119,6 @@ class ConformalRep:
     cur: CurrentPA        # associative current structure on End M0
     cur_lie: CurrentPA    # commutator current structure
 
-    def rho_of(self, vec: Vec) -> PolyMat:
-        out: PolyMat = {}
-        for i, c in vec.items():
-            vec_axpy(out, c, self.rho[i])
-        return out
-
 
 def build_rho(bracket: FDAlgebra, module: str = "trivial") -> ConformalRep:
     """The faithful conformal representation on V (+) (g (x) V)."""
@@ -186,13 +179,17 @@ class RepReport:
 
 
 def verify_representation(rep: ConformalRep) -> RepReport:
-    """The four defining checks of the representation."""
+    """The four defining checks of the representation.  rho0 and rho1 are
+    constant, so their products are the coefficient products |- of the
+    current structures: the matrix product, and the commutator."""
     report = RepReport()
     cur = rep.cur
     d = rep.data.g.dim
     dlg = rep.data.dialgebra
+    mat_prod = CoefficientDialgebra(cur).rprod
+    commutator = CoefficientDialgebra(rep.cur_lie).rprod
 
-    ok = all(cur.is_zero(_mat_prod(cur, rep.rho1[a], rep.rho1[b]))
+    ok = all(cur.is_zero(mat_prod(rep.rho1[a], rep.rho1[b]))
              for a in range(d) for b in range(d))
     report.record("rho1-product-vanishes", ok)
 
@@ -201,10 +198,10 @@ def verify_representation(rep: ConformalRep) -> RepReport:
     for a in range(d):
         for b in range(d):
             r_ab = dlg.lprod(dlg.basis(a), dlg.basis(b))  # the mirror bracket a -| b
-            lhs0 = cur.commutator(rep.rho0[a], rep.rho0[b])
-            rhs0 = _lin_comb(cur, rep.rho0, r_ab)
-            lhs1 = cur.commutator(rep.rho1[a], rep.rho0[b])
-            rhs1 = _lin_comb(cur, rep.rho1, r_ab)
+            lhs0 = commutator(rep.rho0[a], rep.rho0[b])
+            rhs0 = lin_comb(cur, rep.rho0, r_ab)
+            lhs1 = commutator(rep.rho1[a], rep.rho0[b])
+            rhs1 = lin_comb(cur, rep.rho1, r_ab)
             if not cur.eq(lhs0, rhs0):
                 ok, detail = False, f"rho0 bracket at ({a},{b})"
                 break
@@ -215,39 +212,13 @@ def verify_representation(rep: ConformalRep) -> RepReport:
             break
     report.record("operator-brackets", ok, detail)
 
-    cd = CoefficientDialgebra(rep.cur_lie)
-    ok = True
-    detail = ""
-    for a in range(d):
-        for b in range(d):
-            ba, bb = dlg.basis(a), dlg.basis(b)
-            if not cur.eq(cd.rprod(rep.rho[a], rep.rho[b]), rep.rho_of(dlg.rprod(ba, bb))):
-                ok, detail = False, f"|- at ({a},{b})"
-                break
-            if not cur.eq(cd.lprod(rep.rho[a], rep.rho[b]), rep.rho_of(dlg.lprod(ba, bb))):
-                ok, detail = False, f"-| at ({a},{b})"
-                break
-        if not ok:
-            break
-    report.record("dialgebra-homomorphism", ok, detail)
+    bad = hom_failure(dlg, rep.rho, rep.cur_lie)
+    report.record("dialgebra-homomorphism", bad is None,
+                  "" if bad is None else "{} at ({},{})".format(*bad))
 
     span = RowSpace(dict(m) for m in rep.rho)
     report.record("faithful", span.rank == d, f"rank {span.rank} < {d}")
     return report
-
-
-def _mat_prod(cur: CurrentPA, a: PolyMat, b: PolyMat) -> PolyMat:
-    out = cur.zero()
-    for p, q, c in cur.base_product(a, b):
-        out = cur.add(out, cur.t_pow(c, p + q))
-    return out
-
-
-def _lin_comb(cur: CurrentPA, mats: Sequence[PolyMat], vec: Vec) -> PolyMat:
-    out = cur.zero()
-    for i, c in vec.items():
-        out = cur.add(out, cur.scale(mats[i], c))
-    return out
 
 
 def generated_basis(rep: ConformalRep, cd: CoefficientDialgebra) -> list:
@@ -299,7 +270,7 @@ def embed_associative(bracket: FDAlgebra,
         for b in range(d):
             lhs = cur.add(cd.lprod(rep.rho[a], rep.rho[b]),
                           cur.scale(cd.rprod(rep.rho[b], rep.rho[a]), -1))
-            if not cur.eq(lhs, rep.rho_of(dlg.lprod(dlg.basis(a), dlg.basis(b)))):
+            if not cur.eq(lhs, lin_comb(cur, rep.rho, dlg.lprod(dlg.basis(a), dlg.basis(b)))):
                 ok = False
     report.record("mirror-bracket-identity", ok,
                   "rho(a)-|rho(b) - rho(b)|-rho(a) != rho(a-|b)")

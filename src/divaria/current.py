@@ -9,7 +9,6 @@ degree-bounded truncations closed under both.
 
 from __future__ import annotations
 
-from .errors import InputError
 from .linalg import add_term, decimal_str, vec_axpy
 from .pseudo import PseudoAlgebra
 
@@ -18,15 +17,6 @@ PolyMat = dict  # {(k, r, c): coeff}, coeff an int or a Fraction, never a float
 
 def pm_unit(r: int, c: int) -> PolyMat:
     return {(0, r, c): 1}
-
-
-def pm_degrees(m: PolyMat) -> list[int]:
-    return sorted({k for (k, _r, _c) in m})
-
-
-def pm_component(m: PolyMat, power: int) -> dict:
-    """Degree-k part as {(r, c): coeff}."""
-    return {(r, c): v for (k, r, c), v in m.items() if k == power}
 
 
 def _mat_mult(a: dict, b: dict) -> dict:
@@ -102,12 +92,3 @@ class CurrentPA(PseudoAlgebra):
             t = f"T^{k} " if k > 1 else ("T " if k == 1 else "")
             bits.append(f"{decimal_str(a[(k, r, c)])} {t}E{r + 1}{c + 1}")
         return " + ".join(bits)
-
-    def commutator(self, x: PolyMat, y: PolyMat) -> PolyMat:
-        if pm_degrees(x) not in ([], [0]) or pm_degrees(y) not in ([], [0]):
-            raise InputError("commutator helper expects constant matrices")
-        a = pm_component(x, 0)
-        b = pm_component(y, 0)
-        out = _mat_mult(a, b)
-        vec_axpy(out, -1, _mat_mult(b, a))
-        return {(0, r, c): v for (r, c), v in out.items()}

@@ -26,10 +26,11 @@ from .errors import InputError, guard_tuples
 from .fd import FDDialgebra, first_witness, is_zero_dialgebra
 from .linalg import RowSpace, Vec, add_term, decimal_str, vec_axpy
 from .operads import IdentitySet
-from .pseudo import (CoefficientDialgebra, PseudoAlgebra, Spread, accumulate, eval_term, kept,
-                     leaf_spread, n_product, pseudo_product)
-from .pseudo import check_var_pseudo  # noqa: F401  (callers import it from here too)
-from .words import MultilinearPoly, Shape, all_shapes
+from .pseudo import (PseudoAlgebra, Spread, accumulate, eval_term, hom_failure, kept, lin_comb,
+                     n_product, product)
+# re-exports: callers import check_var_pseudo from here, and perfbench/tracer.py reads the others
+from .pseudo import CoefficientDialgebra, check_var_pseudo, pseudo_product  # noqa: F401
+from .words import MultilinearPoly, Shape, all_shapes, eval_shape_tree
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +73,11 @@ class EnvelopePA(PseudoAlgebra):
 
     W must be closed under the requirement T(W) = 0 (checked), which is
     what makes the T-action and the products descend to the quotient.
+    A must be a zero-dialgebra: build_envelope checks it, and a quotient
+    is built on the A of an envelope that exists.
     """
 
     def __init__(self, a: FDDialgebra, extra_relations: Sequence[dict] = ()):
-        w = is_zero_dialgebra(a)
-        if w is not None:
-            raise InputError(f"not a zero-dialgebra: {w.describe(a.labels)}")
         self.A = a
         d = a.dim
         self.defects = [[a.defect(a.basis(i), a.basis(j)) for j in range(d)] for i in range(d)]
@@ -225,6 +225,10 @@ class EnvelopePA(PseudoAlgebra):
 
 
 def build_envelope(a: FDDialgebra) -> EnvelopePA:
+    """The envelope of a, after checking that a is a zero-dialgebra."""
+    w = is_zero_dialgebra(a)
+    if w is not None:
+        raise InputError(f"not a zero-dialgebra: {w.describe(a.labels)}")
     return EnvelopePA(a)
 
 
@@ -242,15 +246,6 @@ def _word_values(env: EnvelopePA, shape: Shape, avecs: list) -> list:
     right = _word_values(env, shape.right, avecs[m:])
     r1, lm = right[0], left[-1]
     return [env.A.lprod(x, r1) for x in left] + [env.A.rprod(lm, y) for y in right]
-
-
-def _word_last(env: EnvelopePA, shape: Shape, avecs: list) -> Vec:
-    """The last entry of _word_values alone: every product is |-."""
-    if shape.is_leaf:
-        return avecs[0]
-    m = shape.left.arity
-    return env.A.rprod(_word_last(env, shape.left, avecs[:m]),
-                       _word_last(env, shape.right, avecs[m:]))
 
 
 def _plain_closed(env: EnvelopePA, shape: Shape, avecs: list):
@@ -318,11 +313,12 @@ def _closed_d_plain(env: EnvelopePA, shape: Shape, args: list, s: int) -> dict:
     if shape.is_leaf:
         return args[0]
     m = shape.left.arity
+    # the other side's value labeled toward its last leaf: every product is |-
     if s <= m:
         x = _closed_d_plain(env, shape.left, args[:m], s)
-        y0 = _word_last(env, shape.right, args[m:])
+        y0 = eval_shape_tree(shape.right, args[m:], env.A.rprod)
         return env.tensor_pair({k: -v for k, v in env._t_of_pairs(x).items()}, y0)
-    x0l = _word_last(env, shape.left, args[:m])
+    x0l = eval_shape_tree(shape.left, args[:m], env.A.rprod)
     x = _closed_d_plain(env, shape.right, args[m:], s - m)
     return env.tensor_pair(x0l, env._t_of_pairs(x))
 
@@ -462,6 +458,9 @@ def build_var_quotient(env: EnvelopePA, sigma: IdentitySet) -> VarQuotient:
     with it every one-pair row, lies in the span of the basis-tuple rows.
     This builds a span and nothing else: oracle_sweep, check_var_pseudo and
     extend_hom check values, not a span, and still enumerate every tuple.
+
+    env's A passed the zero-dialgebra check of build_envelope, so the
+    quotient does not check it again.
     """
     a = env.A
     d = a.dim
@@ -501,17 +500,11 @@ class ExtendedHom:
     env: EnvelopePA
     target: PseudoAlgebra
     phi: list                 # image of each A basis element
-    pair_images: list         # image of each (i, j) tensor generator
+    pair_images: dict         # (i, j) -> image of the tensor generator
     checks: dict
 
-    def apply_c1(self, c1: dict):
-        out = self.target.zero()
-        for (i, j), coeff in c1.items():
-            out = self.target.add(out, self.target.scale(self.pair_images[i][j], coeff))
-        return out
-
     def apply(self, x: CElement):
-        out = self.apply_c1(x.c1)
+        out = lin_comb(self.target, self.pair_images, x.c1)
         for (k, i), coeff in x.c0.items():
             out = self.target.add(out, self.target.scale(self.target.t_pow(self.phi[i], k), coeff))
         return out
@@ -527,37 +520,25 @@ def extend_hom(env: EnvelopePA, phi: Sequence, target: PseudoAlgebra) -> Extende
     a = env.A
     d = a.dim
     tgt = target
-    coeff_ops = CoefficientDialgebra(tgt)
-
-    def phi_vec(vec: Vec):
-        out = tgt.zero()
-        for i, c in vec.items():
-            out = tgt.add(out, tgt.scale(phi[i], c))
-        return out
 
     checks = {}
-    for i in range(d):
-        for j in range(d):
-            bi, bj = a.basis(i), a.basis(j)
-            if not tgt.eq(coeff_ops.rprod(phi[i], phi[j]), phi_vec(a.rprod(bi, bj))):
-                raise InputError(f"phi is not a dialgebra homomorphism (|- at {i},{j})")
-            if not tgt.eq(coeff_ops.lprod(phi[i], phi[j]), phi_vec(a.lprod(bi, bj))):
-                raise InputError(f"phi is not a dialgebra homomorphism (-| at {i},{j})")
+    bad = hom_failure(a, phi, tgt)
+    if bad is not None:
+        symbol, i, j = bad
+        raise InputError(f"phi is not a dialgebra homomorphism ({symbol} at {i},{j})")
     checks["dialgebra-hom"] = True
 
-    for i in range(d):
-        for j in range(d):
-            prod = pseudo_product(tgt, leaf_spread(tgt, phi[i]), leaf_spread(tgt, phi[j]))
-            if any(exps[0] > 1 for exps in prod.terms):
-                raise InputError(f"phi({a.labels[i]})*phi({a.labels[j]}) has slot-1 degree > 1")
+    for i, j in itertools.product(range(d), repeat=2):
+        if any(exps[0] > 1 for exps in product(tgt, phi[i], phi[j]).terms):
+            raise InputError(f"phi({a.labels[i]})*phi({a.labels[j]}) has slot-1 degree > 1")
     checks["degree-bound"] = True
 
-    pair_images = [[tgt.scale(n_product(tgt, phi[i], phi[j], 1), -1) for j in range(d)]
-                   for i in range(d)]
+    pair_images = {(i, j): tgt.scale(n_product(tgt, phi[i], phi[j], 1), -1)
+                   for i in range(d) for j in range(d)}
     hom = ExtendedHom(env, tgt, list(phi), pair_images, checks)
 
     for row in env.rel.rows():
-        if not tgt.is_zero(hom.apply_c1(row)):
+        if not tgt.is_zero(lin_comb(tgt, pair_images, row)):
             raise InputError("relation subspace is not killed by the extension")
     checks["kills-relations"] = True
 
@@ -569,9 +550,9 @@ def extend_hom(env: EnvelopePA, phi: Sequence, target: PseudoAlgebra) -> Extende
     gens = env.generators()
     for name_x, gx in gens:
         for name_y, gy in gens:
-            inner = pseudo_product(env, leaf_spread(env, gx), leaf_spread(env, gy))
+            inner = product(env, gx, gy)
             mapped = Spread(tgt, 2, {exps: hom.apply(elem) for exps, elem in inner.terms.items()})
-            direct = pseudo_product(tgt, leaf_spread(tgt, hom.apply(gx)), leaf_spread(tgt, hom.apply(gy)))
+            direct = product(tgt, hom.apply(gx), hom.apply(gy))
             if not mapped.eq(direct):
                 raise InputError(f"products not preserved at ({name_x}, {name_y})")
     checks["preserves-products"] = True

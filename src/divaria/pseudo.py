@@ -11,7 +11,10 @@ A pseudo-algebra implements the element protocol of PseudoAlgebra:
 EnvelopePA (envelope module) and CurrentPA (current module) do.  This
 module holds what works for any of them: spreads, the expanded
 pseudo-product, the recursive word evaluator eval_term, the coefficient
-dialgebra and the identity check on generators.
+dialgebra, the identity check on generators, and the map layer: the
+linear extension of basis images (lin_comb) and the one check that such a
+map carries both dialgebra products to the coefficient products
+(hom_failure).
 """
 
 from __future__ import annotations
@@ -300,10 +303,23 @@ def _eval_plain(alg, shape: Shape, args) -> Spread:
                           _eval_plain(alg, shape.right, args[m:]))
 
 
+def product(alg, x, y) -> Spread:
+    """The 2-slot spread x*y."""
+    return pseudo_product(alg, leaf_spread(alg, x), leaf_spread(alg, y))
+
+
 def n_product(alg, x, y, n: int):
     """x o_n y: the T_1^n coefficient of the normalized product x*y."""
-    prod = pseudo_product(alg, leaf_spread(alg, x), leaf_spread(alg, y))
-    return prod.coefficient((n,))
+    return product(alg, x, y).coefficient((n,))
+
+
+def lin_comb(alg, images, vec: dict):
+    """The linear extension of images to vec: the sum of c * images[k]
+    over the terms k: c of vec."""
+    out = alg.zero()
+    for k, c in vec.items():
+        out = alg.add(out, alg.scale(images[k], c))
+    return out
 
 
 @dataclass
@@ -333,6 +349,22 @@ class CoefficientDialgebra:
             val = eval_shape_tree(shape, leaves, None, (self.lprod, self.rprod))
             acc = self.alg.add(acc, self.alg.scale(val, coeff))
         return acc
+
+
+def hom_failure(a, images: Sequence, alg: PseudoAlgebra) -> tuple | None:
+    """The first (symbol, i, j) at which e_i -> images[i] fails to carry the
+    dialgebra product symbol of a to the coefficient product of alg, or None.
+
+    Pairs run in lex order, |- before -| at each; the images of products
+    are their linear extensions."""
+    cd = CoefficientDialgebra(alg)
+    products = (("|-", a.rprod, cd.rprod), ("-|", a.lprod, cd.lprod))
+    for i, j in itertools.product(range(a.dim), repeat=2):
+        bi, bj = a.basis(i), a.basis(j)
+        for symbol, prod, image_prod in products:
+            if not alg.eq(image_prod(images[i], images[j]), lin_comb(alg, images, prod(bi, bj))):
+                return symbol, i, j
+    return None
 
 
 def check_var_pseudo(alg: PseudoAlgebra, sigma: IdentitySet):

@@ -165,3 +165,29 @@ def test_every_default_is_set_by_a_caller():
         defaulted += [p for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
         unset += [f"{qual}({p.arg})" for p in defaulted if (id(fn), p.arg) not in passed]
     assert unset == []
+
+
+def test_every_traced_name_resolves():
+    """perfbench/tracer.py wraps functions by (module, attribute) after
+    importing divaria.cli; a name that no longer resolves there (a deleted
+    re-export, say) would stop the traced benchmark run, and nothing else
+    in the suite reads that list."""
+    import importlib
+    import importlib.util
+    import sys
+
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    importlib.import_module("divaria.cli")
+    names = [(module, attr) for _name, module, attr, *_flags in tracer.TRACED]
+    names += [(module, attr) for _name, module, attr in tracer.CACHES]
+    assert names
+    missing = []
+    for module, attr in names:
+        obj = sys.modules.get(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(f"{module}.{attr}")
+    assert missing == []

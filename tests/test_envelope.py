@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from divaria import envelope, pseudo
-from divaria.envelope import (BasisElement, CElement, EnvelopePA, _word_last, _word_values,
+from divaria.envelope import (BasisElement, CElement, EnvelopePA, _word_values,
                               build_envelope, build_var_quotient, closed_form_eval, extend_hom,
                               oracle_sweep)
 from divaria.pseudo import (CoefficientDialgebra, Spread, _eval_plain, act_spread,
@@ -62,8 +62,10 @@ def test_envelope_rejects_non_zero_dialgebra():
     from divaria.fd import FDDialgebra
     left = [[(1, 0), (0, 0)], [(0, 0), (0, 0)]]
     right = [[(0, 0), (0, 0)], [(0, 0), (0, 1)]]
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as err:
         build_envelope(FDDialgebra(left, right))
+    assert str(err.value) == ("not a zero-dialgebra: identity (x1-|x2)|-x3 - (x1|-x2)|-x3 "
+                              "fails at (b2, b2, b2); defect ('0', '-1')")
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +193,7 @@ def test_word_values_match_section_labelings(name):
             for p in range(1, n + 1):
                 want = eval_shape_tree(section_dishape(shape, p), vs, None, (a.lprod, a.rprod))
                 assert values[p - 1] == want, (shape.key, p)
-            assert _word_last(env, shape, vs) == values[-1]
+            assert eval_shape_tree(shape, vs, a.rprod) == values[-1]
 
 
 def _forbid(*_args, **_kwargs):
