@@ -19,7 +19,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 from . import perms
 from .errors import InputError, guard_tuples
@@ -253,8 +254,13 @@ def _plain_closed(env: EnvelopePA, shape: Shape, avecs: list):
     if shape.is_leaf:
         return avecs[0], {}
     m = shape.left.arity
-    left = _word_values(env, shape.left, avecs[:m])
-    right = _word_values(env, shape.right, avecs[m:])
+    return _closed_join(env, _word_values(env, shape.left, avecs[:m]),
+                        _word_values(env, shape.right, avecs[m:]))
+
+
+def _closed_join(env: EnvelopePA, left: list, right: list):
+    """_plain_closed of a word from the _word_values of its two sides."""
+    m = len(left)
     x0l, y0 = left[-1], right[-1]
     xs: dict = {}
     for i, li in enumerate(left, start=1):
@@ -277,7 +283,6 @@ def _closed_mono_a(env: EnvelopePA, mono, avecs: list, idx) -> tuple[Vec, dict]:
     idx is the arguments' basis-index tuple, or None; on basis tuples the
     plain value is kept in env's own table, apart from eval_term's."""
     shape, sigma = mono
-    n = shape.arity
 
     def plain():  # the permuted arguments are built only when a value is computed
         return _plain_closed(env, shape, [avecs[s - 1] for s in sigma])
@@ -286,7 +291,13 @@ def _closed_mono_a(env: EnvelopePA, mono, avecs: list, idx) -> tuple[Vec, dict]:
         y0, ys = plain()
     else:
         y0, ys = kept(env, "_closed", shape, tuple([idx[s - 1] for s in sigma]), plain)
-    inv = perms.inverse(sigma)
+    return _closed_twist(env, y0, ys, sigma, perms.inverse(sigma))
+
+
+def _closed_twist(env: EnvelopePA, y0: Vec, ys: dict, sigma, inv) -> tuple[Vec, dict]:
+    """The closed form (x0, {j: x_j}) of the word with permutation sigma,
+    whose inverse is inv, from the closed form (y0, ys) of its plain word."""
+    n = len(sigma)
     if sigma[n - 1] == n:
         x0 = y0
         xs = {j: ys[inv[j - 1]] for j in range(1, n) if inv[j - 1] in ys}
@@ -369,13 +380,61 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
     else:  # as in eval_term, only a word keeps its plain values
         x0, ys = _closed_mono_a(env, t, vals, None if None in idx else tuple(idx))
         xs = {j: {k: -v for k, v in pair.items()} for j, pair in ys.items()}
-    # fresh dicts, zero-free and reduced, never the kept values themselves
-    terms = {zero: env.from_a(x0)} if x0 else {}
+    return _closed_spread(env, n, x0, xs)
+
+
+def _closed_spread(env: EnvelopePA, n: int, x0: Vec, xs: dict) -> Spread:
+    """The spread x0 + sum_j T_j [xs[j]] over n slots.  x0 and the xs[j] are
+    fresh dicts, zero-free and reduced, never the kept values themselves."""
+    terms = {(0,) * (n - 1): env.from_a(x0)} if x0 else {}
     units = _unit_exps(n)
     for j, pair in xs.items():
         if pair:
             terms[units[j - 1]] = CElement({}, pair)
     return Spread.of_terms(env, n, terms)
+
+
+def closed_form_on_tuples(env: EnvelopePA, p: MultilinearPoly,
+                          subwords: dict) -> Iterator[tuple]:
+    """Yield (index tuple, closed_form_eval(env, p, tuple)) for every tuple
+    of A basis indices, in lex order; a caller that stops early computes
+    nothing past it.  p has arity >= 2, as every identity has.
+
+    The _word_values of each proper subword with two or more leaves are
+    kept in subwords, keyed by its interned shape and its leaves' basis
+    indices, and each monomial's inverse permutation is computed once per
+    call, not once per tuple.  Kept values are shared and never changed:
+    the monomials add into fresh accumulators.
+    """
+    n, d = p.arity, env.A.dim
+    guard_tuples(d ** n, f"{d}^{n} basis tuples")
+    avecs = [env.A.basis(i) for i in range(d)]
+    plan = [(coeff, shape.left, shape.right, shape.left.arity,
+             itemgetter(*[s - 1 for s in sigma]), sigma, perms.inverse(sigma))
+            for (shape, sigma), coeff in p.terms.items()]
+    for idx in itertools.product(range(d), repeat=n):
+        x0: Vec = {}
+        xs: dict = {}  # j -> the tensor part of the T_j coefficient: -sum of coeff * x_j
+        for coeff, left, right, m, pick, sigma, inv in plan:
+            at = pick(idx)
+            y0, ys = _closed_join(env, _closed_subword(env, left, at[:m], avecs, subwords),
+                                  _closed_subword(env, right, at[m:], avecs, subwords))
+            y0, ys = _closed_twist(env, y0, ys, sigma, inv)
+            vec_axpy(x0, coeff, y0)
+            for j, pair in ys.items():
+                _add_scaled(xs, j, -coeff, pair)
+        yield idx, _closed_spread(env, n, x0, xs)
+
+
+def _closed_subword(env: EnvelopePA, s: Shape, at: tuple, avecs: list, subwords: dict) -> list:
+    """_word_values of the subword of shape s on the basis vectors at at."""
+    if s.is_leaf:
+        return [avecs[at[0]]]
+    key = (s, at)
+    got = subwords.get(key)
+    if got is None:
+        got = subwords[key] = _word_values(env, s, [avecs[i] for i in at])
+    return got
 
 
 @lru_cache(maxsize=None)
@@ -463,18 +522,13 @@ def build_var_quotient(env: EnvelopePA, sigma: IdentitySet) -> VarQuotient:
     quotient does not check it again.
     """
     a = env.A
-    d = a.dim
     from .translate import derive_variety
     w = first_witness(a, derive_variety(sigma).derived)  # env exists, so A is a 0-dialgebra
     if w is not None:
         raise InputError(f"dialgebra fails the variety: {w.describe(a.labels)}")
     rows = RowSpace()
     for t in sigma:
-        n = t.arity
-        guard_tuples(d ** n, f"{d}^{n} basis tuples")
-        for idx in itertools.product(range(d), repeat=n):
-            args = [env.basis_a(i) for i in idx]
-            spread = closed_form_eval(env, t, args)
+        for idx, spread in closed_form_on_tuples(env, t, {}):
             const = spread.constant()
             if not env.is_zero(const):
                 raise InputError(
@@ -542,17 +596,18 @@ def extend_hom(env: EnvelopePA, phi: Sequence, target: PseudoAlgebra) -> Extende
             raise InputError("relation subspace is not killed by the extension")
     checks["kills-relations"] = True
 
-    for name, g in env.generators():
-        if not tgt.eq(hom.apply(env.t_act(g)), tgt.t_act(hom.apply(g))):
+    gens = env.generators()
+    images = [hom.apply(g) for _name, g in gens]
+    for (name, g), image in zip(gens, images):
+        if not tgt.eq(hom.apply(env.t_act(g)), tgt.t_act(image)):
             raise InputError(f"extension is not T-linear at generator {name}")
     checks["t-linear"] = True
 
-    gens = env.generators()
-    for name_x, gx in gens:
-        for name_y, gy in gens:
+    for (name_x, gx), image_x in zip(gens, images):
+        for (name_y, gy), image_y in zip(gens, images):
             inner = product(env, gx, gy)
             mapped = Spread(tgt, 2, {exps: hom.apply(elem) for exps, elem in inner.terms.items()})
-            direct = product(tgt, hom.apply(gx), hom.apply(gy))
+            direct = product(tgt, image_x, image_y)
             if not mapped.eq(direct):
                 raise InputError(f"products not preserved at ({name_x}, {name_y})")
     checks["preserves-products"] = True

@@ -10,7 +10,8 @@ dictionary comparison.
 A pseudo-algebra implements the element protocol of PseudoAlgebra:
 EnvelopePA (envelope module) and CurrentPA (current module) do.  This
 module holds what works for any of them: spreads, the expanded
-pseudo-product, the recursive word evaluator eval_term, the coefficient
+pseudo-product, the recursive word evaluator eval_term and its entry for a
+polynomial on every argument tuple (eval_term_on_tuples), the coefficient
 dialgebra, the identity check on generators, and the map layer: the
 linear extension of basis images (lin_comb) and the one check that such a
 map carries both dialgebra products to the coefficient products
@@ -22,8 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
-from typing import Sequence
+from operator import add, itemgetter
+from typing import Iterator, Sequence
 
 from . import perms
 from .errors import InputError, ResourceError, guard_tuples
@@ -278,6 +279,51 @@ def eval_term(alg, t, args: Sequence) -> Spread:
     return act_spread(alg, plain, sigma)
 
 
+def eval_term_on_tuples(alg, p: MultilinearPoly, args: Sequence, subwords: dict) -> Iterator[tuple]:
+    """Yield (index tuple, eval_term(alg, p, tuple)) for every tuple of the
+    elements args, in lex order; a caller that stops at the first nonzero
+    value computes nothing past it.  p has arity >= 2, as every identity has.
+
+    Each monomial's plan holds its coefficient, shape, leaf picker and
+    whether its permutation is the identity.  The plain value of each proper
+    subword with two or more leaves is kept in subwords, keyed by its
+    interned shape and its leaves' indices into args, so each monomial makes
+    only its top product and its slot twist.  Kept spreads are shared and
+    never changed: the monomials add into a fresh accumulator.
+    """
+    n, g = p.arity, len(args)
+    guard_tuples(g ** n, f"{g}^{n} generator tuples")
+    leaves = [leaf_spread(alg, x) for x in args]
+    plan = [(coeff, shape.left, shape.right, shape.left.arity,
+             itemgetter(*[s - 1 for s in sigma]), None if sigma == perms.identity(n) else sigma)
+            for (shape, sigma), coeff in p.terms.items()]
+    for idx in itertools.product(range(g), repeat=n):
+        acc: dict = {}
+        for coeff, left, right, m, pick, sigma in plan:
+            at = pick(idx)
+            value = pseudo_product(alg, _subword(alg, left, at[:m], leaves, subwords),
+                                   _subword(alg, right, at[m:], leaves, subwords))
+            if sigma is not None:
+                value = act_spread(alg, value, sigma)
+            for exps, elem in value.terms.items():
+                accumulate(alg, acc, exps, elem, coeff)
+        yield idx, Spread.of_terms(alg, n, acc)
+
+
+def _subword(alg, s: Shape, at: tuple, leaves: list, subwords: dict) -> Spread:
+    """The plain value of the subword of shape s on the leaves at indices
+    at, read from or kept in subwords."""
+    if s.is_leaf:
+        return leaves[at[0]]
+    key = (s, at)
+    got = subwords.get(key)
+    if got is None:
+        m = s.left.arity
+        got = subwords[key] = pseudo_product(alg, _subword(alg, s.left, at[:m], leaves, subwords),
+                                             _subword(alg, s.right, at[m:], leaves, subwords))
+    return got
+
+
 def kept(owner, attr: str, shape: Shape, key, compute):
     """The value at key of the table owner.attr, computed on first use.
 
@@ -370,17 +416,14 @@ def hom_failure(a, images: Sequence, alg: PseudoAlgebra) -> tuple | None:
 def check_var_pseudo(alg: PseudoAlgebra, sigma: IdentitySet):
     """Evaluate every defining identity on all generator tuples.
 
-    Returns None on success or a (identity, generator names, spread)
-    witness.  Generator tuples suffice by multilinearity of the expanded
-    pseudo-product over H.
+    Returns None on success or the (identity, generator names, spread)
+    witness at the first failing tuple in lex order.  Generator tuples
+    suffice by multilinearity of the expanded pseudo-product over H.
     """
     gens = alg.generators()
-    for t in sigma:
-        n = t.arity
-        guard_tuples(len(gens) ** n, f"{len(gens)}^{n} generator tuples")
-        for combo in itertools.product(gens, repeat=n):
-            names = tuple(name for name, _ in combo)
-            spread = eval_term(alg, t, [el for _, el in combo])
+    elements = [el for _, el in gens]
+    for t in sigma:  # one subword table per identity, dropped when it is done
+        for idx, spread in eval_term_on_tuples(alg, t, elements, {}):
             if not spread.is_zero():
-                return (t, names, spread)
+                return (t, tuple(gens[i][0] for i in idx), spread)
     return None

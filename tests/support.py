@@ -12,6 +12,14 @@ never calls them, so they live here and not in the package.
   monomial at one argument tuple of a structure-constant (di)algebra, and
   the identity check that scans the basis tuples with it, the per-tuple
   references of words.eval_on_tuples and fd.eval_identity;
+- generator_tuple_values and first_generator_witness, a polynomial
+  evaluated by eval_term on one generator tuple at a time and the identity
+  check that scans the tuples with it, the per-tuple references of
+  pseudo.eval_term_on_tuples and pseudo.check_var_pseudo;
+- basis_tuple_values and closed_form_rows, the closed forms evaluated on one
+  basis tuple at a time and the ideal spanned from their values, the
+  per-tuple references of envelope.closed_form_on_tuples and the ideal of
+  envelope.build_var_quotient;
 - from_vec, the inverse of words.to_vec;
 - parse_expression, one identity read by the parser of variety files.
 """
@@ -21,8 +29,10 @@ from functools import lru_cache
 
 from divaria import perms
 from divaria.dsl import parse_identity, tokenize
+from divaria.envelope import closed_form_eval
+from divaria.errors import InputError
 from divaria.fd import FDAlgebra, FDDialgebra, Witness
-from divaria.linalg import vec_axpy
+from divaria.linalg import RowSpace, vec_axpy
 from divaria.perms import Perm
 from divaria.pseudo import eval_term
 from divaria.words import (DiPoly, DiShape, LEAF, LPROD, RPROD, Shape, TensorPoly,
@@ -164,6 +174,49 @@ def first_lex_witness(alg, p):
         if val:
             return Witness(p, idx, val)
     return None
+
+
+# ---------------------------------------------------------------------------
+# the two evaluators, one argument tuple at a time
+# ---------------------------------------------------------------------------
+
+def generator_tuple_values(alg, t, elements) -> list:
+    """[(index tuple, eval_term value)] on every tuple of elements, in lex order."""
+    return [(idx, eval_term(alg, t, [elements[i] for i in idx]))
+            for idx in itertools.product(range(len(elements)), repeat=t.arity)]
+
+
+def first_generator_witness(alg, sigma):
+    """check_var_pseudo one tuple at a time: (identity, generator names,
+    spread) at the first tuple in lex order where an identity fails."""
+    gens = alg.generators()
+    for t in sigma:
+        for combo in itertools.product(gens, repeat=t.arity):
+            spread = eval_term(alg, t, [el for _, el in combo])
+            if not spread.is_zero():
+                return (t, tuple(name for name, _ in combo), spread)
+    return None
+
+
+def basis_tuple_values(env, t) -> list:
+    """[(index tuple, closed_form_eval value)] on every basis tuple of A, in lex order."""
+    return [(idx, closed_form_eval(env, t, [env.basis_a(i) for i in idx]))
+            for idx in itertools.product(range(env.A.dim), repeat=t.arity)]
+
+
+def closed_form_rows(env, sigma) -> RowSpace:
+    """The ideal of build_var_quotient, from closed_form_eval one basis tuple
+    at a time; InputError with its text where a degree-zero part is nonzero."""
+    rows = RowSpace()
+    for t in sigma:
+        for idx, spread in basis_tuple_values(env, t):
+            if not env.is_zero(spread.constant()):
+                raise InputError(f"degree-zero part of {t} at basis tuple {idx} is nonzero; "
+                                 f"the identity fails on A")
+            for exps, elem in spread.terms.items():
+                if any(exps):
+                    rows.add(dict(elem.c1))
+    return rows
 
 
 def from_vec(cls, n: int, vec: dict):
