@@ -370,16 +370,22 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
         # sums of reduced vectors stay reduced: nothing to reduce again
         return Spread.of_terms(env, n, {k: CElement({}, v) for k, v in acc.items() if v})
     if poly:
-        x0: Vec = {}
-        xs: dict = {}  # j -> the tensor part of the T_j coefficient: -sum of coeff * x_j
-        for mono, coeff in monos:
-            y0, ys = _closed_mono_a(env, mono, vals, None)
-            vec_axpy(x0, coeff, y0)
-            for j, pair in ys.items():
-                _add_scaled(xs, j, -coeff, pair)
-    else:  # as in eval_term, only a word keeps its plain values
-        x0, ys = _closed_mono_a(env, t, vals, None if None in idx else tuple(idx))
-        xs = {j: {k: -v for k, v in pair.items()} for j, pair in ys.items()}
+        return _closed_sum(env, n, [(coeff, _closed_mono_a(env, mono, vals, None)) for mono, coeff in monos])
+    # as in eval_term, only a word keeps its plain values
+    x0, ys = _closed_mono_a(env, t, vals, None if None in idx else tuple(idx))
+    xs = {j: {k: -v for k, v in pair.items()} for j, pair in ys.items()}
+    return _closed_spread(env, n, x0, xs)
+
+
+def _closed_sum(env: EnvelopePA, n: int, values) -> Spread:
+    """The spread of the sum of coeff * (y0, ys) over the (coeff, closed
+    form) pairs in values, added into fresh accumulators."""
+    x0: Vec = {}
+    xs: dict = {}  # j -> the tensor part of the T_j coefficient: -sum of coeff * x_j
+    for coeff, (y0, ys) in values:
+        vec_axpy(x0, coeff, y0)
+        for j, pair in ys.items():
+            _add_scaled(xs, j, -coeff, pair)
     return _closed_spread(env, n, x0, xs)
 
 
@@ -394,47 +400,37 @@ def _closed_spread(env: EnvelopePA, n: int, x0: Vec, xs: dict) -> Spread:
     return Spread.of_terms(env, n, terms)
 
 
-def closed_form_on_tuples(env: EnvelopePA, p: MultilinearPoly,
-                          subwords: dict) -> Iterator[tuple]:
+def closed_form_on_tuples(env: EnvelopePA, p: MultilinearPoly) -> Iterator[tuple]:
     """Yield (index tuple, closed_form_eval(env, p, tuple)) for every tuple
-    of A basis indices, in lex order; a caller that stops early computes
-    nothing past it.  p has arity >= 2, as every identity has.
+    of A basis indices, in lex order.  p has arity >= 2, as every identity has.
 
-    The _word_values of each proper subword with two or more leaves are
-    kept in subwords, keyed by its interned shape and its leaves' basis
-    indices, and each monomial's inverse permutation is computed once per
-    call, not once per tuple.  Kept values are shared and never changed:
-    the monomials add into fresh accumulators.
+    The _word_values of each proper subword are kept, for this call only,
+    under (interned shape, basis indices of its leaves); kept values are
+    never changed, as the monomials add into fresh accumulators.
     """
     n, d = p.arity, env.A.dim
     guard_tuples(d ** n, f"{d}^{n} basis tuples")
     avecs = [env.A.basis(i) for i in range(d)]
+    subwords: dict = {}
+
+    def subword(s: Shape, at: tuple) -> list:
+        if s.is_leaf:
+            return [avecs[at[0]]]
+        got = subwords.get((s, at))
+        if got is None:
+            got = subwords[s, at] = _word_values(env, s, [avecs[i] for i in at])
+        return got
+
+    def mono(left, right, m, at, sigma, inv):
+        y0, ys = _closed_join(env, subword(left, at[:m]), subword(right, at[m:]))
+        return _closed_twist(env, y0, ys, sigma, inv)
+
     plan = [(coeff, shape.left, shape.right, shape.left.arity,
              itemgetter(*[s - 1 for s in sigma]), sigma, perms.inverse(sigma))
             for (shape, sigma), coeff in p.terms.items()]
     for idx in itertools.product(range(d), repeat=n):
-        x0: Vec = {}
-        xs: dict = {}  # j -> the tensor part of the T_j coefficient: -sum of coeff * x_j
-        for coeff, left, right, m, pick, sigma, inv in plan:
-            at = pick(idx)
-            y0, ys = _closed_join(env, _closed_subword(env, left, at[:m], avecs, subwords),
-                                  _closed_subword(env, right, at[m:], avecs, subwords))
-            y0, ys = _closed_twist(env, y0, ys, sigma, inv)
-            vec_axpy(x0, coeff, y0)
-            for j, pair in ys.items():
-                _add_scaled(xs, j, -coeff, pair)
-        yield idx, _closed_spread(env, n, x0, xs)
-
-
-def _closed_subword(env: EnvelopePA, s: Shape, at: tuple, avecs: list, subwords: dict) -> list:
-    """_word_values of the subword of shape s on the basis vectors at at."""
-    if s.is_leaf:
-        return [avecs[at[0]]]
-    key = (s, at)
-    got = subwords.get(key)
-    if got is None:
-        got = subwords[key] = _word_values(env, s, [avecs[i] for i in at])
-    return got
+        yield idx, _closed_sum(env, n, [(coeff, mono(left, right, m, pick(idx), sigma, inv))
+                                        for coeff, left, right, m, pick, sigma, inv in plan])
 
 
 @lru_cache(maxsize=None)
@@ -528,7 +524,7 @@ def build_var_quotient(env: EnvelopePA, sigma: IdentitySet) -> VarQuotient:
         raise InputError(f"dialgebra fails the variety: {w.describe(a.labels)}")
     rows = RowSpace()
     for t in sigma:
-        for idx, spread in closed_form_on_tuples(env, t, {}):
+        for idx, spread in closed_form_on_tuples(env, t):
             const = spread.constant()
             if not env.is_zero(const):
                 raise InputError(

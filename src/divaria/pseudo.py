@@ -279,21 +279,28 @@ def eval_term(alg, t, args: Sequence) -> Spread:
     return act_spread(alg, plain, sigma)
 
 
-def eval_term_on_tuples(alg, p: MultilinearPoly, args: Sequence, subwords: dict) -> Iterator[tuple]:
+def eval_term_on_tuples(alg, p: MultilinearPoly, args: Sequence) -> Iterator[tuple]:
     """Yield (index tuple, eval_term(alg, p, tuple)) for every tuple of the
-    elements args, in lex order; a caller that stops at the first nonzero
-    value computes nothing past it.  p has arity >= 2, as every identity has.
+    elements args, in lex order.  p has arity >= 2, as every identity has.
 
-    Each monomial's plan holds its coefficient, shape, leaf picker and
-    whether its permutation is the identity.  The plain value of each proper
-    subword with two or more leaves is kept in subwords, keyed by its
-    interned shape and its leaves' indices into args, so each monomial makes
-    only its top product and its slot twist.  Kept spreads are shared and
-    never changed: the monomials add into a fresh accumulator.
+    The plain value of each proper subword is kept, for this call only, under
+    (interned shape, indices into args of its leaves); kept spreads are never
+    changed, as the monomials add into a fresh accumulator.
     """
     n, g = p.arity, len(args)
     guard_tuples(g ** n, f"{g}^{n} generator tuples")
     leaves = [leaf_spread(alg, x) for x in args]
+    subwords: dict = {}
+
+    def subword(s: Shape, at: tuple) -> Spread:
+        if s.is_leaf:
+            return leaves[at[0]]
+        got = subwords.get((s, at))
+        if got is None:
+            m = s.left.arity
+            got = subwords[s, at] = pseudo_product(alg, subword(s.left, at[:m]), subword(s.right, at[m:]))
+        return got
+
     plan = [(coeff, shape.left, shape.right, shape.left.arity,
              itemgetter(*[s - 1 for s in sigma]), None if sigma == perms.identity(n) else sigma)
             for (shape, sigma), coeff in p.terms.items()]
@@ -301,27 +308,12 @@ def eval_term_on_tuples(alg, p: MultilinearPoly, args: Sequence, subwords: dict)
         acc: dict = {}
         for coeff, left, right, m, pick, sigma in plan:
             at = pick(idx)
-            value = pseudo_product(alg, _subword(alg, left, at[:m], leaves, subwords),
-                                   _subword(alg, right, at[m:], leaves, subwords))
+            value = pseudo_product(alg, subword(left, at[:m]), subword(right, at[m:]))
             if sigma is not None:
                 value = act_spread(alg, value, sigma)
             for exps, elem in value.terms.items():
                 accumulate(alg, acc, exps, elem, coeff)
         yield idx, Spread.of_terms(alg, n, acc)
-
-
-def _subword(alg, s: Shape, at: tuple, leaves: list, subwords: dict) -> Spread:
-    """The plain value of the subword of shape s on the leaves at indices
-    at, read from or kept in subwords."""
-    if s.is_leaf:
-        return leaves[at[0]]
-    key = (s, at)
-    got = subwords.get(key)
-    if got is None:
-        m = s.left.arity
-        got = subwords[key] = pseudo_product(alg, _subword(alg, s.left, at[:m], leaves, subwords),
-                                             _subword(alg, s.right, at[m:], leaves, subwords))
-    return got
 
 
 def kept(owner, attr: str, shape: Shape, key, compute):
@@ -422,8 +414,8 @@ def check_var_pseudo(alg: PseudoAlgebra, sigma: IdentitySet):
     """
     gens = alg.generators()
     elements = [el for _, el in gens]
-    for t in sigma:  # one subword table per identity, dropped when it is done
-        for idx, spread in eval_term_on_tuples(alg, t, elements, {}):
+    for t in sigma:
+        for idx, spread in eval_term_on_tuples(alg, t, elements):
             if not spread.is_zero():
                 return (t, tuple(gens[i][0] for i in idx), spread)
     return None
