@@ -125,13 +125,8 @@ def build_rho(bracket: FDAlgebra, module: str = "trivial") -> ConformalRep:
     data = LeibnizData(bracket, module)
     g = bracket
     d = g.dim
-    nv = data.dim_v
-    if nv == 0:
-        raise InputError("module V must be nonzero")
+    nv = data.dim_v  # LeibnizData refuses an empty module
     dim_m0 = nv * (1 + d)
-
-    def v_index(alpha):
-        return alpha
 
     def gv_index(i, alpha):
         return nv + i * nv + alpha
@@ -141,7 +136,7 @@ def build_rho(bracket: FDAlgebra, module: str = "trivial") -> ConformalRep:
     rho = []
     for t in range(d):
         act = data.action[t]
-        m0: PolyMat = {(0, v_index(beta), v_index(alpha)): c for (beta, alpha), c in act.items()}
+        m0: PolyMat = {(0, beta, alpha): c for (beta, alpha), c in act.items()}
         for i in range(d):
             # a (x) u  ->  a (x) xbar.u  +  [x a] (x) u
             for (beta, alpha), c in act.items():
@@ -151,7 +146,7 @@ def build_rho(bracket: FDAlgebra, module: str = "trivial") -> ConformalRep:
                     add_term(m0, (0, gv_index(j, alpha), gv_index(i, alpha)), c)
         m1: PolyMat = {}
         for alpha in range(nv):
-            m1[(0, gv_index(t, alpha), v_index(alpha))] = 1
+            m1[(0, gv_index(t, alpha), alpha)] = 1
         rho0.append(m0)
         rho1.append(m1)
         full = dict(m0)

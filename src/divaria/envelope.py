@@ -335,16 +335,15 @@ def _closed_d_plain(env: EnvelopePA, shape: Shape, args: list, s: int) -> dict:
 
 
 def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
-    """Assemble the value of t on args from dialgebra evaluations only.
+    """Assemble the value of t, a word; a polynomial goes through the tuple
+    entry, closed_form_on_tuples.  Only dialgebra evaluations are used, no
+    pseudo-products.
 
     Supported argument patterns: all arguments in A, or exactly one
-    argument in the tensor part (then each monomial of t is a word, plain
-    or twisted).  No pseudo-products are used.  The arguments are
-    classified once, and the monomials of a polynomial add into one
-    accumulator.
+    argument in the tensor part.  The arguments are classified once.
     """
-    poly = isinstance(t, MultilinearPoly)
-    n = t.arity if poly else t[0].arity
+    shape, sigma = t
+    n = shape.arity
     if n != len(args):
         raise InputError("arity mismatch")
     vals, idx, slots = [], [], []
@@ -360,18 +359,11 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
             idx.append(got[1])
     if len(slots) > 1:
         raise InputError("closed forms support at most one tensor argument")
-    monos = t.terms.items() if poly else [(t, 1)]
-    zero = (0,) * (n - 1)
     if slots:
-        acc: dict = {}
-        for (shape, sigma), coeff in monos:
-            _add_scaled(acc, zero, coeff, _closed_d_plain(env, shape, [vals[g - 1] for g in sigma],
-                                                          perms.inverse(sigma)[slots[0] - 1]))
-        # sums of reduced vectors stay reduced: nothing to reduce again
-        return Spread.of_terms(env, n, {k: CElement({}, v) for k, v in acc.items() if v})
-    if poly:
-        return _closed_sum(env, n, [(coeff, _closed_mono_a(env, mono, vals, None)) for mono, coeff in monos])
-    # as in eval_term, only a word keeps its plain values
+        pair = _closed_d_plain(env, shape, [vals[g - 1] for g in sigma],
+                               perms.inverse(sigma)[slots[0] - 1])
+        # a reduced vector: nothing to reduce again
+        return Spread.of_terms(env, n, {(0,) * (n - 1): CElement({}, pair)} if pair else {})
     x0, ys = _closed_mono_a(env, t, vals, None if None in idx else tuple(idx))
     xs = {j: {k: -v for k, v in pair.items()} for j, pair in ys.items()}
     return _closed_spread(env, n, x0, xs)

@@ -21,7 +21,7 @@ from .errors import InputError, ResourceError
 from .linalg import RowSpace
 from .perms import Partition, Perm
 from .words import (DiPoly, MultilinearPoly, TensorPoly, TermPoly, all_dishapes,
-                    all_shapes, DILEAF, LEAF, graft, graft_di, to_vec)
+                    all_shapes, DILEAF, LEAF, graft, to_vec)
 
 CONSEQUENCE_ARITY_BOUND = 5  # dimension Catalan(n-1) * n! makes n > 5 impractical
 
@@ -113,7 +113,7 @@ class EOperad(Operad):
         return (n, rng.randint(1, n))
 
 
-def _compose_word_mono(mono, pi, g_monos, di: bool):
+def _compose_word_mono(mono, pi, g_monos):
     """Monomial-level composition shared by AlgS and DialgS.
 
     The outer permutation redistributes the blocks: the result is the graft
@@ -124,10 +124,7 @@ def _compose_word_mono(mono, pi, g_monos, di: bool):
     inv = perms.inverse(sigma)
     pi2 = perms.act_partition(tuple(pi), inv)  # blocks reordered by sigma^{-1} action
     reordered = [g_monos[sigma[k] - 1] for k in range(len(sigma))]
-    if di:
-        new_shape = graft_di(shape, [g[0] for g in reordered])
-    else:
-        new_shape = graft(shape, [g[0] for g in reordered])
+    new_shape = graft(shape, [g[0] for g in reordered])
     new_perm = perms.sym_compose(sigma, pi2, [g[1] for g in reordered])
     return (new_shape, new_perm)
 
@@ -152,7 +149,7 @@ class _PolyOperad(Operad):
                 total = coeff
                 for _, c in combo:
                     total *= c
-                new_mono = _compose_word_mono(mono, pi, [mc[0] for mc in combo], self.di)
+                new_mono = _compose_word_mono(mono, pi, [mc[0] for mc in combo])
                 out = out + self.poly_cls(m, {new_mono: total})
         return out
 
@@ -198,7 +195,7 @@ class AlgSEOperad(Operad):
                 total = coeff
                 for _, c in combo:
                     total *= c
-                word = _compose_word_mono((shape, sigma), pi, [(mc[0][0], mc[0][1]) for mc in combo], False)
+                word = _compose_word_mono((shape, sigma), pi, [(mc[0][0], mc[0][1]) for mc in combo])
                 new_center = perms.pair_to_index(pi, center, combo[center - 1][0][2])
                 out = out + TensorPoly(m, {(word[0], word[1], new_center): total})
         return out

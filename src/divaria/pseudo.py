@@ -92,14 +92,11 @@ class Spread:
 
     __slots__ = ("alg", "n", "terms")
 
-    def __init__(self, alg: PseudoAlgebra, n: int, terms: dict | None = None):
+    def __init__(self, alg: PseudoAlgebra, n: int, terms: dict):
+        """The spread with the nonzero terms of terms."""
         self.alg = alg
         self.n = n
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                if not alg.is_zero(v):
-                    self.terms[k] = v
+        self.terms = {k: v for k, v in terms.items() if not alg.is_zero(v)}
 
     @classmethod
     def of_terms(cls, alg: PseudoAlgebra, n: int, terms: dict) -> "Spread":
@@ -115,17 +112,6 @@ class Spread:
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), self.alg.zero())
-
-    def add(self, other: "Spread") -> "Spread":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            accumulate(self.alg, out, k, v)
-        return Spread.of_terms(self.alg, self.n, out)
-
-    def scale(self, coeff) -> "Spread":
-        if not coeff:
-            return Spread(self.alg, self.n)
-        return Spread(self.alg, self.n, {k: self.alg.scale(v, coeff) for k, v in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -251,21 +237,13 @@ def act_spread(alg, f: Spread, sigma) -> Spread:
 
 
 def eval_term(alg, t, args: Sequence) -> Spread:
-    """Recursive pseudo-product evaluation of a word or polynomial.
+    """Recursive pseudo-product evaluation of t, a word; a polynomial goes
+    through the tuple entry, eval_term_on_tuples.
 
-    A monomial (shape, sigma) evaluates the plain shape on the permuted
-    arguments and then twists the slots by sigma.  A word keeps its plain
-    values on basis elements in alg's table for its shape; the monomials of
-    a polynomial do not, as they change shape and would only replace it.
+    The word (shape, sigma) evaluates the plain shape on the permuted
+    arguments and then twists the slots by sigma.  It keeps its plain
+    values on basis elements in alg's table for its shape.
     """
-    if isinstance(t, MultilinearPoly):
-        if t.arity != len(args):
-            raise InputError("arity mismatch")
-        acc = Spread(alg, t.arity)
-        for (shape, sigma), coeff in t.terms.items():
-            plain = _eval_plain(alg, shape, [args[s - 1] for s in sigma])
-            acc = acc.add(act_spread(alg, plain, sigma).scale(coeff))
-        return acc
     shape, sigma = t
     if shape.arity != len(args):
         raise InputError("arity mismatch")

@@ -138,14 +138,9 @@ def all_dishapes(n: int) -> tuple[DiShape, ...]:
     return tuple(sorted(out, key=lambda s: s.key))
 
 
-def graft(outer: Shape, inners: Sequence[Shape]) -> Shape:
-    """Replace leaf i of outer by inners[i-1], left to right."""
-    if len(inners) != outer.arity:
-        raise InputError("graft arity mismatch")
-    return _graft(outer, iter(inners))
-
-
-def graft_di(outer: DiShape, inners: Sequence[DiShape]) -> DiShape:
+def graft(outer: Shape | DiShape, inners: Sequence) -> Shape | DiShape:
+    """Replace leaf i of outer, a Shape or a DiShape, by inners[i-1], left
+    to right."""
     if len(inners) != outer.arity:
         raise InputError("graft arity mismatch")
     return _graft(outer, iter(inners))

@@ -12,10 +12,14 @@ never calls them, so they live here and not in the package.
   monomial at one argument tuple of a structure-constant (di)algebra, and
   the identity check that scans the basis tuples with it, the per-tuple
   references of words.eval_on_tuples and fd.eval_identity;
+- spread_sum and poly_value, a linear combination of spreads added term
+  by term, and a polynomial at one argument tuple as the sum of its words'
+  values under either evaluator (eval_term and closed_form_eval take a
+  word; only their tuple entries take a polynomial);
 - generator_tuple_values and first_generator_witness, a polynomial
-  evaluated by eval_term on one generator tuple at a time and the identity
-  check that scans the tuples with it, the per-tuple references of
-  pseudo.eval_term_on_tuples and pseudo.check_var_pseudo;
+  evaluated through eval_term on one generator tuple at a time and the
+  identity check that scans the tuples with it, the per-tuple references
+  of pseudo.eval_term_on_tuples and pseudo.check_var_pseudo;
 - basis_tuple_values and closed_form_rows, the closed forms evaluated on one
   basis tuple at a time and the ideal spanned from their values, the
   per-tuple references of envelope.closed_form_on_tuples and the ideal of
@@ -34,7 +38,7 @@ from divaria.errors import InputError
 from divaria.fd import FDAlgebra, FDDialgebra, Witness
 from divaria.linalg import RowSpace, vec_axpy
 from divaria.perms import Perm
-from divaria.pseudo import eval_term
+from divaria.pseudo import Spread, accumulate, eval_term
 from divaria.words import (DiPoly, DiShape, LEAF, LPROD, RPROD, Shape, TensorPoly,
                            basis_monomials, eval_shape_tree, node)
 
@@ -180,9 +184,26 @@ def first_lex_witness(alg, p):
 # the two evaluators, one argument tuple at a time
 # ---------------------------------------------------------------------------
 
+def spread_sum(alg, n: int, values) -> Spread:
+    """The spread over n slots that is the sum of coeff * spread over the
+    (coeff, spread) pairs in values, added into a fresh dict."""
+    acc: dict = {}
+    for coeff, spread in values:
+        for exps, elem in spread.terms.items():
+            accumulate(alg, acc, exps, elem, coeff)
+    return Spread.of_terms(alg, n, acc)
+
+
+def poly_value(evaluate, alg, p, args) -> Spread:
+    """p at args: the sum of coeff * evaluate(alg, word, args) over the
+    monomials coeff * word of p."""
+    return spread_sum(alg, p.arity, [(coeff, evaluate(alg, word, args))
+                                     for word, coeff in p.terms.items()])
+
+
 def generator_tuple_values(alg, t, elements) -> list:
     """[(index tuple, eval_term value)] on every tuple of elements, in lex order."""
-    return [(idx, eval_term(alg, t, [elements[i] for i in idx]))
+    return [(idx, poly_value(eval_term, alg, t, [elements[i] for i in idx]))
             for idx in itertools.product(range(len(elements)), repeat=t.arity)]
 
 
@@ -192,7 +213,7 @@ def first_generator_witness(alg, sigma):
     gens = alg.generators()
     for t in sigma:
         for combo in itertools.product(gens, repeat=t.arity):
-            spread = eval_term(alg, t, [el for _, el in combo])
+            spread = poly_value(eval_term, alg, t, [el for _, el in combo])
             if not spread.is_zero():
                 return (t, tuple(name for name, _ in combo), spread)
     return None
@@ -200,7 +221,7 @@ def first_generator_witness(alg, sigma):
 
 def basis_tuple_values(env, t) -> list:
     """[(index tuple, closed_form_eval value)] on every basis tuple of A, in lex order."""
-    return [(idx, closed_form_eval(env, t, [env.basis_a(i) for i in idx]))
+    return [(idx, poly_value(closed_form_eval, env, t, [env.basis_a(i) for i in idx]))
             for idx in itertools.product(range(env.A.dim), repeat=t.arity)]
 
 

@@ -1,5 +1,6 @@
 """No dead code: every module-level function and class of the package has
-a caller in the program, and every import and default is used."""
+a caller in the program, every method is read, and every import and
+default is used."""
 
 import ast
 from pathlib import Path
@@ -62,6 +63,49 @@ def test_every_module_level_def_is_referenced():
     used = set().union(*map(_uses, PROGRAM))
     assert defined
     assert sorted(f"{module}.{name}" for module, name in defined - used) == []
+
+
+def _attribute_reads(tree, enclosing=()):
+    """(attribute name, ids of the defs around the read) of every attribute
+    that tree reads."""
+    if isinstance(tree, ast.Attribute) and isinstance(tree.ctx, ast.Load):
+        yield tree.attr, enclosing
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        enclosing += (id(tree),)
+    for child in ast.iter_child_nodes(tree):
+        yield from _attribute_reads(child, enclosing)
+
+
+def _traced_attributes() -> set:
+    """The method and function names of perfbench/tracer.py's TRACED: the
+    tracer reads each by getattr on its class or module."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    traced = next(stmt.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in stmt.targets))
+    return {attr.rpartition(".")[2] for _name, _module, attr, *_flags in ast.literal_eval(traced)}
+
+
+def test_every_method_is_read():
+    """A method of a src class whose name the program never reads as an
+    attribute, outside the method's own body, has no caller.  Calls from
+    tests do not count; a read through any object counts, so a method that
+    the program calls through a base class is used.  Special methods are
+    called by the language, not read by name."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PROGRAM}
+    methods = [(f"{path.stem}.{cls.name}.{fn.name}", fn)
+               for path, tree in trees.items() if path.parent == PACKAGE
+               for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (fn.name.startswith("__") and fn.name.endswith("__"))]
+    reads: dict = {}  # attribute name -> [ids of the defs around each read], in the same trees
+    for tree in trees.values():
+        for attr, enclosing in _attribute_reads(tree):
+            reads.setdefault(attr, []).append(enclosing)
+    traced = _traced_attributes()
+    assert methods and traced
+    unread = [qual for qual, fn in methods if fn.name not in traced
+              and all(id(fn) in enclosing for enclosing in reads.get(fn.name, ()))]
+    assert unread == []
 
 
 def test_every_import_is_used():

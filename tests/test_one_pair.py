@@ -16,7 +16,7 @@ from divaria.linalg import RowSpace
 from divaria.perms import symmetric_group
 from divaria.varieties import BUILTIN, builtin_identity_set
 from divaria.words import all_shapes
-from support import gl
+from support import gl, poly_value
 
 CORPUS = dict(corpus())
 
@@ -45,7 +45,7 @@ def one_pair_rows(env: EnvelopePA, sigma, pairs) -> RowSpace:
                 for pr in pairs:
                     args = [env.basis_a(i) for i in idx]
                     args.insert(slot, env.pair(*pr))
-                    for elem in closed_form_eval(env, t, args).terms.values():
+                    for elem in poly_value(closed_form_eval, env, t, args).terms.values():
                         rows.add(dict(elem.c1))
     return rows
 
@@ -59,7 +59,7 @@ def full_ideal(env: EnvelopePA, sigma) -> RowSpace:
     rows = one_pair_rows(env, sigma, env.c1_basis)
     for t in sigma:
         for idx in itertools.product(range(a.dim), repeat=t.arity):
-            spread = closed_form_eval(env, t, [env.basis_a(i) for i in idx])
+            spread = poly_value(closed_form_eval, env, t, [env.basis_a(i) for i in idx])
             if not env.is_zero(spread.constant()):
                 raise InputError(f"degree-zero part of {t} at basis tuple {idx} is nonzero; "
                                  f"the identity fails on A")
@@ -94,7 +94,8 @@ def basis_tuple_rows(env: EnvelopePA, sigma) -> RowSpace:
     rows = RowSpace()
     for t in sigma:
         for idx in itertools.product(range(env.A.dim), repeat=t.arity):
-            for exps, elem in closed_form_eval(env, t, [env.basis_a(i) for i in idx]).terms.items():
+            args = [env.basis_a(i) for i in idx]
+            for exps, elem in poly_value(closed_form_eval, env, t, args).terms.items():
                 if any(exps):
                     rows.add(dict(elem.c1))
     return rows
@@ -168,7 +169,8 @@ def test_one_pair_values_depend_only_on_the_t_image(name):
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_closed_forms_of_identities_match_the_recursive_evaluator(name):
-    # the closed form of a polynomial adds its monomials into one accumulator
+    # each evaluator takes a word: the identities are summed over their
+    # monomials, on basis tuples and on one-pair tuples
     env = build_envelope(CORPUS[name])
     rng = random.Random(11)
     d = env.A.dim
@@ -181,4 +183,5 @@ def test_closed_forms_of_identities_match_the_recursive_evaluator(name):
                 args.insert(slot, env.pair(*pr))
                 tuples.append(args)
             for args in tuples:
-                assert closed_form_eval(env, t, args).eq(eval_term(env, t, args)), (variety, t)
+                closed = poly_value(closed_form_eval, env, t, args)
+                assert closed.eq(poly_value(eval_term, env, t, args)), (variety, t)

@@ -1,7 +1,8 @@
 """The tuple entries of the two evaluators: pseudo.eval_term_on_tuples
 (check_var_pseudo) and envelope.closed_form_on_tuples (build_var_quotient)
-give, on every tuple and in lex order, the values that eval_term and
-closed_form_eval give one tuple at a time; they keep apart from each other
+give, on every tuple and in lex order, the sums of the values that
+eval_term and closed_form_eval give on each word, one tuple at a time
+(support.poly_value); they keep apart from each other
 and refuse an enumeration past the tuple bound before any product."""
 
 import functools

@@ -84,6 +84,13 @@ def test_coordinate_roundtrip():
 
 def test_graft():
     assert graft(node(LEAF, LEAF), [node(LEAF, LEAF), LEAF]) is LC3
+    # a labeled shape keeps the labels of the outer shape and of every inner one
+    inner = dinode(LPROD, DILEAF, DILEAF)
+    grafted = graft(dinode(RPROD, DILEAF, DILEAF), [DILEAF, inner])
+    assert grafted is dinode(RPROD, DILEAF, inner)
+    assert str(DiPoly.monomial(grafted, (1, 2, 3))) == "x1|-(x2-|x3)"
+    with pytest.raises(InputError):
+        graft(inner, [DILEAF])
 
 
 def test_section_labeling_points_at_center():
