@@ -63,10 +63,15 @@ def _load_table(raw, dim):
     return [[[_fraction(c) for c in cell] for cell in row] for row in raw]
 
 
-def load_dialgebra_data(data: dict) -> FDDialgebra:
+def _dim(data: dict) -> int:
     dim = data.get("dim")
     if type(dim) is not int or dim < 1:  # a bool is an int too, but not a dimension
         raise InputError("'dim' must be a positive integer")
+    return dim
+
+
+def load_dialgebra_data(data: dict) -> FDDialgebra:
+    dim = _dim(data)
     labels = data.get("labels")
     if "bracket" in data:
         bracket = FDAlgebra(_load_table(data["bracket"], dim), labels)
@@ -78,9 +83,7 @@ def load_dialgebra_data(data: dict) -> FDDialgebra:
 
 
 def load_leibniz_data(data: dict) -> FDAlgebra:
-    dim = data.get("dim")
-    if type(dim) is not int or dim < 1:
-        raise InputError("'dim' must be a positive integer")
+    dim = _dim(data)
     if "bracket" not in data:
         raise InputError("a Leibniz algebra file needs a 'bracket' table")
     return FDAlgebra(_load_table(data["bracket"], dim), data.get("labels"))

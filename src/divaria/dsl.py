@@ -95,6 +95,8 @@ def tokenize(text: str) -> list[Token]:
                     k = _digit_run(line, j + 1, ln)
                     if k == j + 1:
                         raise ParseError("missing denominator", ln, j + 2)
+                    if not line[j + 1:k].strip("0"):
+                        raise ParseError("zero denominator", ln, col)
                     out.append(Token("num", line[i:k], ln, col))
                     i = k
                 else:

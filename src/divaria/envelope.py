@@ -481,7 +481,6 @@ def oracle_sweep(env: EnvelopePA, max_arity: int, one_pair) -> tuple[str | None,
 
 @dataclass
 class VarQuotient:
-    base: EnvelopePA
     ideal: RowSpace          # rows in (A (x) A) coordinates reduced mod U
     quotient: EnvelopePA
 
@@ -528,7 +527,7 @@ def build_var_quotient(env: EnvelopePA, sigma: IdentitySet) -> VarQuotient:
                         raise InputError("unexpected free part in ideal generator")
                     rows.add(dict(elem.c1))
     quotient = EnvelopePA(a, extra_relations=rows.rows())
-    return VarQuotient(env, rows, quotient)
+    return VarQuotient(rows, quotient)
 
 
 # ---------------------------------------------------------------------------

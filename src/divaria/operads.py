@@ -5,8 +5,8 @@ Element conventions:
 
 - Sym: elements are permutations (the group basis of the span).
 - E: elements are pairs (n, i) naming the i-th standard basis vector.
-- AlgS / DialgS: elements are MultilinearPoly / DiPoly.
-- AlgS(x)E: elements are TensorPoly.
+- AlgS, DialgS and AlgS(x)E: elements are MultilinearPoly, DiPoly and
+  TensorPoly, each operad a PolyOperad of its polynomial class.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ from typing import Sequence
 
 from . import perms
 from .errors import InputError, ResourceError
-from .linalg import RowSpace
+from .linalg import RowSpace, add_term
 from .perms import Partition, Perm
-from .words import (DiPoly, MultilinearPoly, TensorPoly, TermPoly, all_dishapes,
-                    all_shapes, DILEAF, LEAF, graft, to_vec)
+from .words import DiPoly, MultilinearPoly, TensorPoly, TermPoly, all_shapes, to_vec
 
 CONSEQUENCE_ARITY_BOUND = 5  # dimension Catalan(n-1) * n! makes n > 5 impractical
 
@@ -32,7 +31,6 @@ CONSEQUENCE_ARITY_BOUND = 5  # dimension Catalan(n-1) * n! makes n > 5 impractic
 
 class Operad:
     name = "?"
-    symmetric = True
 
     def unit(self):
         raise NotImplementedError
@@ -113,106 +111,46 @@ class EOperad(Operad):
         return (n, rng.randint(1, n))
 
 
-def _compose_word_mono(mono, pi, g_monos):
-    """Monomial-level composition shared by AlgS and DialgS.
+class PolyOperad(Operad):
+    """The operad of the polynomials of poly_cls: an arity-n element is a
+    polynomial of arity n, composed monomial by monomial through
+    poly_cls.compose_mono."""
 
-    The outer permutation redistributes the blocks: the result is the graft
-    of the reordered inner shapes into the outer shape, paired with the
-    permutation composite over the reordered partition.
-    """
-    shape, sigma = mono
-    inv = perms.inverse(sigma)
-    pi2 = perms.act_partition(tuple(pi), inv)  # blocks reordered by sigma^{-1} action
-    reordered = [g_monos[sigma[k] - 1] for k in range(len(sigma))]
-    new_shape = graft(shape, [g[0] for g in reordered])
-    new_perm = perms.sym_compose(sigma, pi2, [g[1] for g in reordered])
-    return (new_shape, new_perm)
-
-
-class _PolyOperad(Operad):
-    poly_cls: type[TermPoly] = MultilinearPoly
-    di = False
+    def __init__(self, name: str, poly_cls: type[TermPoly]):
+        self.name = name
+        self.poly_cls = poly_cls
 
     def unit(self):
-        leaf = DILEAF if self.di else LEAF
-        return self.poly_cls.monomial(leaf, (1,))
+        return self.poly_cls(1, dict.fromkeys(self.poly_cls.monomials(1), 1))
 
     def arity(self, f):
         return f.arity
 
     def compose(self, f, pi, gs):
         self._check(f, pi, gs)
-        m = sum(pi)
-        out = self.poly_cls.zero(m)
+        pi = tuple(pi)
+        out: dict = {}
         for mono, coeff in f.terms.items():
             for combo in itertools.product(*[g.terms.items() for g in gs]):
                 total = coeff
                 for _, c in combo:
                     total *= c
-                new_mono = _compose_word_mono(mono, pi, [mc[0] for mc in combo])
-                out = out + self.poly_cls(m, {new_mono: total})
-        return out
+                add_term(out, self.poly_cls.compose_mono(mono, pi, [m for m, _ in combo]), total)
+        return self.poly_cls(sum(pi), out)
 
     def act(self, f, sigma):
         return f.act(sigma)
 
     def random_element(self, n, rng):
-        shapes = all_dishapes(n) if self.di else all_shapes(n)
-        mono = (rng.choice(shapes), perms.random_perm(n, rng))
+        mono = self.poly_cls.random_mono(n, rng)
         return self.poly_cls(n, {mono: rng.randint(1, 3)})
-
-
-class AlgSOperad(_PolyOperad):
-    name = "AlgS"
-    poly_cls = MultilinearPoly
-    di = False
-
-
-class DialgSOperad(_PolyOperad):
-    name = "DialgS"
-    poly_cls = DiPoly
-    di = True
-
-
-class AlgSEOperad(Operad):
-    """Componentwise tensor of AlgS and E acting on TensorPoly elements."""
-
-    name = "AlgS(x)E"
-
-    def unit(self):
-        return TensorPoly.monomial(LEAF, (1,), 1)
-
-    def arity(self, f):
-        return f.arity
-
-    def compose(self, f, pi, gs):
-        self._check(f, pi, gs)
-        m = sum(pi)
-        pi = tuple(pi)
-        out = TensorPoly.zero(m)
-        for (shape, sigma, center), coeff in f.terms.items():
-            for combo in itertools.product(*[g.terms.items() for g in gs]):
-                total = coeff
-                for _, c in combo:
-                    total *= c
-                word = _compose_word_mono((shape, sigma), pi, [(mc[0][0], mc[0][1]) for mc in combo])
-                new_center = perms.pair_to_index(pi, center, combo[center - 1][0][2])
-                out = out + TensorPoly(m, {(word[0], word[1], new_center): total})
-        return out
-
-    def act(self, f, sigma):
-        return f.act(sigma)
-
-    def random_element(self, n, rng):
-        mono = (rng.choice(all_shapes(n)), perms.random_perm(n, rng), rng.randint(1, n))
-        return TensorPoly(n, {mono: rng.randint(1, 3)})
 
 
 SYM = SymOperad()
 E = EOperad()
-ALGS = AlgSOperad()
-DIALGS = DialgSOperad()
-ALGSE = AlgSEOperad()
+ALGS = PolyOperad("AlgS", MultilinearPoly)
+DIALGS = PolyOperad("DialgS", DiPoly)
+ALGSE = PolyOperad("AlgS(x)E", TensorPoly)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +284,7 @@ def consequence_space(sigma: IdentitySet | Sequence[MultilinearPoly], n: int) ->
             f"consequence arity {n} exceeds the documented bound {CONSEQUENCE_ARITY_BOUND} "
             f"(space dimension grows as Catalan(n-1) * n!)")
     space = RowSpace()
-    unit = MultilinearPoly.monomial(LEAF, (1,))
+    unit = ALGS.unit()
     group = perms.symmetric_group(n)
     for t in sigma:
         m = t.arity

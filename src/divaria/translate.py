@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import perms
 from .errors import InputError
+from .linalg import add_term
 from .operads import IdentitySet
 from .words import (DiPoly, DiShape, DILEAF, LPROD, MultilinearPoly, RPROD,
                     Shape, TensorPoly, dinode, section_dishape)
@@ -38,8 +39,7 @@ def psi_section_monomial(mono) -> tuple:
 def psi_section(q: TensorPoly) -> DiPoly:
     out: dict = {}
     for mono, coeff in q.terms.items():
-        m = psi_section_monomial(mono)
-        out[m] = out.get(m, 0) + coeff
+        add_term(out, psi_section_monomial(mono), coeff)
     return DiPoly(q.arity, out)
 
 
@@ -65,7 +65,7 @@ def _orbit_key(p: DiPoly) -> tuple:
         q = p.act(sigma)
         lead_coeff = q.terms[q.leading()]
         q = q.scale(Fraction(1, lead_coeff))
-        key = tuple((DiPoly._mono_key(m), c) for m, c in q.sorted_terms())
+        key = q.sort_key()
         if best is None or key < best:
             best = key
     return best
@@ -75,10 +75,9 @@ def _orbit_key(p: DiPoly) -> tuple:
 class DerivedVariety:
     """Dialgebra identities derived from a family of one-product identities."""
 
-    source: IdentitySet
     zero_axioms: tuple
     derived: tuple          # DiPoly, in generation order, orbit-deduplicated
-    provenance: tuple       # (identity index in source, center index) per derived entry
+    provenance: tuple       # (index of the identity in the IdentitySet, center index) per entry
 
     @property
     def identities(self) -> tuple:
@@ -129,7 +128,7 @@ def derive_variety(sigma: IdentitySet) -> DerivedVariety:
             seen.add(key)
             derived.append(cand)
             prov.append((t_idx, i))
-    return DerivedVariety(sigma, zero_dialgebra_axioms(), tuple(derived), tuple(prov))
+    return DerivedVariety(zero_dialgebra_axioms(), tuple(derived), tuple(prov))
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +162,14 @@ def rewrite_single_op(dv: DerivedVariety) -> tuple[MultilinearPoly, ...]:
     out: list[MultilinearPoly] = []
     seen: set = set()
     for p in dv.identities:
-        acc = MultilinearPoly.zero(p.arity)
+        terms: dict = {}
         for (ds, perm), coeff in p.terms.items():
             shape, leaves, sign = _rewrite_mono(ds, list(perm), lam)
-            acc = acc + MultilinearPoly(p.arity, {(shape, tuple(leaves)): coeff * sign})
+            add_term(terms, (shape, tuple(leaves)), coeff * sign)
+        acc = MultilinearPoly(p.arity, terms)
         if acc.is_zero():
             continue
-        key = tuple((MultilinearPoly._mono_key(m), c) for m, c in acc.sorted_terms())
+        key = acc.sort_key()
         if key in seen:
             continue
         seen.add(key)

@@ -183,9 +183,15 @@ def _section(s: Shape, p: int, lo: int) -> DiShape:
 # ---------------------------------------------------------------------------
 
 class TermPoly:
-    """Base class: a canonical linear combination of monomials of one arity."""
+    """Base class: a canonical linear combination of monomials of one arity.
+    A monomial is a word (shape, perm) with a shape of class shape_cls, and
+    symbol(node) is the sign written for its product; TensorPoly adds a
+    center to the word by extending the monomial methods through super()."""
 
     __slots__ = ("arity", "terms")
+
+    shape_cls = Shape
+    shapes = staticmethod(all_shapes)
 
     def __init__(self, arity: int, terms: dict | None = None):
         self.arity = arity
@@ -197,17 +203,74 @@ class TermPoly:
                     clean[mono] = rational(coeff)
         self.terms = clean
 
-    # subclasses define _check_mono, _mono_key, _act_mono, _render_mono
+    @staticmethod
+    def symbol(s) -> str:
+        return "*"
 
     @classmethod
-    def zero(cls, arity: int):
-        return cls(arity)
+    def _check_mono(cls, mono, arity):
+        shape, perm = mono
+        if not isinstance(shape, cls.shape_cls) or shape.arity != arity or len(perm) != arity:
+            raise InputError(f"bad {cls.__name__} monomial {mono!r} for arity {arity}")
+
+    @staticmethod
+    def _mono_key(mono):
+        return (mono[0].key, *mono[1:])
+
+    @staticmethod
+    def _act_mono(mono, sigma):
+        return (mono[0], perms.compose(mono[1], sigma))
+
+    @classmethod
+    def _render_mono(cls, mono):
+        return _render_tree(mono[0], iter(mono[1]), cls.symbol)
+
+    @classmethod
+    def monomials(cls, n: int) -> list:
+        """Every monomial of arity n, in coordinate order."""
+        group = perms.symmetric_group(n)
+        return [(s, p) for s in cls.shapes(n) for p in group]
+
+    @staticmethod
+    def compose_mono(mono, pi: tuple, inner: Sequence) -> tuple:
+        """The operad composite of monomial mono with the monomials inner
+        along the partition pi.
+
+        The outer permutation redistributes the blocks: the result is the
+        graft of the reordered inner shapes into the outer shape, paired
+        with the permutation composite over the reordered partition.
+
+        >>> x2x1, x1x2 = (node(LEAF, LEAF), (2, 1)), (node(LEAF, LEAF), (1, 2))
+        >>> shape, perm = TermPoly.compose_mono(x2x1, (1, 2), [(LEAF, (1,)), x1x2])
+        >>> str(MultilinearPoly.monomial(shape, perm))  # x2 x1 with x2 -> x2 x3
+        '(x2*x3)*x1'
+        """
+        sigma = mono[1]
+        pi2 = perms.act_partition(pi, perms.inverse(sigma))  # blocks reordered by sigma^{-1}
+        reordered = [inner[k - 1] for k in sigma]
+        return (graft(mono[0], [g[0] for g in reordered]),
+                perms.sym_compose(sigma, pi2, [g[1] for g in reordered]))
+
+    @classmethod
+    def random_mono(cls, n: int, rng) -> tuple:
+        """A random monomial of arity n: a shape, then a permutation."""
+        return (rng.choice(cls.shapes(n)), perms.random_perm(n, rng))
+
+    @classmethod
+    def monomial(cls, shape, perm: Perm, *center):
+        """The polynomial 1 (shape, perm), or 1 (shape, perm, center) for a TensorPoly."""
+        return cls(shape.arity, {(shape, tuple(perm), *center): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: self._mono_key(kv[0]))
+
+    def sort_key(self) -> tuple:
+        """(monomial key, coefficient) of every term in sorted_terms order:
+        a total order on the polynomials of one kind."""
+        return tuple(sorted((self._mono_key(m), c) for m, c in self.terms.items()))
 
     def leading(self):
         return min(self.terms, key=self._mono_key)
@@ -241,11 +304,8 @@ class TermPoly:
         """Right action of the symmetric group (variable relabeling)."""
         if len(sigma) != self.arity:
             raise InputError("degree mismatch in symmetric group action")
-        out: dict = {}
-        for mono, coeff in self.terms.items():
-            m2 = self._act_mono(mono, sigma)
-            out[m2] = out.get(m2, 0) + coeff
-        return type(self)(self.arity, out)
+        # relabeling permutes the monomials, so no two terms meet
+        return type(self)(self.arity, {self._act_mono(m, sigma): c for m, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and other.arity == self.arity
@@ -290,55 +350,18 @@ class MultilinearPoly(TermPoly):
 
     __slots__ = ()
 
-    @staticmethod
-    def _check_mono(mono, arity):
-        shape, perm = mono
-        if not isinstance(shape, Shape) or shape.arity != arity or len(perm) != arity:
-            raise InputError(f"bad monomial {mono!r} for arity {arity}")
-
-    @staticmethod
-    def _mono_key(mono):
-        return (mono[0].key, mono[1])
-
-    @staticmethod
-    def _act_mono(mono, sigma):
-        return (mono[0], perms.compose(mono[1], sigma))
-
-    @staticmethod
-    def _render_mono(mono):
-        return _render_tree(mono[0], iter(mono[1]), lambda s: "*")
-
-    @classmethod
-    def monomial(cls, shape: Shape, perm: Perm) -> "MultilinearPoly":
-        return cls(shape.arity, {(shape, tuple(perm)): 1})
-
 
 class DiPoly(TermPoly):
     """Linear combination of two-product (labeled) multilinear words."""
 
     __slots__ = ()
 
-    @staticmethod
-    def _check_mono(mono, arity):
-        shape, perm = mono
-        if not isinstance(shape, DiShape) or shape.arity != arity or len(perm) != arity:
-            raise InputError(f"bad dialgebra monomial {mono!r} for arity {arity}")
+    shape_cls = DiShape
+    shapes = staticmethod(all_dishapes)
 
     @staticmethod
-    def _mono_key(mono):
-        return (mono[0].key, mono[1])
-
-    @staticmethod
-    def _act_mono(mono, sigma):
-        return (mono[0], perms.compose(mono[1], sigma))
-
-    @staticmethod
-    def _render_mono(mono):
-        return _render_tree(mono[0], iter(mono[1]), lambda s: OP_SYMBOL[s.label])
-
-    @classmethod
-    def monomial(cls, shape: DiShape, perm: Perm) -> "DiPoly":
-        return cls(shape.arity, {(shape, tuple(perm)): 1})
+    def symbol(s) -> str:
+        return OP_SYMBOL[s.label]
 
 
 class TensorPoly(TermPoly):
@@ -346,30 +369,34 @@ class TensorPoly(TermPoly):
 
     __slots__ = ()
 
-    @staticmethod
-    def _check_mono(mono, arity):
+    @classmethod
+    def _check_mono(cls, mono, arity):
         shape, perm, center = mono
-        if (not isinstance(shape, Shape) or shape.arity != arity
-                or len(perm) != arity or not 1 <= center <= arity):
-            raise InputError(f"bad tensor monomial {mono!r} for arity {arity}")
-
-    @staticmethod
-    def _mono_key(mono):
-        return (mono[0].key, mono[1], mono[2])
-
-    @staticmethod
-    def _act_mono(mono, sigma):
-        shape, perm, center = mono
-        return (shape, perms.compose(perm, sigma), sigma[center - 1])
-
-    @staticmethod
-    def _render_mono(mono):
-        word = _render_tree(mono[0], iter(mono[1]), lambda s: "*")
-        return f"({word})@e{mono[2]}"
+        super()._check_mono((shape, perm), arity)
+        if not 1 <= center <= arity:
+            raise InputError(f"bad {cls.__name__} monomial {mono!r} for arity {arity}")
 
     @classmethod
-    def monomial(cls, shape: Shape, perm: Perm, center: int) -> "TensorPoly":
-        return cls(shape.arity, {(shape, tuple(perm), center): 1})
+    def _act_mono(cls, mono, sigma):
+        return super()._act_mono(mono, sigma) + (sigma[mono[2] - 1],)
+
+    @classmethod
+    def _render_mono(cls, mono):
+        return f"({super()._render_mono(mono)})@e{mono[2]}"
+
+    @classmethod
+    def monomials(cls, n: int) -> list:
+        return [(s, p, c) for s, p in super().monomials(n) for c in range(1, n + 1)]
+
+    @classmethod
+    def compose_mono(cls, mono, pi: tuple, inner: Sequence) -> tuple:
+        center = mono[2]
+        return super().compose_mono(mono, pi, inner) + (
+            perms.pair_to_index(pi, center, inner[center - 1][2]),)
+
+    @classmethod
+    def random_mono(cls, n: int, rng) -> tuple:
+        return super().random_mono(n, rng) + (rng.randint(1, n),)
 
 
 # ---------------------------------------------------------------------------
@@ -377,30 +404,13 @@ class TensorPoly(TermPoly):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def basis_monomials(cls_name: str, n: int) -> dict:
-    """Monomial -> coordinate index for the given polynomial kind and arity."""
-    group = perms.symmetric_group(n)
-    monos: list = []
-    if cls_name == "MultilinearPoly":
-        for s in all_shapes(n):
-            for p in group:
-                monos.append((s, p))
-    elif cls_name == "DiPoly":
-        for s in all_dishapes(n):
-            for p in group:
-                monos.append((s, p))
-    elif cls_name == "TensorPoly":
-        for s in all_shapes(n):
-            for p in group:
-                for c in range(1, n + 1):
-                    monos.append((s, p, c))
-    else:
-        raise InputError(f"unknown polynomial kind {cls_name}")
-    return {m: i for i, m in enumerate(monos)}
+def basis_monomials(cls: type[TermPoly], n: int) -> dict:
+    """Monomial -> coordinate index for the polynomial class cls and arity n."""
+    return {m: i for i, m in enumerate(cls.monomials(n))}
 
 
 def to_vec(p: TermPoly) -> dict:
-    index = basis_monomials(type(p).__name__, p.arity)
+    index = basis_monomials(type(p), p.arity)
     return {index[m]: c for m, c in p.terms.items()}
 
 

@@ -241,6 +241,6 @@ def closed_form_rows(env, sigma) -> RowSpace:
 
 
 def from_vec(cls, n: int, vec: dict):
-    index = basis_monomials(cls.__name__, n)
+    index = basis_monomials(cls, n)
     rev = {i: m for m, i in index.items()}
     return cls(n, {rev[i]: c for i, c in vec.items()})

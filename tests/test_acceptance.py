@@ -52,7 +52,7 @@ def test_criterion_01_derive_associative():
 
 
 def sorted_polys(ps):
-    return sorted(ps, key=lambda p: tuple((DiPoly._mono_key(m), c) for m, c in p.sorted_terms()))
+    return sorted(ps, key=DiPoly.sort_key)
 
 
 def test_criterion_02_derive_commutative():

@@ -201,7 +201,9 @@ def test_huge_numbers_exit_2(tmp_path, capsys, entry, message):
     ("x1*x" + BIG, "column 14: a number of more than 4300 digits"),
     ("x\u00b2*x1", "expected a variable or '(', found 'x\u00b2'"),
     ("\u00b2*x1", "unexpected character '\u00b2'"),
-], ids=["coefficient", "variable", "superscript-variable", "superscript-number"])
+    ("1/0 x1*x2", "column 10: zero denominator"),
+], ids=["coefficient", "variable", "superscript-variable", "superscript-number",
+        "zero-denominator"])
 def test_bad_numbers_in_variety_files_exit_2(tmp_path, capsys, identity, message):
     f = tmp_path / "v.var"
     f.write_text(f"variety v\nidentity {identity}\n", encoding="utf-8")

@@ -82,7 +82,7 @@ def test_print_parse_roundtrip(seed):
     n = rng.randint(2, 4) if di else rng.randint(1, 4)  # a bare x1 parses as one-product
     cls = DiPoly if di else MultilinearPoly
     shapes = all_dishapes(n) if di else all_shapes(n)
-    p = cls.zero(n)
+    p = cls(n)
     for _ in range(rng.randint(1, 4)):
         p = p + cls(n, {(rng.choice(shapes), random_perm(n, rng)): Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))})
     if p.is_zero():

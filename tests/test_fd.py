@@ -27,7 +27,7 @@ def test_corpus_members_are_zero_dialgebras():
 
 def test_eval_identity_trivial_zero():
     d = abelian(2)
-    assert eval_identity(d, DiPoly.zero(3)) is None
+    assert eval_identity(d, DiPoly(3)) is None
 
 
 def test_diagonal_lift_associative():

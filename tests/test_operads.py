@@ -8,7 +8,8 @@ from divaria.operads import (ALGS, ALGSE, DIALGS, E, SYM, IdentitySet, SymOperad
                              axiom_check, consequence_space)
 from divaria.perms import inverse, random_partition, random_perm, sym_compose, symmetric_group
 from divaria.varieties import builtin_identity_set
-from divaria.words import LEAF, MultilinearPoly, all_shapes, node, to_vec
+from divaria.words import (DILEAF, LEAF, LPROD, RPROD, DiPoly, MultilinearPoly, TensorPoly,
+                           all_shapes, dinode, node, to_vec)
 
 B2 = node(LEAF, LEAF)
 LC3 = node(B2, LEAF)
@@ -39,6 +40,29 @@ def test_algs_twisted_composition():
     assert str(got) == "(x2*x3)*x1"
 
 
+def test_dialgs_composition_keeps_every_label():
+    # x2-|x1 with x1 -> x1 and x2 -> x2|-x3: the outer -| and the inner |- survive the graft
+    x1 = DiPoly.monomial(DILEAF, (1,))
+    f = DiPoly.monomial(dinode(LPROD, DILEAF, DILEAF), (2, 1))
+    g = DiPoly.monomial(dinode(RPROD, DILEAF, DILEAF), (1, 2))
+    got = DIALGS.compose(f, (1, 2), [x1, g])
+    assert got == DiPoly.monomial(dinode(LPROD, dinode(RPROD, DILEAF, DILEAF), DILEAF), (2, 3, 1))
+    assert str(got) == "(x2|-x3)-|x1"
+    assert str(DIALGS.compose(f, (2, 1), [g, x1])) == "x3-|(x1|-x2)"
+
+
+def test_algse_composition_moves_the_center():
+    # the outer center x1 is replaced by block 1, whose own center is its
+    # second slot: the composite's center is slot pair_to_index(pi, 1, 2) = 2
+    t = TensorPoly.monomial(B2, (2, 1), 1)
+    u = TensorPoly.monomial(B2, (1, 2), 2)
+    x1 = TensorPoly.monomial(LEAF, (1,), 1)
+    got = ALGSE.compose(t, (2, 1), [u, x1])
+    assert got == TensorPoly.monomial(RC3, (3, 1, 2), 2)
+    assert str(got) == "(x3*(x1*x2))@e2"
+    assert str(ALGSE.compose(t, (2, 2), [u, t])) == "((x4*x3)*(x1*x2))@e2"
+
+
 def test_arity_mismatch_errors():
     with pytest.raises(InputError):
         SYM.compose((1, 2), (2, 2), [(1, 2), (1,)])
@@ -46,11 +70,21 @@ def test_arity_mismatch_errors():
         E.compose((2, 1), (2,), [(2, 1), (2, 1)])
 
 
+# the law counts depend on every draw, so they pin the draw order of random_element
+CHECKED = {
+    "Sym": {"assoc": 84, "unit": 77, "equivariance": 89},
+    "E": {"assoc": 90, "unit": 84, "equivariance": 76},
+    "AlgS": {"assoc": 78, "unit": 84, "equivariance": 88},
+    "DialgS": {"assoc": 78, "unit": 84, "equivariance": 88},
+    "AlgS(x)E": {"assoc": 81, "unit": 84, "equivariance": 85},
+}
+
+
 @pytest.mark.parametrize("op,max_arity", [(SYM, 8), (E, 8), (ALGS, 5), (DIALGS, 5), (ALGSE, 5)])
 def test_axiom_check_passes(op, max_arity):
     report = axiom_check(op, max_arity, 250, seed=17)
     assert report.passed, report.summary()
-    assert sum(report.checked.values()) == 250
+    assert report.checked == CHECKED[op.name]
 
 
 def test_axiom_check_vacuous_at_arity_one():
@@ -151,7 +185,7 @@ def test_reduce_difference_lies_in_span():
     sigma = IdentitySet("assoc", (ASSOC,))
     space = consequence_space(sigma, 3)
     for _ in range(25):
-        p = MultilinearPoly.zero(3)
+        p = MultilinearPoly(3)
         for _ in range(3):
             p = p + MultilinearPoly.monomial(
                 rng.choice(all_shapes(3)), random_perm(3, rng)).scale(rng.randint(-2, 2))

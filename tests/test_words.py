@@ -69,13 +69,18 @@ def test_act_is_group_action(seed, n_extra):
 
 
 def test_coordinate_roundtrip():
+    b2, l2, r2 = node(LEAF, LEAF), dinode(LPROD, DILEAF, DILEAF), dinode(RPROD, DILEAF, DILEAF)
+    assert list(basis_monomials(MultilinearPoly, 2)) == [(b2, (1, 2)), (b2, (2, 1))]
+    assert list(basis_monomials(DiPoly, 2)) == [(l2, (1, 2)), (l2, (2, 1)), (r2, (1, 2)), (r2, (2, 1))]
+    assert list(basis_monomials(TensorPoly, 2)) == [
+        (b2, (1, 2), 1), (b2, (1, 2), 2), (b2, (2, 1), 1), (b2, (2, 1), 2)]
     rng = random.Random(5)
     for n in (1, 2, 3, 4):
         dim = len(all_shapes(n)) * len(symmetric_group(n))
-        assert len(basis_monomials("MultilinearPoly", n)) == dim
-        assert len(basis_monomials("TensorPoly", n)) == dim * n
+        assert len(basis_monomials(MultilinearPoly, n)) == dim
+        assert len(basis_monomials(TensorPoly, n)) == dim * n
         for _ in range(10):
-            p = MultilinearPoly.zero(n)
+            p = MultilinearPoly(n)
             for _ in range(3):
                 p = p + MultilinearPoly.monomial(
                     rng.choice(all_shapes(n)), random_perm(n, rng)).scale(Fraction(rng.randint(-3, 3)))
