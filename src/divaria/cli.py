@@ -14,6 +14,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from importlib import resources
 
 from . import __version__
 from .conformal import embed_associative, verify_representation
@@ -90,7 +91,6 @@ def load_leibniz_data(data: dict) -> FDAlgebra:
 
 
 def _read_json(path: str) -> dict:
-    from importlib import resources
     text = read_text(path)
     if text is None:
         builtin = resources.files("divaria.data").joinpath(path)

@@ -25,6 +25,7 @@ from .fd import FDAlgebra, FDDialgebra, leibniz_to_dialgebra
 from .linalg import RowSpace, Vec, add_term, vec_axpy
 from .pseudo import CoefficientDialgebra, hom_failure, lin_comb
 from .translate import derive_variety, zero_dialgebra_axioms
+from .varieties import builtin_identity_set
 from .words import eval_on_tuples
 
 
@@ -247,7 +248,6 @@ def embed_associative(bracket: FDAlgebra,
     report.record("degree-truncation", ok, "degree exceeds 2")
 
     dv_axioms = list(zero_dialgebra_axioms())
-    from .varieties import builtin_identity_set
     diass = derive_variety(builtin_identity_set("associative")).derived
     guard_tuples(len(basis_mats) ** 3, f"{len(basis_mats)}^3 triples of the generated subspace")
     subwords: dict = {}  # the basis products, computed once for every identity

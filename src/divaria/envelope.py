@@ -31,6 +31,7 @@ from .pseudo import (PseudoAlgebra, Spread, accumulate, eval_term, hom_failure, 
                      n_product, product)
 # re-exports: callers import check_var_pseudo from here, and perfbench/tracer.py reads the others
 from .pseudo import CoefficientDialgebra, check_var_pseudo, pseudo_product  # noqa: F401
+from .translate import derive_variety
 from .words import MultilinearPoly, Shape, all_shapes, eval_shape_tree
 
 
@@ -82,17 +83,9 @@ class EnvelopePA(PseudoAlgebra):
         self.A = a
         d = a.dim
         self.defects = [[a.defect(a.basis(i), a.basis(j)) for j in range(d)] for i in range(d)]
-        rel = RowSpace()
-        for i in range(d):
-            for j in range(d):
-                di = self.defects[i][j]
-                if not di:
-                    continue
-                for k in range(d):
-                    for l in range(d):
-                        dk = self.defects[k][l]
-                        if dk:
-                            rel.add(_outer(di, dk))
+        # W contains D (x) D for the defect span D: the outer products of a basis of D span it
+        span = RowSpace(v for row in self.defects for v in row if v).rows()
+        rel = RowSpace(_outer(x, y) for x in span for y in span)
         for row in rel.rows():
             if self._t_of_pairs(row):
                 raise InputError("defect tensors are not killed by T; input is inconsistent")
@@ -327,9 +320,9 @@ def _closed_d_plain(env: EnvelopePA, shape: Shape, args: list, s: int) -> dict:
     # the other side's value labeled toward its last leaf: every product is |-
     if s <= m:
         x = _closed_d_plain(env, shape.left, args[:m], s)
-        y0 = eval_shape_tree(shape.right, args[m:], env.A.rprod)
+        y0 = eval_shape_tree(shape.right, args[m:], (env.A.rprod,))
         return env.tensor_pair({k: -v for k, v in env._t_of_pairs(x).items()}, y0)
-    x0l = eval_shape_tree(shape.left, args[:m], env.A.rprod)
+    x0l = eval_shape_tree(shape.left, args[:m], (env.A.rprod,))
     x = _closed_d_plain(env, shape.right, args[m:], s - m)
     return env.tensor_pair(x0l, env._t_of_pairs(x))
 
@@ -509,7 +502,6 @@ def build_var_quotient(env: EnvelopePA, sigma: IdentitySet) -> VarQuotient:
     quotient does not check it again.
     """
     a = env.A
-    from .translate import derive_variety
     w = first_witness(a, derive_variety(sigma).derived)  # env exists, so A is a 0-dialgebra
     if w is not None:
         raise InputError(f"dialgebra fails the variety: {w.describe(a.labels)}")

@@ -20,7 +20,8 @@ from typing import Sequence
 
 from .errors import InputError, guard_tuples
 from .linalg import Vec, decimal_str, rational, vec_axpy
-from .words import MultilinearPoly, TermPoly, eval_on_tuples
+from .translate import derive_variety, zero_dialgebra_axioms
+from .words import LEAF, MultilinearPoly, TermPoly, eval_on_tuples, node
 
 
 def _as_cell(v, dim: int) -> tuple:
@@ -91,6 +92,11 @@ class FDAlgebra:
     def product(self, x: Vec, y: Vec) -> Vec:
         return _bilinear(self.cells, x, y)
 
+    @property
+    def products(self) -> tuple:
+        """The products by node label (words.eval_shape_tree): (product,)."""
+        return (self.product,)
+
 
 class FDDialgebra:
     """Two bilinear products -| (left table) and |- (right table) on Q^d."""
@@ -116,6 +122,11 @@ class FDDialgebra:
         """x |- y"""
         return _bilinear(self.right_cells, x, y)
 
+    @property
+    def products(self) -> tuple:
+        """The products by node label (words.eval_shape_tree): (-|, |-)."""
+        return (self.lprod, self.rprod)
+
     def defect(self, x: Vec, y: Vec) -> Vec:
         """<x,y> = x|-y - x-|y, the obstruction to the two products agreeing."""
         out = self.rprod(x, y)
@@ -128,8 +139,7 @@ def eval_identity(alg: FDAlgebra | FDDialgebra, p: TermPoly) -> Witness | None:
     n = p.arity
     guard_tuples(alg.dim ** n, f"{alg.dim}^{n} basis tuples")
     basis = [alg.basis(i) for i in range(alg.dim)]
-    products = (alg.lprod, alg.rprod) if isinstance(alg, FDDialgebra) else (alg.product,)
-    for idx, val in eval_on_tuples(p, basis, products, {}):
+    for idx, val in eval_on_tuples(p, basis, alg.products, {}):
         if val:
             return Witness(p, idx, val)
     return None
@@ -145,19 +155,16 @@ def first_witness(alg: FDAlgebra | FDDialgebra, identities) -> Witness | None:
 
 
 def is_zero_dialgebra(d: FDDialgebra) -> Witness | None:
-    from .translate import zero_dialgebra_axioms
     return first_witness(d, zero_dialgebra_axioms())
 
 
 def is_var_dialgebra(d: FDDialgebra, sigma) -> Witness | None:
     """Zero-dialgebra axioms plus every derived identity of the variety."""
-    from .translate import derive_variety
     w = is_zero_dialgebra(d)
     return w if w is not None else first_witness(d, derive_variety(sigma).derived)
 
 
 def _left_leibniz_poly() -> MultilinearPoly:
-    from .words import LEAF, node
     lc = node(node(LEAF, LEAF), LEAF)
     rc = node(LEAF, node(LEAF, LEAF))
     return (MultilinearPoly.monomial(rc, (1, 2, 3))

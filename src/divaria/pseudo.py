@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import add, itemgetter
 from typing import Iterator, Sequence
 
@@ -31,7 +31,7 @@ from .errors import InputError, ResourceError, guard_tuples
 from .hopf import antipode_sign, coproduct_splits
 from .linalg import add_term
 from .operads import IdentitySet
-from .words import MultilinearPoly, Shape, eval_shape_tree
+from .words import MultilinearPoly, Shape, eval_shape_tree, top_product
 
 DEGREE_BOUND = 16  # largest T-power a normalized term may carry
 
@@ -262,31 +262,22 @@ def eval_term_on_tuples(alg, p: MultilinearPoly, args: Sequence) -> Iterator[tup
     elements args, in lex order.  p has arity >= 2, as every identity has.
 
     The plain value of each proper subword is kept, for this call only, under
-    (interned shape, indices into args of its leaves); kept spreads are never
-    changed, as the monomials add into a fresh accumulator.
+    (interned shape, indices into args of its leaves), through the kernel of
+    words.eval_on_tuples; kept spreads are never changed, as the monomials
+    add into a fresh accumulator.
     """
     n, g = p.arity, len(args)
     guard_tuples(g ** n, f"{g}^{n} generator tuples")
     leaves = [leaf_spread(alg, x) for x in args]
+    products = (partial(pseudo_product, alg),)
     subwords: dict = {}
-
-    def subword(s: Shape, at: tuple) -> Spread:
-        if s.is_leaf:
-            return leaves[at[0]]
-        got = subwords.get((s, at))
-        if got is None:
-            m = s.left.arity
-            got = subwords[s, at] = pseudo_product(alg, subword(s.left, at[:m]), subword(s.right, at[m:]))
-        return got
-
-    plan = [(coeff, shape.left, shape.right, shape.left.arity,
-             itemgetter(*[s - 1 for s in sigma]), None if sigma == perms.identity(n) else sigma)
+    plan = [(coeff, shape, itemgetter(*[s - 1 for s in sigma]),
+             None if sigma == perms.identity(n) else sigma)
             for (shape, sigma), coeff in p.terms.items()]
     for idx in itertools.product(range(g), repeat=n):
         acc: dict = {}
-        for coeff, left, right, m, pick, sigma in plan:
-            at = pick(idx)
-            value = pseudo_product(alg, subword(left, at[:m]), subword(right, at[m:]))
+        for coeff, shape, pick, sigma in plan:
+            value = top_product(shape, pick(idx), leaves, products, subwords)
             if sigma is not None:
                 value = act_spread(alg, value, sigma)
             for exps, elem in value.terms.items():
@@ -362,7 +353,7 @@ class CoefficientDialgebra:
         acc = self.alg.zero()
         for (shape, perm), coeff in p.terms.items():
             leaves = [args[perm[k] - 1] for k in range(shape.arity)]
-            val = eval_shape_tree(shape, leaves, None, (self.lprod, self.rprod))
+            val = eval_shape_tree(shape, leaves, (self.lprod, self.rprod))
             acc = self.alg.add(acc, self.alg.scale(val, coeff))
         return acc
 

@@ -21,8 +21,8 @@ from . import perms
 from .errors import InputError
 from .linalg import add_term
 from .operads import IdentitySet
-from .words import (DiPoly, DiShape, DILEAF, LPROD, MultilinearPoly, RPROD,
-                    Shape, TensorPoly, dinode, section_dishape)
+from .words import (DiPoly, DiShape, DILEAF, LEAF, LPROD, MultilinearPoly, RPROD,
+                    Shape, TensorPoly, dinode, node, section_dishape)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,6 @@ def derive_variety(sigma: IdentitySet) -> DerivedVariety:
 
 def _rewrite_mono(ds: DiShape, leaves: list[int], lam) -> tuple[Shape, list[int], int]:
     """Eliminate -| via a -| b = lam*(b |- a); returns (shape, leaves, sign)."""
-    from .words import LEAF, node
     if ds.is_leaf:
         return LEAF, leaves, 1
     lsize = ds.left.arity

@@ -3,8 +3,10 @@
 A monomial of arity n is a pair (shape, perm): the shape is a binary tree
 with n leaves, and leaf k (counting left to right) carries the variable
 x_{k*perm}.  Dialgebra monomials carry a label on every internal node
-(LPROD for the left product -|, RPROD for the right product |-).  Tensor
-monomials additionally carry a center index in 1..n naming a variable.
+(LPROD for the left product -|, RPROD for the right product |-), a plain
+node label 0; a fold applies products[label] at each node, from (product,)
+or (-|, |-).  Tensor monomials additionally carry a center index in 1..n
+naming a variable.
 
 Coefficients are int when integral, else Fraction; polynomials are kept
 canonical (like terms merged, zeros dropped).  The order on shapes is
@@ -38,6 +40,7 @@ class Shape:
     """Binary bracketing shape; interned, so identity equals equality."""
 
     __slots__ = ("left", "right", "arity", "key")
+    label = 0  # the index of a node's product: a plain shape has one
 
     def __init__(self, left: "Shape | None", right: "Shape | None", key: tuple):
         self.left = left
@@ -50,10 +53,20 @@ class Shape:
         return self.left is None
 
     def __repr__(self) -> str:
-        return f"Shape({''.join(map(str, self.key))})"
+        return f"{type(self).__name__}({''.join(map(str, self.key))})"
 
     def __lt__(self, other: "Shape") -> bool:
         return self.key < other.key
+
+
+class DiShape(Shape):
+    """Bracketing shape with an LPROD/RPROD label on every internal node."""
+
+    __slots__ = ("label",)
+
+    def __init__(self, label: int | None, left, right, key: tuple):
+        super().__init__(left, right, key)
+        self.label = label
 
 
 _SHAPE_CACHE: dict[tuple, Shape] = {}
@@ -67,29 +80,6 @@ def node(left: Shape, right: Shape) -> Shape:
     if got is None:
         got = _SHAPE_CACHE[key] = Shape(left, right, key)
     return got
-
-
-class DiShape:
-    """Bracketing shape with an LPROD/RPROD label on every internal node."""
-
-    __slots__ = ("label", "left", "right", "arity", "key")
-
-    def __init__(self, label: int | None, left, right, key: tuple):
-        self.label = label
-        self.left = left
-        self.right = right
-        self.arity = 1 if left is None else left.arity + right.arity
-        self.key = key
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def __repr__(self) -> str:
-        return f"DiShape({''.join(map(str, self.key))})"
-
-    def __lt__(self, other: "DiShape") -> bool:
-        return self.key < other.key
 
 
 _DISHAPE_CACHE: dict[tuple, DiShape] = {}
@@ -107,34 +97,29 @@ def dinode(label: int, left: DiShape, right: DiShape) -> DiShape:
     return got
 
 
-@lru_cache(maxsize=None)
 def all_shapes(n: int) -> tuple[Shape, ...]:
     """All bracketing shapes with n leaves (Catalan(n-1) of them), sorted."""
-    if n < 1:
-        raise InputError("arity must be >= 1")
-    if n == 1:
-        return (LEAF,)
-    out = []
-    for m in range(1, n):
-        for l in all_shapes(m):
-            for r in all_shapes(n - m):
-                out.append(node(l, r))
-    return tuple(sorted(out, key=lambda s: s.key))
+    return _all_trees(LEAF, n)
+
+
+def all_dishapes(n: int) -> tuple[DiShape, ...]:
+    """All labeled shapes with n leaves (Catalan(n-1)*2^(n-1)), sorted."""
+    return _all_trees(DILEAF, n)
 
 
 @lru_cache(maxsize=None)
-def all_dishapes(n: int) -> tuple[DiShape, ...]:
-    """All labeled shapes with n leaves (Catalan(n-1)*2^(n-1)), sorted."""
+def _all_trees(leaf: Shape, n: int) -> tuple:
+    """All shapes of leaf's kind with n leaves, sorted; a labeled kind has
+    each node once with each label."""
     if n < 1:
         raise InputError("arity must be >= 1")
     if n == 1:
-        return (DILEAF,)
+        return (leaf,)
     out = []
     for m in range(1, n):
-        for l in all_dishapes(m):
-            for r in all_dishapes(n - m):
-                out.append(dinode(LPROD, l, r))
-                out.append(dinode(RPROD, l, r))
+        for l in _all_trees(leaf, m):
+            for r in _all_trees(leaf, n - m):
+                out += [node(l, r)] if leaf is LEAF else [dinode(LPROD, l, r), dinode(RPROD, l, r)]
     return tuple(sorted(out, key=lambda s: s.key))
 
 
@@ -153,7 +138,7 @@ def _graft(s, it):
         return next(it)
     left = _graft(s.left, it)
     right = _graft(s.right, it)
-    return node(left, right) if isinstance(s, Shape) else dinode(s.label, left, right)
+    return dinode(s.label, left, right) if isinstance(s, DiShape) else node(left, right)
 
 
 def section_dishape(shape: Shape, p: int) -> DiShape:
@@ -210,7 +195,7 @@ class TermPoly:
     @classmethod
     def _check_mono(cls, mono, arity):
         shape, perm = mono
-        if not isinstance(shape, cls.shape_cls) or shape.arity != arity or len(perm) != arity:
+        if type(shape) is not cls.shape_cls or shape.arity != arity or len(perm) != arity:
             raise InputError(f"bad {cls.__name__} monomial {mono!r} for arity {arity}")
 
     @staticmethod
@@ -418,25 +403,20 @@ def to_vec(p: TermPoly) -> dict:
 # evaluation against bilinear products
 # ---------------------------------------------------------------------------
 
-def eval_shape_tree(shape, leaves: list, product: Callable, diproducts=None):
-    """Fold a (di)shape over leaf values with the given bilinear product(s).
-
-    For a DiShape pass diproducts=(left_product, right_product) and
-    product=None.
-    """
-    return _fold(shape, iter(leaves), product, diproducts)
+def eval_shape_tree(shape: Shape, leaves: list, products: Sequence[Callable]):
+    """Fold a shape over leaf values: each node applies products[node.label],
+    so a plain shape takes (product,) and a DiShape (-|, |-)."""
+    return _fold(shape, iter(leaves), products)
 
 
-def _fold(s, it, product, diproducts):
+def _fold(s, it, products):
     # module level: a nested closure that calls itself is a reference
     # cycle, and every call would leave one for the cyclic collector
     if s.is_leaf:
         return next(it)
-    lv = _fold(s.left, it, product, diproducts)
-    rv = _fold(s.right, it, product, diproducts)
-    if diproducts is not None:
-        return diproducts[s.label](lv, rv)
-    return product(lv, rv)
+    lv = _fold(s.left, it, products)
+    rv = _fold(s.right, it, products)
+    return products[s.label](lv, rv)
 
 
 def eval_on_tuples(p: TermPoly, basis: Sequence, products: Sequence[Callable],
@@ -445,9 +425,8 @@ def eval_on_tuples(p: TermPoly, basis: Sequence, products: Sequence[Callable],
     lex order; a caller that stops at the first nonzero value computes
     nothing past it.  p has arity >= 2, as every identity has.
 
-    products is (product,) for a MultilinearPoly and (-|, |-), indexed by
-    LPROD and RPROD, for a DiPoly; values are zero-free dicts.  The value
-    of each proper subword with two or more leaves is computed once per
+    products is indexed by node labels, as in eval_shape_tree; values are
+    zero-free dicts.  The value of each proper subword with two or more leaves is computed once per
     tuple of leaf indices and kept in subwords, keyed by its interned shape
     and that tuple, so an arity-3 check makes d^2 inner products where a
     fold per tuple makes d^3.  Kept values are shared and never mutated:
@@ -472,26 +451,25 @@ def eval_on_tuples(p: TermPoly, basis: Sequence, products: Sequence[Callable],
     for idx in index_tuples(range(len(basis)), repeat=p.arity):
         acc: dict = {}
         for coeff, shape, pick in plan:
-            vec_axpy(acc, coeff, _product(shape, pick(idx), basis, products, subwords))
+            vec_axpy(acc, coeff, top_product(shape, pick(idx), basis, products, subwords))
         yield idx, acc
 
 
-def _product(s, leaves: tuple, basis, products, subwords):
-    """The top product of the word of shape s on the basis elements at
-    leaves, its proper subwords read from or kept in subwords (module level
-    for the reason given at _fold)."""
+def top_product(s, leaves: tuple, basis, products, subwords):
+    """The top product of the word of shape s on the elements of basis (of
+    any kind) at leaves, its proper subwords read from or kept in subwords
+    (module level for the reason given at _fold)."""
     m = s.left.arity
     left = (basis[leaves[0]] if s.left.is_leaf
             else _subword(s.left, leaves[:m], basis, products, subwords))
     right = (basis[leaves[m]] if s.right.is_leaf
              else _subword(s.right, leaves[m:], basis, products, subwords))
-    op = products[s.label] if isinstance(s, DiShape) else products[0]
-    return op(left, right)
+    return products[s.label](left, right)
 
 
 def _subword(s, leaves: tuple, basis, products, subwords):
     key = (s, leaves)
     got = subwords.get(key)
     if got is None:
-        got = subwords[key] = _product(s, leaves, basis, products, subwords)
+        got = subwords[key] = top_product(s, leaves, basis, products, subwords)
     return got

@@ -35,7 +35,7 @@ from divaria import perms
 from divaria.dsl import parse_identity, tokenize
 from divaria.envelope import closed_form_eval
 from divaria.errors import InputError
-from divaria.fd import FDAlgebra, FDDialgebra, Witness
+from divaria.fd import FDAlgebra, Witness
 from divaria.linalg import RowSpace, vec_axpy
 from divaria.perms import Perm
 from divaria.pseudo import Spread, accumulate, eval_term
@@ -159,14 +159,10 @@ def eval_poly(alg, p, args) -> dict:
     """p at args in an FDAlgebra (a MultilinearPoly) or an FDDialgebra (a
     DiPoly), each monomial folded over its own leaves."""
     assert len(args) == p.arity
-    if isinstance(alg, FDDialgebra):
-        product, diproducts = None, (alg.lprod, alg.rprod)
-    else:
-        product, diproducts = alg.product, None
     acc: dict = {}
     for (shape, perm), coeff in p.terms.items():
         leaves = [args[perm[k] - 1] for k in range(shape.arity)]
-        vec_axpy(acc, coeff, eval_shape_tree(shape, leaves, product, diproducts))
+        vec_axpy(acc, coeff, eval_shape_tree(shape, leaves, alg.products))
     return acc
 
 

@@ -137,6 +137,18 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def test_every_import_is_at_module_level():
+    """An import inside a function hides a module's dependencies and runs on
+    every call; the package has no import cycle that would need one."""
+    nested = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = set(map(id, tree.body))
+        nested += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+    assert nested == []
+
+
 def _defs(body, qual, out, classes, owner=None):
     """Every def under body as (qualified name, def, owning class or None);
     classes maps each class name to (base names, {method name: def})."""

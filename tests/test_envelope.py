@@ -192,9 +192,9 @@ def test_word_values_match_section_labelings(name):
             values = _word_values(env, shape, vs)
             assert len(values) == n
             for p in range(1, n + 1):
-                want = eval_shape_tree(section_dishape(shape, p), vs, None, (a.lprod, a.rprod))
+                want = eval_shape_tree(section_dishape(shape, p), vs, (a.lprod, a.rprod))
                 assert values[p - 1] == want, (shape.key, p)
-            assert eval_shape_tree(shape, vs, a.rprod) == values[-1]
+            assert eval_shape_tree(shape, vs, (a.rprod,)) == values[-1]
 
 
 def _forbid(*_args, **_kwargs):

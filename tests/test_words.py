@@ -111,3 +111,16 @@ def test_section_matches_identity_tables():
     assert str(DiPoly.monomial(section_dishape(RC3, 1), (1, 2, 3))) == "x1-|(x2-|x3)"
     assert str(DiPoly.monomial(section_dishape(RC3, 2), (1, 2, 3))) == "x1|-(x2-|x3)"
     assert str(DiPoly.monomial(section_dishape(RC3, 3), (1, 2, 3))) == "x1|-(x2|-x3)"
+
+
+def test_each_kind_refuses_the_other_kinds_shapes():
+    # a DiShape is a Shape, so only an exact type test keeps the kinds apart
+    plain, labeled = node(LEAF, LEAF), dinode(LPROD, DILEAF, DILEAF)
+    refused = [(MultilinearPoly, 2, (labeled, (1, 2))), (MultilinearPoly, 1, (DILEAF, (1,))),
+               (TensorPoly, 2, (labeled, (1, 2), 1)),
+               (DiPoly, 2, (plain, (1, 2))), (DiPoly, 1, (LEAF, (1,)))]
+    for cls, n, mono in refused:
+        with pytest.raises(InputError, match=f"bad {cls.__name__} monomial"):
+            cls(n, {mono: 1})
+    assert str(MultilinearPoly.monomial(plain, (2, 1))) == "x2*x1"
+    assert str(DiPoly.monomial(labeled, (2, 1))) == "x2-|x1"
