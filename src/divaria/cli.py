@@ -21,6 +21,7 @@ from .conformal import embed_associative, verify_representation
 from .envelope import build_envelope, build_var_quotient, oracle_sweep
 from .errors import InputError, ResourceError, read_text
 from .fd import FDAlgebra, FDDialgebra, is_var_dialgebra, leibniz_to_dialgebra
+from .linalg import RowSpace
 from .operads import ALGS, ALGSE, DIALGS, E, SYM, axiom_check
 from .perms import from_cycles, sym_compose
 from .pseudo import check_var_pseudo, hom_failure
@@ -173,6 +174,12 @@ def cmd_check(args) -> int:
     return rep.emit(args.json)
 
 
+def _coordinates(x) -> dict:
+    """The coordinates of an envelope element: its free part under 0 and
+    its tensor part under 1."""
+    return {**{(0, k): v for k, v in x.c0.items()}, **{(1, k): v for k, v in x.c1.items()}}
+
+
 def cmd_envelope(args) -> int:
     if args.verify and args.max_arity < 1:
         raise InputError("--max-arity must be at least 1")
@@ -197,10 +204,14 @@ def cmd_envelope(args) -> int:
         else:
             rep.fail(f"{w[0]} at {w[1]}: {w[2].describe()}")
         basis = [vq.quotient.basis_a(i) for i in range(d.dim)]
-        if hom_failure(d, basis, vq.quotient) is None:
-            rep.line("base dialgebra embeds into the quotient's coefficient dialgebra")
-        else:
+        rank = RowSpace(map(_coordinates, basis)).rank
+        if hom_failure(d, basis, vq.quotient) is not None:
             rep.fail("embedding into the coefficient dialgebra is not operation-preserving")
+        elif rank < d.dim:
+            rep.fail(f"embedding into the coefficient dialgebra is not injective: "
+                     f"the {d.dim} basis images have rank {rank}")
+        else:
+            rep.line("base dialgebra embeds into the quotient's coefficient dialgebra")
     if args.verify:
         bad, checked = oracle_sweep(
             env, args.max_arity, lambda n: [(pr, (0,) * (n - 1)) for pr in env.c1_basis[:2]])

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from random import Random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import perms
 from .errors import InputError, ResourceError
@@ -273,19 +274,12 @@ class IdentitySet:
         return iter(self.identities)
 
 
-def consequence_space(sigma: IdentitySet | Sequence[MultilinearPoly], n: int) -> RowSpace:
-    """RREF row space of the arity-n multilinear part of the ideal of Sigma.
-
-    Built afresh on every call: the caller owns the result."""
-    if n < 2:
-        raise InputError("consequence arity must be >= 2")
-    if n > CONSEQUENCE_ARITY_BOUND:
-        raise ResourceError(
-            f"consequence arity {n} exceeds the documented bound {CONSEQUENCE_ARITY_BOUND} "
-            f"(space dimension grows as Catalan(n-1) * n!)")
-    space = RowSpace()
+def consequence_generators(sigma: IdentitySet | Sequence[MultilinearPoly],
+                           n: int) -> Iterator[MultilinearPoly]:
+    """The arity-n elements whose relabelings span the consequences of
+    Sigma: each identity t, composed with words into its slots and then
+    into one leaf of an outer word, variables in order throughout."""
     unit = ALGS.unit()
-    group = perms.symmetric_group(n)
     for t in sigma:
         m = t.arity
         if m > n:
@@ -303,7 +297,41 @@ def consequence_space(sigma: IdentitySet | Sequence[MultilinearPoly], n: int) ->
                         for j in range(1, q + 1):
                             pi = (1,) * (j - 1) + (p,) + (1,) * (q - j)
                             gs = [unit] * (j - 1) + [inner] + [unit] * (q - j)
-                            g0 = ALGS.compose(u, pi, gs)
-                            for sig in group:
-                                space.add(to_vec(g0.act(sig)))
+                            yield ALGS.compose(u, pi, gs)
+
+
+def consequence_space(sigma: IdentitySet | Sequence[MultilinearPoly], n: int) -> RowSpace:
+    """RREF row space of the arity-n multilinear part of the ideal of Sigma:
+    the span of the relabelings g0*s of every consequence generator g0, for
+    s in group = symmetric_group(n), in group order.
+
+    Each relabeling is a permutation of coordinates.  Coordinate i is the
+    monomial (shape i // n!, group[i % n!]), and s sends (shape, p) to
+    (shape, compose(p, s)); so g0 is mapped to coordinates once, and each
+    permutation p it holds gets one table row, the rank of compose(p, s)
+    for every s, kept for this call.
+
+    Built afresh on every call: the caller owns the result."""
+    if n < 2:
+        raise InputError("consequence arity must be >= 2")
+    if n > CONSEQUENCE_ARITY_BOUND:
+        raise ResourceError(
+            f"consequence arity {n} exceeds the documented bound {CONSEQUENCE_ARITY_BOUND} "
+            f"(space dimension grows as Catalan(n-1) * n!)")
+    space = RowSpace()
+    group = perms.symmetric_group(n)
+    order = len(group)
+    rank = {p: r for r, p in enumerate(group)}
+    ranks: dict[int, list[int]] = {}  # r -> [rank of compose(group[r], s) for s in group]
+    for g0 in consequence_generators(sigma, n):
+        terms = []
+        for i, c in to_vec(g0).items():
+            shape, r = divmod(i, order)
+            row = ranks.get(r)
+            if row is None:
+                pick = itemgetter(*[k - 1 for k in group[r]])  # compose(p, s) == pick(s)
+                row = ranks[r] = [rank[pick(s)] for s in group]
+            terms.append((shape * order, row, c))
+        for k in range(order):
+            space.add({start + row[k]: c for start, row, c in terms})
     return space

@@ -14,11 +14,12 @@ for the associative, commutative, alternative, Lie and Jordan varieties.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import perms
-from .errors import InputError
+from .errors import InputError, guard_tuples
 from .linalg import add_term
 from .operads import IdentitySet
 from .words import (DiPoly, DiShape, DILEAF, LEAF, LPROD, MultilinearPoly, RPROD,
@@ -59,9 +60,12 @@ def zero_dialgebra_axioms() -> tuple[DiPoly, DiPoly]:
 
 
 def _orbit_key(p: DiPoly) -> tuple:
-    """Canonical key of a nonzero identity modulo relabeling and scalars."""
+    """Canonical key of a nonzero identity modulo relabeling and scalars;
+    ResourceError, before S_n is built, if n! relabelings exceed the bound."""
+    n = p.arity
+    guard_tuples(math.factorial(n), f"{n}! relabelings of an arity-{n} identity")
     best = None
-    for sigma in perms.symmetric_group(p.arity):
+    for sigma in perms.symmetric_group(n):
         q = p.act(sigma)
         lead_coeff = q.terms[q.leading()]
         q = q.scale(Fraction(1, lead_coeff))

@@ -25,6 +25,9 @@ never calls them, so they live here and not in the package.
   per-tuple references of envelope.closed_form_on_tuples and the ideal of
   envelope.build_var_quotient;
 - from_vec, the inverse of words.to_vec;
+- relabeled_consequences, the consequence span with every relabeling
+  built as a polynomial and then mapped to coordinates, the reference of
+  operads.consequence_space, which permutes coordinates instead;
 - parse_expression, one identity read by the parser of variety files.
 """
 
@@ -37,10 +40,11 @@ from divaria.envelope import closed_form_eval
 from divaria.errors import InputError
 from divaria.fd import FDAlgebra, Witness
 from divaria.linalg import RowSpace, vec_axpy
+from divaria.operads import consequence_generators
 from divaria.perms import Perm
 from divaria.pseudo import Spread, accumulate, eval_term
 from divaria.words import (DiPoly, DiShape, LEAF, LPROD, RPROD, Shape, TensorPoly,
-                           basis_monomials, eval_shape_tree, node)
+                           basis_monomials, eval_shape_tree, node, to_vec)
 
 
 def parse_expression(text: str):
@@ -240,3 +244,13 @@ def from_vec(cls, n: int, vec: dict):
     index = basis_monomials(cls, n)
     rev = {i: m for m, i in index.items()}
     return cls(n, {rev[i]: c for i, c in vec.items()})
+
+
+def relabeled_consequences(sigma, n: int) -> RowSpace:
+    """The span of g0.act(s) for every consequence generator g0 and every s
+    in S_n, in the row order of consequence_space."""
+    space = RowSpace()
+    for g0 in consequence_generators(sigma, n):
+        for s in perms.symmetric_group(n):
+            space.add(to_vec(g0.act(s)))
+    return space

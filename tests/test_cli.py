@@ -5,6 +5,7 @@ import pytest
 
 from divaria import cli, conformal, pseudo
 from divaria.cli import main
+from divaria.envelope import EnvelopePA
 from support import gl, parse_expression
 
 
@@ -321,7 +322,9 @@ def test_represent_refuses_gl3_up_front(tmp_path, capsys):
      "words of degree 7 on 2^7 basis tuples: 85155840 tuples exceed the enumeration bound"),
     (2000, ["represent", "--leibniz", "GL2"],
      "13^3 triples of the generated subspace: 2197 tuples exceed the enumeration bound 2000"),
-], ids=["check", "envelope", "envelope-verify", "represent"])
+    (5, ["derive", "--variety", "associative"],
+     "3! relabelings of an arity-3 identity: 6 tuples exceed the enumeration bound 5"),
+], ids=["check", "envelope", "envelope-verify", "represent", "derive"])
 def test_tuple_bound_exits_2(tmp_path, capsys, monkeypatch, bound, argv, message):
     f = tmp_path / "gl2.json"
     f.write_text(json.dumps(gl_file(2)))
@@ -329,6 +332,34 @@ def test_tuple_bound_exits_2(tmp_path, capsys, monkeypatch, bound, argv, message
     assert main([str(f) if a == "GL2" else a for a in argv]) == 2
     out = capsys.readouterr()
     assert out.out == "" and message in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--variety", "ARITY9"],
+    ["check", "--dialgebra", "leibniz2.json", "--variety", "ARITY9"],
+    ["envelope", "--dialgebra", "leibniz2.json", "--variety", "ARITY9"],
+], ids=["derive", "check", "envelope"])
+def test_arity_9_identity_exits_2_before_its_relabelings(tmp_path, capsys, argv):
+    f = tmp_path / "arity9.var"
+    f.write_text("variety arity9\nidentity x1*(x2*(x3*(x4*(x5*(x6*(x7*(x8*x9)))))))"
+                 " - ((((((((x1*x2)*x3)*x4)*x5)*x6)*x7)*x8)*x9)\n")
+    assert main([str(f) if a == "ARITY9" else a for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: 9! relabelings of an arity-9 identity: "
+                       "362880 tuples exceed the enumeration bound 200000\n")
+
+
+def test_envelope_fails_on_dependent_basis_images(capsys, monkeypatch):
+    # every basis element of A read as the first: the images keep products
+    # (hom_failure is stubbed) but span a line, so they embed nothing
+    monkeypatch.setattr(cli, "hom_failure", lambda *args: None)
+    monkeypatch.setattr(EnvelopePA, "basis_a", lambda self, i: self._basis[0])
+    code, out = run(capsys, "envelope", "--dialgebra", "leibniz2.json", "--variety", "lie")
+    assert code == 1
+    assert ("FAIL: embedding into the coefficient dialgebra is not injective: "
+            "the 2 basis images have rank 1") in out.splitlines()
+    assert "base dialgebra embeds" not in out
 
 
 # SHA-256 of the --json stdout of each command on shipped inputs; reports

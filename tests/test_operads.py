@@ -4,12 +4,13 @@ import pytest
 
 from divaria.errors import InputError, ResourceError
 from divaria.linalg import vec_axpy
-from divaria.operads import (ALGS, ALGSE, DIALGS, E, SYM, IdentitySet, SymOperad,
-                             axiom_check, consequence_space)
+from divaria.operads import (ALGS, ALGSE, CONSEQUENCE_ARITY_BOUND, DIALGS, E, SYM,
+                             IdentitySet, SymOperad, axiom_check, consequence_space)
 from divaria.perms import inverse, random_partition, random_perm, sym_compose, symmetric_group
-from divaria.varieties import builtin_identity_set
+from divaria.varieties import BUILTIN, builtin_identity_set
 from divaria.words import (DILEAF, LEAF, LPROD, RPROD, DiPoly, MultilinearPoly, TensorPoly,
                            all_shapes, dinode, node, to_vec)
+from support import relabeled_consequences
 
 B2 = node(LEAF, LEAF)
 LC3 = node(B2, LEAF)
@@ -149,8 +150,26 @@ def test_consequences_empty_sigma():
 
 
 def test_consequence_arity_bound():
-    with pytest.raises(ResourceError):
+    with pytest.raises(InputError, match="consequence arity must be >= 2"):
+        consequence_space(IdentitySet("comm", (COMM,)), 1)
+    with pytest.raises(ResourceError,
+                       match=f"arity 6 exceeds the documented bound {CONSEQUENCE_ARITY_BOUND}"):
         consequence_space(IdentitySet("comm", (COMM,)), 6)
+
+
+# (variety, arity) -> rank of the consequence span, as the benchmark pins them
+SPAN_RANKS = {("associative", 5): 1560, ("lie", 5): 1656, ("jordan", 5): 1625,
+              ("alternative", 4): 88}
+
+
+@pytest.mark.parametrize("name,n", [(name, n) for name in BUILTIN for n in (2, 3, 4)]
+                         + [("associative", 5), ("lie", 5), ("jordan", 5)])
+def test_relabeling_coordinates_matches_relabeling_polynomials(name, n):
+    ids = builtin_identity_set(name)
+    space = consequence_space(ids, n)
+    assert space == relabeled_consequences(ids, n)
+    if (name, n) in SPAN_RANKS:
+        assert space.rank == SPAN_RANKS[name, n]
 
 
 def test_varalg_reduce_associative_classes():

@@ -87,6 +87,20 @@ def test_coordinate_roundtrip():
             assert from_vec(MultilinearPoly, n, to_vec(p)) == p
 
 
+def test_coordinates_are_shape_blocks_of_permutation_ranks():
+    # operads.consequence_space relabels by permuting coordinates, and reads
+    # a coordinate's shape and permutation off this layout
+    for cls in (MultilinearPoly, DiPoly):
+        for n in (1, 2, 3, 4):
+            group = symmetric_group(n)
+            order = len(group)
+            index = basis_monomials(cls, n)
+            assert len(index) == len(cls.shapes(n)) * order
+            for b, s in enumerate(cls.shapes(n)):
+                for r, p in enumerate(group):
+                    assert index[(s, p)] == b * order + r
+
+
 def test_graft():
     assert graft(node(LEAF, LEAF), [node(LEAF, LEAF), LEAF]) is LC3
     # a labeled shape keeps the labels of the outer shape and of every inner one
