@@ -182,8 +182,8 @@ def verify_representation(rep: ConformalRep) -> RepReport:
     cur = rep.cur
     d = rep.data.g.dim
     dlg = rep.data.dialgebra
-    mat_prod = CoefficientDialgebra(cur).rprod
-    commutator = CoefficientDialgebra(rep.cur_lie).rprod
+    mat_prod = cur.rprod
+    commutator = rep.cur_lie.rprod
 
     ok = all(cur.is_zero(mat_prod(rep.rho1[a], rep.rho1[b]))
              for a in range(d) for b in range(d))
@@ -217,14 +217,16 @@ def verify_representation(rep: ConformalRep) -> RepReport:
     return report
 
 
-def generated_basis(rep: ConformalRep, cd: CoefficientDialgebra) -> list:
+def generated_basis(rep: ConformalRep) -> list:
     """A basis of the span of the words of length <= 3 in the images rho(x)
-    under both coefficient products, the first independent ones in order."""
+    under both coefficient products of the associative current algebra,
+    the first independent ones in order."""
+    ops = (rep.cur.rprod, rep.cur.lprod)
     layer1 = rep.rho
-    layer2 = [op(x, y) for x in layer1 for y in layer1 for op in (cd.rprod, cd.lprod)]
+    layer2 = [op(x, y) for x in layer1 for y in layer1 for op in ops]
     layer3 = [op(x, y) for x, y in itertools.chain(
         itertools.product(layer1, layer2), itertools.product(layer2, layer1))
-        for op in (cd.rprod, cd.lprod)]
+        for op in ops]
     span = RowSpace()
     return [m for m in itertools.chain(layer1, layer2, layer3) if m and span.add(dict(m))]
 
@@ -233,16 +235,17 @@ def embed_associative(bracket: FDAlgebra,
                       module: str = "trivial") -> tuple[RepReport, ConformalRep]:
     """Realize g inside the associative coefficient dialgebra of the current
     algebra and verify the associative-dialgebra identities on the subspace
-    generated by the image under both products, words of length <= 3, whose
-    T-degree must stay <= 2."""
+    generated by the image under both products, words of length <= 3.  The
+    basis of that subspace must begin with the d images of rho, which are
+    then independent, and its T-degree must stay <= 2."""
     rep = build_rho(bracket, module)
     cur = rep.cur
-    cd = CoefficientDialgebra(cur)
     report = RepReport()
 
     d = bracket.dim
-    basis_mats = generated_basis(rep, cd)
-    report.record("generated-subspace", True, "")
+    basis_mats = generated_basis(rep)
+    report.record("generated-subspace", basis_mats[:d] == rep.rho,
+                  f"the basis does not begin with the {d} images of rho")
 
     ok = all(max((k for (k, _r, _c) in m), default=0) <= 2 for m in basis_mats)
     report.record("degree-truncation", ok, "degree exceeds 2")
@@ -250,10 +253,11 @@ def embed_associative(bracket: FDAlgebra,
     dv_axioms = list(zero_dialgebra_axioms())
     diass = derive_variety(builtin_identity_set("associative")).derived
     guard_tuples(len(basis_mats) ** 3, f"{len(basis_mats)}^3 triples of the generated subspace")
+    products = CoefficientDialgebra(cur).products
     subwords: dict = {}  # the basis products, computed once for every identity
     bad = None
     for p in itertools.chain(dv_axioms, diass):
-        values = eval_on_tuples(p, basis_mats, (cd.lprod, cd.rprod), subwords)
+        values = eval_on_tuples(p, basis_mats, products, subwords)
         if any(not cur.is_zero(val) for _idx, val in values):
             bad = f"{p} fails on generated subspace"
             break
@@ -263,8 +267,8 @@ def embed_associative(bracket: FDAlgebra,
     ok = True
     for a in range(d):
         for b in range(d):
-            lhs = cur.add(cd.lprod(rep.rho[a], rep.rho[b]),
-                          cur.scale(cd.rprod(rep.rho[b], rep.rho[a]), -1))
+            lhs = cur.add(cur.lprod(rep.rho[a], rep.rho[b]),
+                          cur.scale(cur.rprod(rep.rho[b], rep.rho[a]), -1))
             if not cur.eq(lhs, lin_comb(cur, rep.rho, dlg.lprod(dlg.basis(a), dlg.basis(b)))):
                 ok = False
     report.record("mirror-bracket-identity", ok,

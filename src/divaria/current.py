@@ -4,7 +4,9 @@ concentrated in degree zero, and its commutator variant.
 Elements are square matrices over Q[T], stored sparsely as
 {(T-power, row, col): coeff}.  The coefficient operations come out as
 x |- y = x(0) y  and  x -| y = x y(0), which is what makes the
-degree-bounded truncations closed under both.
+degree-bounded truncations closed under both; CurrentPA computes them in
+that closed form, as products of polynomial matrices one of which is
+constant.
 """
 
 from __future__ import annotations
@@ -28,6 +30,21 @@ def _mat_mult(a: dict, b: dict) -> dict:
         for c2, vb in bt.get(c, ()):  # a[r,c] * b[c,c2]
             add_term(out, (r, c2), va * vb)
     return out
+
+
+def _mult_into(out: PolyMat, a: PolyMat, b: PolyMat) -> None:
+    """out += a b, the product of polynomial matrices: T-powers add."""
+    rows: dict = {}
+    for (l, r, c), v in b.items():
+        rows.setdefault(r, []).append((l, c, v))
+    for (k, r, c), va in a.items():
+        for l, c2, vb in rows.get(c, ()):  # a[r,c] T^k * b[c,c2] T^l
+            add_term(out, (k + l, r, c2), va * vb)
+
+
+def _at_zero(a: PolyMat, sign: int = 1) -> PolyMat:
+    """sign * a(0), the constant term of a."""
+    return {key: sign * v for key, v in a.items() if not key[0]}
 
 
 class CurrentPA(PseudoAlgebra):
@@ -78,6 +95,22 @@ class CurrentPA(PseudoAlgebra):
                     vec_axpy(prod, -1, _mat_mult(ym, xm))
                 if prod:
                     out.append((k, l, {(0, r, c): v for (r, c), v in prod.items()}))
+        return out
+
+    def rprod(self, x: PolyMat, y: PolyMat) -> PolyMat:
+        """x |- y = x(0) y, less y x(0) in the commutator variant."""
+        out: PolyMat = {}
+        _mult_into(out, _at_zero(x), y)
+        if self.bracket:
+            _mult_into(out, y, _at_zero(x, -1))
+        return out
+
+    def lprod(self, x: PolyMat, y: PolyMat) -> PolyMat:
+        """x -| y = x y(0), less y(0) x in the commutator variant."""
+        out: PolyMat = {}
+        _mult_into(out, x, _at_zero(y))
+        if self.bracket:
+            _mult_into(out, _at_zero(y, -1), x)
         return out
 
     def generators(self) -> list:

@@ -8,14 +8,16 @@ the antipode signs).  Normalized values are canonical, so equality is a
 dictionary comparison.
 
 A pseudo-algebra implements the element protocol of PseudoAlgebra:
-EnvelopePA (envelope module) and CurrentPA (current module) do.  This
-module holds what works for any of them: spreads, the expanded
-pseudo-product, the recursive word evaluator eval_term and its entry for a
-polynomial on every argument tuple (eval_term_on_tuples), the coefficient
-dialgebra, the identity check on generators, and the map layer: the
-linear extension of basis images (lin_comb) and the one check that such a
-map carries both dialgebra products to the coefficient products
-(hom_failure).
+EnvelopePA (envelope module) and CurrentPA (current module) do.  The
+protocol reads the coefficient products |- and -| off the base product; an
+algebra with a closed form for them overrides both.  This module holds
+what works for any of them: spreads, the expanded pseudo-product, the
+recursive word evaluator eval_term and its entry for a polynomial on
+every argument tuple (eval_term_on_tuples), the evaluator of dialgebra
+polynomials in the coefficient dialgebra, the identity check on
+generators, and the map layer: the linear extension of basis images
+(lin_comb) and the one check that such a map carries both dialgebra
+products to the coefficient products (hom_failure).
 """
 
 from __future__ import annotations
@@ -81,6 +83,24 @@ class PseudoAlgebra:
 
     def eq(self, a, b) -> bool:
         return self.is_zero(self.add(a, self.scale(b, -1)))
+
+    def rprod(self, x, y):
+        """x |- y: the sum of T^q c over the terms T^0 (x) T^q (x)_H c of
+        the base product x*y."""
+        out = self.zero()
+        for p, q, c in self.base_product(x, y):
+            if p == 0:
+                out = self.add(out, self.t_pow(c, q))
+        return out
+
+    def lprod(self, x, y):
+        """x -| y: the sum of T^p c over the terms T^p (x) T^0 (x)_H c of
+        the base product x*y."""
+        out = self.zero()
+        for p, q, c in self.base_product(x, y):
+            if q == 0:
+                out = self.add(out, self.t_pow(c, p))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -331,29 +351,21 @@ def lin_comb(alg, images, vec: dict):
 
 @dataclass
 class CoefficientDialgebra:
-    """The two coefficient operations of a pseudo-algebra."""
+    """The coefficient dialgebra of a pseudo-algebra: a view whose products
+    are the algebra's lprod and rprod."""
 
     alg: PseudoAlgebra
 
-    def rprod(self, x, y):
-        out = self.alg.zero()
-        for p, q, c in self.alg.base_product(x, y):
-            if p == 0:
-                out = self.alg.add(out, self.alg.t_pow(c, q))
-        return out
-
-    def lprod(self, x, y):
-        out = self.alg.zero()
-        for p, q, c in self.alg.base_product(x, y):
-            if q == 0:
-                out = self.alg.add(out, self.alg.t_pow(c, p))
-        return out
+    @property
+    def products(self) -> tuple:
+        """The products by node label (words.eval_shape_tree): (-|, |-)."""
+        return (self.alg.lprod, self.alg.rprod)
 
     def eval_dipoly(self, p, args):
         acc = self.alg.zero()
         for (shape, perm), coeff in p.terms.items():
             leaves = [args[perm[k] - 1] for k in range(shape.arity)]
-            val = eval_shape_tree(shape, leaves, (self.lprod, self.rprod))
+            val = eval_shape_tree(shape, leaves, self.products)
             acc = self.alg.add(acc, self.alg.scale(val, coeff))
         return acc
 
@@ -364,8 +376,7 @@ def hom_failure(a, images: Sequence, alg: PseudoAlgebra) -> tuple | None:
 
     Pairs run in lex order, |- before -| at each; the images of products
     are their linear extensions."""
-    cd = CoefficientDialgebra(alg)
-    products = (("|-", a.rprod, cd.rprod), ("-|", a.lprod, cd.lprod))
+    products = (("|-", a.rprod, alg.rprod), ("-|", a.lprod, alg.lprod))
     for i, j in itertools.product(range(a.dim), repeat=2):
         bi, bj = a.basis(i), a.basis(j)
         for symbol, prod, image_prod in products:

@@ -203,8 +203,8 @@ def test_criterion_09_variety_quotient_instance():
     for i in range(d.dim):
         for j in range(d.dim):
             bi, bj = d.basis(i), d.basis(j)
-            ok = ok and q.eq(cd.rprod(q.basis_a(i), q.basis_a(j)), q.from_a(d.rprod(bi, bj)))
-            ok = ok and q.eq(cd.lprod(q.basis_a(i), q.basis_a(j)), q.from_a(d.lprod(bi, bj)))
+            ok = ok and q.eq(q.rprod(q.basis_a(i), q.basis_a(j)), q.from_a(d.rprod(bi, bj)))
+            ok = ok and q.eq(q.lprod(q.basis_a(i), q.basis_a(j)), q.from_a(d.lprod(bi, bj)))
     ok = ok and check_var_pseudo(q, lie) is None
     gens = [g for _, g in q.generators()]
     for p in derive_variety(lie).identities:

@@ -6,10 +6,11 @@ import pytest
 
 from divaria.conformal import (LeibnizData, build_rho, embed_associative, generated_basis,
                                verify_representation)
+from divaria.current import CurrentPA
 from divaria.envelope import build_envelope, build_var_quotient, extend_hom
 from divaria.errors import InputError
 from divaria.fd import FDAlgebra, leibniz2, leibniz3, leibniz_to_dialgebra, sl2
-from divaria.pseudo import CoefficientDialgebra
+from divaria.pseudo import CoefficientDialgebra, check_var_pseudo
 from divaria.varieties import builtin_identity_set
 from divaria.words import DiPoly, all_dishapes, eval_on_tuples
 
@@ -74,6 +75,91 @@ def test_fault_injected_rho1_breaks_faithfulness():
     assert not r.checks["faithful"]
 
 
+# faults of the rep of leibniz2 (trivial module): M0 has basis u, e1 (x) u, e2 (x) u
+def _rho1_squares_to_nonzero(rep):
+    rep.rho1[0][(0, 0, 1)] = 1  # rho1(e1) also sends e1 (x) u to u
+
+
+def _rho0_gains_a_term(rep):
+    rep.rho0[0][(0, 0, 0)] = 1  # [rho1(e1), rho0(e1)] gains rho1(e1)
+
+
+def _image_doubled(rep):
+    rep.rho[1] = rep.cur.scale(rep.rho[1], 2)
+
+
+def _image_zeroed(rep):
+    rep.rho[1] = {}
+
+
+def _image_duplicated(rep):
+    rep.rho[1] = dict(rep.rho[0])
+
+
+def _image_gains_t_cubed(rep):
+    rep.rho[0][(3, 0, 0)] = 1
+
+
+def _commutator_products(rep):
+    rep.cur = rep.cur_lie
+
+
+def _products_swapped(rep):
+    rep.cur = CurrentPA(rep.dim_m0)
+    rep.cur.rprod, rep.cur.lprod = rep.cur.lprod, rep.cur.rprod
+
+
+# (check, algebra, fault): each fault makes its check of the represent report false
+FAULTS = [
+    ("rho1-product-vanishes", leibniz2, _rho1_squares_to_nonzero),
+    ("operator-brackets", leibniz2, _rho0_gains_a_term),
+    ("dialgebra-homomorphism", leibniz2, _image_doubled),
+    ("faithful", leibniz2, _image_zeroed),
+    ("generated-subspace", leibniz2, _image_zeroed),
+    ("generated-subspace", leibniz2, _image_duplicated),
+    ("degree-truncation", leibniz2, _image_gains_t_cubed),
+    ("associative-dialgebra-identities", sl2, _products_swapped),  # leibniz2: triple products are 0
+    ("mirror-bracket-identity", leibniz2, _commutator_products),
+]
+
+
+def _checks(rep, monkeypatch) -> dict:
+    """The checks that verify_representation and embed_associative record on rep."""
+    monkeypatch.setattr("divaria.conformal.build_rho", lambda _bracket, _module="trivial": rep)
+    report, _rep = embed_associative(rep.data.g)
+    return {**verify_representation(rep).checks, **report.checks}
+
+
+@pytest.mark.parametrize("name,alg,fault", FAULTS,
+                         ids=[f"{name}{fault.__name__}" for name, _alg, fault in FAULTS])
+def test_fault_injected_rep_fails_its_check(name, alg, fault, monkeypatch):
+    rep = build_rho(alg())
+    assert _checks(rep, monkeypatch)[name]
+    fault(rep)
+    assert not _checks(rep, monkeypatch)[name]
+
+
+def test_every_represent_check_has_a_fault(monkeypatch):
+    checks = _checks(build_rho(leibniz2()), monkeypatch)
+    assert all(checks.values())
+    assert set(checks) == {name for name, *_rest in FAULTS}
+
+
+def _forbid(*_args, **_kwargs):
+    raise AssertionError("a coefficient product read CurrentPA.base_product")
+
+
+def test_coefficient_products_never_reach_the_base_product(monkeypatch):
+    # the closed forms x(0) y and x y(0) must not fall back to filtering the
+    # full base product; pseudo-products still go through it
+    monkeypatch.setattr(CurrentPA, "base_product", _forbid)
+    report, _rep = embed_associative(sl2())
+    assert report.passed, report.failures
+    assert verify_representation(build_rho(sl2())).passed
+    with pytest.raises(AssertionError):
+        check_var_pseudo(CurrentPA(2, bracket=True), builtin_identity_set("lie"))
+
+
 def test_embed_associative():
     for alg in (leibniz2(), leibniz3(), sl2()):
         report, _rep = embed_associative(alg)
@@ -86,12 +172,12 @@ def test_tuple_values_match_the_per_tuple_coefficient_dialgebra():
     # first 6 of the 12 generated basis matrices of sl2 keep the test short
     rep = build_rho(sl2(), "trivial")
     cd = CoefficientDialgebra(rep.cur)
-    basis = generated_basis(rep, cd)[:6]
+    basis = generated_basis(rep)[:6]
     nonzero = 0
     subwords: dict = {}  # shared, as embed_associative shares it across identities
     for shape, perm in itertools.product(all_dishapes(3), [(1, 2, 3), (3, 1, 2)]):
         p = DiPoly.monomial(shape, perm)
-        values = list(eval_on_tuples(p, basis, (cd.lprod, cd.rprod), subwords))
+        values = list(eval_on_tuples(p, basis, cd.products, subwords))
         assert [idx for idx, _val in values] == list(itertools.product(range(6), repeat=3))
         for idx, val in values:
             want = cd.eval_dipoly(p, [basis[i] for i in idx])

@@ -1,20 +1,50 @@
 import itertools
+import random
 from fractions import Fraction
 
+import pytest
+
 from divaria.current import CurrentPA, pm_unit
-from divaria.pseudo import CoefficientDialgebra, leaf_spread, n_product, pseudo_product
+from divaria.pseudo import (CoefficientDialgebra, PseudoAlgebra, leaf_spread, n_product,
+                            pseudo_product)
 from divaria.translate import derive_variety, zero_dialgebra_axioms
 from divaria.varieties import builtin_identity_set
 
 
 def test_coefficient_operations_evaluate_at_zero():
     cur = CurrentPA(2)
-    cd = CoefficientDialgebra(cur)
     x = cur.add(pm_unit(0, 1), cur.t_act(pm_unit(0, 0)))   # E12 + T E11
     y = cur.add(pm_unit(1, 0), cur.t_act(pm_unit(1, 1)))   # E21 + T E22
     # x |- y = x(0) y ; x -| y = x y(0)
-    assert cd.rprod(x, y) == {(0, 0, 0): Fraction(1), (1, 0, 1): Fraction(1)}
-    assert cd.lprod(x, y) == {(0, 0, 0): Fraction(1)}
+    assert cur.rprod(x, y) == {(0, 0, 0): Fraction(1), (1, 0, 1): Fraction(1)}
+    assert cur.lprod(x, y) == {(0, 0, 0): Fraction(1)}
+
+
+def _random_polymat(rng, dim: int, kind) -> dict:
+    """Up to 6 nonzero entries of kind (int or Fraction) in T-degree <= 3."""
+    out = {}
+    for _ in range(rng.randrange(7)):
+        value = rng.choice([-3, -1, 1, 2])
+        if kind is Fraction:
+            value = Fraction(value, rng.choice([1, 2, 3]))
+        out[(rng.randrange(4), rng.randrange(dim), rng.randrange(dim))] = value
+    return out
+
+
+@pytest.mark.parametrize("bracket", [False, True])
+def test_closed_form_coefficient_products_match_the_base_product(bracket):
+    # the closed forms x(0) y and x y(0) against the terms of base_product
+    # read off by the generic PseudoAlgebra products, on the same instance
+    rng = random.Random(23 + bracket)
+    cur = CurrentPA(3, bracket=bracket)
+    mats = [{}] + [_random_polymat(rng, 3, kind) for kind in (int, Fraction) for _ in range(20)]
+    nonzero = 0
+    for x, y in itertools.product(mats, repeat=2):
+        for closed, generic in ((cur.rprod, PseudoAlgebra.rprod), (cur.lprod, PseudoAlgebra.lprod)):
+            want = generic(cur, x, y)
+            assert closed(x, y) == want, (x, y)
+            nonzero += bool(want)
+    assert nonzero
 
 
 def test_current_n_products_concentrate():

@@ -474,13 +474,12 @@ def test_n_product_shift_relations(env2):
 
 
 def test_coefficient_dialgebra_recovers_a(env2):
-    cd = CoefficientDialgebra(env2)
     d = env2.A
     for i in range(2):
         for j in range(2):
-            assert env2.eq(cd.rprod(env2.basis_a(i), env2.basis_a(j)),
+            assert env2.eq(env2.rprod(env2.basis_a(i), env2.basis_a(j)),
                            env2.from_a(d.rprod(d.basis(i), d.basis(j))))
-            assert env2.eq(cd.lprod(env2.basis_a(i), env2.basis_a(j)),
+            assert env2.eq(env2.lprod(env2.basis_a(i), env2.basis_a(j)),
                            env2.from_a(d.lprod(d.basis(i), d.basis(j))))
 
 
@@ -497,9 +496,8 @@ def test_epsilon_examples(env2):
     e1 = env2.basis_a(0)
     # arity 1 is the identity
     assert env2.eq(epsilon_eval(env2, (LEAF, (1,), 1), [e1]), e1)
-    cd = CoefficientDialgebra(env2)
-    assert env2.eq(epsilon_eval(env2, (B2, (1, 2), 2), [e1, e1]), cd.rprod(e1, e1))
-    assert env2.eq(epsilon_eval(env2, (B2, (1, 2), 1), [e1, e1]), cd.lprod(e1, e1))
+    assert env2.eq(epsilon_eval(env2, (B2, (1, 2), 2), [e1, e1]), env2.rprod(e1, e1))
+    assert env2.eq(epsilon_eval(env2, (B2, (1, 2), 1), [e1, e1]), env2.lprod(e1, e1))
 
 
 def test_epsilon_after_psi_is_coefficient_evaluation(env2):
