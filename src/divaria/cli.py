@@ -103,6 +103,8 @@ def _read_json(path: str) -> dict:
         data = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise InputError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise InputError(f"{path}: not a JSON object")
     return data

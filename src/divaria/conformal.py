@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .current import CurrentPA, PolyMat, _mat_mult
+from .current import CurrentPA, PolyMat, _at_zero, _mult_into
 from .errors import InputError, guard_tuples
 from .fd import FDAlgebra, FDDialgebra, leibniz_to_dialgebra
 from .linalg import RowSpace, Vec, add_term, vec_axpy
@@ -99,13 +99,15 @@ class LeibnizData:
     def _check_module_axiom(self):
         """[A_s, A_t] = sum_i c_i A_i for the quotient bracket sum_i c_i x_i of x_s, x_t."""
         d = self.g.dim
+        acts = [{(0, r, c): v for (r, c), v in a.items()} for a in self.action]  # T-degree 0
         for s in range(d):
             for t in range(d):
-                lhs = _mat_mult(self.action[s], self.action[t])
-                vec_axpy(lhs, -1, _mat_mult(self.action[t], self.action[s]))
+                lhs: dict = {}
+                _mult_into(lhs, acts[s], acts[t])
+                _mult_into(lhs, acts[t], _at_zero(acts[s], -1))
                 rhs: dict = {}
                 for i, c in self.l_bracket(self.g.basis(s), self.g.basis(t)).items():
-                    vec_axpy(rhs, c, self.action[i])
+                    vec_axpy(rhs, c, acts[i])
                 if lhs != rhs:
                     raise InputError("module action does not respect the quotient bracket")
 

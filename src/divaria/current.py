@@ -21,17 +21,6 @@ def pm_unit(r: int, c: int) -> PolyMat:
     return {(0, r, c): 1}
 
 
-def _mat_mult(a: dict, b: dict) -> dict:
-    out: dict = {}
-    bt: dict = {}
-    for (r, c), v in b.items():
-        bt.setdefault(r, []).append((c, v))
-    for (r, c), va in a.items():
-        for c2, vb in bt.get(c, ()):  # a[r,c] * b[c,c2]
-            add_term(out, (r, c2), va * vb)
-    return out
-
-
 def _mult_into(out: PolyMat, a: PolyMat, b: PolyMat) -> None:
     """out += a b, the product of polynomial matrices: T-powers add."""
     rows: dict = {}
@@ -81,21 +70,19 @@ class CurrentPA(PseudoAlgebra):
         return {(k + 1, r, c): v for (k, r, c), v in a.items()}
 
     def base_product(self, x: PolyMat, y: PolyMat) -> list:
-        xs: dict = {}
-        for (k, r, c), v in x.items():
-            xs.setdefault(k, {})[(r, c)] = v
-        ys: dict = {}
-        for (k, r, c), v in y.items():
-            ys.setdefault(k, {})[(r, c)] = v
-        out = []
-        for k, xm in xs.items():
-            for l, ym in ys.items():
-                prod = _mat_mult(xm, ym)
-                if self.bracket:
-                    vec_axpy(prod, -1, _mat_mult(ym, xm))
-                if prod:
-                    out.append((k, l, {(0, r, c): v for (r, c), v in prod.items()}))
-        return out
+        """[(k, l, x_k y_l)] over the T-degree blocks x_k of x and y_l of y,
+        less y_l x_k in the commutator variant: each product one pass over
+        its left factor's entries and its right factor's rows."""
+        blocks: dict = {}
+        for a, b, sign in [(x, y, 1)] + ([(y, x, -1)] if self.bracket else []):
+            rows: dict = {}
+            for (q, r, c), v in b.items():
+                rows.setdefault(r, []).append((q, c, v))
+            for (p, r, c), va in a.items():
+                for q, c2, vb in rows.get(c, ()):  # a[r,c] T^p * b[c,c2] T^q
+                    kl = (p, q) if sign == 1 else (q, p)
+                    add_term(blocks.setdefault(kl, {}), (0, r, c2), sign * va * vb)
+        return [(k, l, m) for (k, l), m in blocks.items() if m]
 
     def rprod(self, x: PolyMat, y: PolyMat) -> PolyMat:
         """x |- y = x(0) y, less y x(0) in the commutator variant."""

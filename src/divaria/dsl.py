@@ -288,7 +288,10 @@ def parse_variety(text: str) -> IdentitySet:
                     raise ParseError("vars expects x<digits> entries", t.line, t.col)
                 declared_vars.append(int(t.text[1:]))
         elif head.kind == "name" and head.text == "identity":
-            poly = parse_identity(ts[1:])
+            try:
+                poly = parse_identity(ts[1:])
+            except RecursionError:  # the parser and the tree walks recurse once per level
+                raise ParseError("identity nested too deeply", ln, head.col) from None
             if not isinstance(poly, MultilinearPoly):
                 raise InputError(f"line {ln}: variety identities use '*' only")
             identities.append(poly)

@@ -14,12 +14,11 @@ for the associative, commutative, alternative, Lie and Jordan varieties.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import perms
-from .errors import InputError, guard_tuples
+from .errors import InputError
 from .linalg import add_term
 from .operads import IdentitySet
 from .words import (DiPoly, DiShape, DILEAF, LEAF, LPROD, MultilinearPoly, RPROD,
@@ -60,19 +59,16 @@ def zero_dialgebra_axioms() -> tuple[DiPoly, DiPoly]:
 
 
 def _orbit_key(p: DiPoly) -> tuple:
-    """Canonical key of a nonzero identity modulo relabeling and scalars;
-    ResourceError, before S_n is built, if n! relabelings exceed the bound."""
-    n = p.arity
-    guard_tuples(math.factorial(n), f"{n}! relabelings of an arity-{n} identity")
-    best = None
-    for sigma in perms.symmetric_group(n):
-        q = p.act(sigma)
-        lead_coeff = q.terms[q.leading()]
-        q = q.scale(Fraction(1, lead_coeff))
-        key = q.sort_key()
-        if best is None or key < best:
-            best = key
-    return best
+    """Canonical key of a nonzero identity modulo relabeling and scalars:
+    the least sort_key of p.act(sigma) scaled to leading coefficient 1.
+
+    A relabeling keeps each shape and composes each perm with sigma, so the
+    least key starts with ((least shape key, identity), 1), which only
+    sigma = perm^-1 reaches, for a term (shape, perm) of least shape key:
+    the least key over those candidates, at most one per term, is the key."""
+    least = min(shape.key for shape, _ in p.terms)
+    return min(p.act(perms.inverse(perm)).scale(Fraction(1, c)).sort_key()
+               for (shape, perm), c in p.terms.items() if shape.key == least)
 
 
 @dataclass(frozen=True)

@@ -257,9 +257,6 @@ class TermPoly:
         a total order on the polynomials of one kind."""
         return tuple(sorted((self._mono_key(m), c) for m, c in self.terms.items()))
 
-    def leading(self):
-        return min(self.terms, key=self._mono_key)
-
     def _binary_check(self, other):
         if type(other) is not type(self):
             raise InputError(f"cannot mix {type(self).__name__} with {type(other).__name__}")

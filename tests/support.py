@@ -28,10 +28,14 @@ never calls them, so they live here and not in the package.
 - relabeled_consequences, the consequence span with every relabeling
   built as a polynomial and then mapped to coordinates, the reference of
   operads.consequence_space, which permutes coordinates instead;
+- relabeled_orbit_key, the least scaled sort key over all n! relabelings,
+  the reference of translate._orbit_key, which tries one candidate
+  relabeling per term of least shape;
 - parse_expression, one identity read by the parser of variety files.
 """
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 from divaria import perms
@@ -254,3 +258,15 @@ def relabeled_consequences(sigma, n: int) -> RowSpace:
         for s in perms.symmetric_group(n):
             space.add(to_vec(g0.act(s)))
     return space
+
+
+def relabeled_orbit_key(p: DiPoly) -> tuple:
+    """The least sort_key of p.act(sigma) / (its leading coefficient) over
+    every sigma in S_n."""
+    best = None
+    for sigma in perms.symmetric_group(p.arity):
+        q = p.act(sigma)
+        key = q.scale(Fraction(1, q.sorted_terms()[0][1])).sort_key()
+        if best is None or key < best:
+            best = key
+    return best

@@ -252,6 +252,34 @@ def test_identity_ending_early_names_its_line_end(tmp_path, capsys, identity, co
     assert out.out == "" and out.err == f"error: line 2, column {column}: {message}\n"
 
 
+def nested_identity(depth: int) -> str:
+    """x1*(x2*(...*(x{depth-1}*x{depth}))), parenthesized depth - 2 levels deep."""
+    expr = f"x{depth - 1}*x{depth}"
+    for i in range(depth - 2, 0, -1):
+        expr = f"x{i}*({expr})"
+    return expr
+
+
+def test_deeply_nested_identity_exits_2(tmp_path, capsys):
+    # the parser recurses once per level, so a deep enough file ran out of stack
+    f = tmp_path / "deep.var"
+    f.write_text(f"variety deep\nidentity {nested_identity(300)}\n")
+    assert main(["derive", "--variety", str(f)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: line 2, column 1: identity nested too deeply\n"
+    f.write_text(f"variety deep\nidentity {nested_identity(100)}\n")
+    assert main(["derive", "--variety", str(f), "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["identities"]) == 2 + 100
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["check", "--dialgebra", str(f), "--variety", "lie"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {f}: JSON nested too deeply\n"
+
+
 def test_decimal_entries_still_load(tmp_path, capsys):
     f = tmp_path / "g.json"
     f.write_text('{"dim": 2, "bracket": [[[0, "0.5"], [0, 0]], [[0, 0], [0, 0]]]}')
@@ -322,9 +350,7 @@ def test_represent_refuses_gl3_up_front(tmp_path, capsys):
      "words of degree 7 on 2^7 basis tuples: 85155840 tuples exceed the enumeration bound"),
     (2000, ["represent", "--leibniz", "GL2"],
      "13^3 triples of the generated subspace: 2197 tuples exceed the enumeration bound 2000"),
-    (5, ["derive", "--variety", "associative"],
-     "3! relabelings of an arity-3 identity: 6 tuples exceed the enumeration bound 5"),
-], ids=["check", "envelope", "envelope-verify", "represent", "derive"])
+], ids=["check", "envelope", "envelope-verify", "represent"])
 def test_tuple_bound_exits_2(tmp_path, capsys, monkeypatch, bound, argv, message):
     f = tmp_path / "gl2.json"
     f.write_text(json.dumps(gl_file(2)))
@@ -334,20 +360,37 @@ def test_tuple_bound_exits_2(tmp_path, capsys, monkeypatch, bound, argv, message
     assert out.out == "" and message in out.err
 
 
-@pytest.mark.parametrize("argv", [
-    ["derive", "--variety", "ARITY9"],
-    ["check", "--dialgebra", "leibniz2.json", "--variety", "ARITY9"],
-    ["envelope", "--dialgebra", "leibniz2.json", "--variety", "ARITY9"],
+def test_derive_enumerates_no_tuples(capsys, monkeypatch):
+    # derive relabels each candidate once per term, so no tuple bound applies
+    unbounded = run(capsys, "derive", "--variety", "associative")
+    assert unbounded[0] == 0
+    monkeypatch.setattr("divaria.errors.TUPLE_BOUND", 5)
+    assert run(capsys, "derive", "--variety", "associative") == unbounded
+
+
+ARITY9 = ("variety arity9\nidentity x1*(x2*(x3*(x4*(x5*(x6*(x7*(x8*x9)))))))"
+          " - ((((((((x1*x2)*x3)*x4)*x5)*x6)*x7)*x8)*x9)\n")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["derive", "--variety", "ARITY9", "--json"], 0),
+    (["check", "--dialgebra", "leibniz2.json", "--variety", "ARITY9"], 0),
+    (["envelope", "--dialgebra", "leibniz2.json", "--variety", "ARITY9"], 2),
 ], ids=["derive", "check", "envelope"])
-def test_arity_9_identity_exits_2_before_its_relabelings(tmp_path, capsys, argv):
+def test_arity_9_identity_needs_no_relabeling_bound(tmp_path, capsys, argv, code):
     f = tmp_path / "arity9.var"
-    f.write_text("variety arity9\nidentity x1*(x2*(x3*(x4*(x5*(x6*(x7*(x8*x9)))))))"
-                 " - ((((((((x1*x2)*x3)*x4)*x5)*x6)*x7)*x8)*x9)\n")
-    assert main([str(f) if a == "ARITY9" else a for a in argv]) == 2
+    f.write_text(ARITY9)
+    assert main([str(f) if a == "ARITY9" else a for a in argv]) == code
     out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == ("error: 9! relabelings of an arity-9 identity: "
-                       "362880 tuples exceed the enumeration bound 200000\n")
+    if argv[0] == "derive":
+        # the two zero-dialgebra axioms, then one identity per center
+        assert len(json.loads(out.out)["identities"]) == 2 + 9
+    elif argv[0] == "check":
+        assert "satisfies the arity9 dialgebra identities" in out.out
+    else:  # refused by the guard of check_var_pseudo on the 5 generators of the envelope
+        assert out.out == ""
+        assert out.err == ("error: 5^9 generator tuples: 1953125 tuples exceed "
+                           "the enumeration bound 200000\n")
 
 
 def test_envelope_fails_on_dependent_basis_images(capsys, monkeypatch):

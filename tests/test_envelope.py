@@ -11,9 +11,11 @@ from divaria.envelope import (BasisElement, CElement, EnvelopePA, _word_values,
                               oracle_sweep)
 from divaria.pseudo import (CoefficientDialgebra, Spread, _eval_plain, accumulate, act_spread,
                             check_var_pseudo, eval_term, leaf_spread, n_product, pseudo_product)
+from divaria.conformal import build_rho
+from divaria.current import CurrentPA
 from divaria.errors import InputError, ResourceError
 from divaria.fd import (abelian, corpus, diagonal_lift, dual_numbers, leibniz2,
-                        leibniz_to_dialgebra)
+                        leibniz_to_dialgebra, sl2)
 from divaria.linalg import vec_axpy
 from divaria.operads import IdentitySet
 from divaria.perms import random_perm, symmetric_group
@@ -568,3 +570,41 @@ def test_extend_hom_degree_gate(env2):
     fat = FatDegree(env2.A)
     with pytest.raises(InputError):
         extend_hom(fat, [fat.basis_a(0), fat.basis_a(1)], fat)
+
+
+def test_extend_hom_refuses_the_quotient_into_the_envelope(env2):
+    # the identity of A does not extend from the Lie quotient to the envelope it quotients
+    q = build_var_quotient(env2, LIE).quotient
+    with pytest.raises(InputError) as err:
+        extend_hom(q, [env2.basis_a(0), env2.basis_a(1)], env2)
+    assert str(err.value) == "relation subspace is not killed by the extension"
+
+
+class DoubledT(CurrentPA):
+    """T acts as 2T; the coefficient products, in closed form, do not read T."""
+
+    def t_act(self, a):
+        return super().t_act(self.scale(a, 2))
+
+
+class DoubledConstantBlock(CurrentPA):
+    """The product of the T-degree 0 blocks doubled: only the 0-products
+    change, and the closed-form coefficient products do not read them."""
+
+    def base_product(self, x, y):
+        return [(k, l, self.scale(m, 2) if k == l == 0 else m)
+                for k, l, m in super().base_product(x, y)]
+
+
+@pytest.mark.parametrize("g,fault,message", [
+    (leibniz2, DoubledT, "extension is not T-linear at generator [e1(x)e1]"),
+    (sl2, DoubledConstantBlock, "products not preserved at (e, f)"),
+], ids=["t-linear", "preserves-products"])
+def test_extend_hom_refuses_a_faulted_target(g, fault, message):
+    # sl2's Lie quotient has no pair generators, so T-linearity is checked on leibniz2
+    q = build_var_quotient(build_envelope(leibniz_to_dialgebra(g())), LIE).quotient
+    rep = build_rho(g())
+    assert all(extend_hom(q, rep.rho, rep.cur_lie).checks.values())
+    with pytest.raises(InputError) as err:
+        extend_hom(q, rep.rho, fault(rep.cur_lie.dim, bracket=True))
+    assert str(err.value) == message

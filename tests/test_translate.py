@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from divaria import translate
+from divaria.dsl import parse_variety
 from divaria.errors import InputError
 from divaria.operads import ALGSE, DIALGS, IdentitySet
 from divaria.perms import random_partition, random_perm, symmetric_group
@@ -11,7 +13,7 @@ from divaria.translate import (_orbit_key, derive_variety, psi_section, rewrite_
 from divaria.varieties import builtin_identity_set
 from divaria.words import (DiPoly, DILEAF, LEAF, LPROD, RPROD, TensorPoly,
                            all_dishapes, all_shapes, dinode, node)
-from support import alpha_center, parse_expression, psi
+from support import alpha_center, parse_expression, psi, relabeled_orbit_key
 
 B2D_L = dinode(LPROD, DILEAF, DILEAF)
 B2D_R = dinode(RPROD, DILEAF, DILEAF)
@@ -133,6 +135,57 @@ def test_orbit_key_divides_exactly():
     key = _orbit_key(p)
     assert key == _orbit_key(p.scale(Fraction(2, 7)))
     assert all(type(c) in (int, Fraction) for _, c in key)
+
+
+def keyed_candidates(monkeypatch, sigma) -> list:
+    """[(p, n)] for every candidate p that derive_variety(sigma) keys, n the
+    number of DiPoly.act calls its key made."""
+    act, orbit_key = DiPoly.act, translate._orbit_key
+    acts, out = [], []
+
+    def counted_act(self, perm):
+        acts.append(perm)
+        return act(self, perm)
+
+    def counted_key(p):
+        before = len(acts)
+        key = orbit_key(p)
+        out.append((p, len(acts) - before))
+        return key
+
+    monkeypatch.setattr(DiPoly, "act", counted_act)
+    monkeypatch.setattr(translate, "_orbit_key", counted_key)
+    derive_variety(sigma)
+    monkeypatch.undo()
+    return out
+
+
+def test_orbit_key_equals_the_key_over_all_relabelings(monkeypatch):
+    rng = random.Random(22)
+    polys = []
+    while len(polys) < 400:
+        n = rng.randint(2, 5)
+        p = DiPoly(n, {DiPoly.random_mono(n, rng): rng.choice((-3, -1, Fraction(1, 2), 1, 2))
+                       for _ in range(rng.randint(1, 6))})
+        if not p.is_zero():
+            polys.append(p)
+    for name in ("associative", "commutative", "alternative", "lie", "jordan"):
+        polys += [p for p, _ in keyed_candidates(monkeypatch, builtin_identity_set(name))]
+    for p in polys:
+        assert _orbit_key(p) == relabeled_orbit_key(p), p
+
+
+def test_orbit_key_relabels_at_most_once_per_term(monkeypatch):
+    right = "x8"
+    for i in range(7, 0, -1):
+        right = f"x{i}*({right})"
+    left = "x1"
+    for i in range(2, 9):
+        left = f"({left})*x{i}"
+    sigma = parse_variety(f"variety arity8\nidentity {right} - {left}\n")
+    calls = keyed_candidates(monkeypatch, sigma)
+    assert len(calls) == 8
+    assert all(0 < n <= len(p.terms) for p, n in calls)
 
 
 def test_derive_alternative_exactly_four():
