@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -130,12 +131,20 @@ class Report:
         self.lines.append(f"FAIL: {detail}")
 
     def emit(self, as_json: bool) -> int:
-        if as_json:
-            print(json.dumps(self.data, indent=2, sort_keys=True))
-        else:
-            for line in self.lines:
-                print(line)
-            print(f"status: {self.data['status']}")
+        """Print the report; a reader that closed stdout early changes no exit code."""
+        try:
+            if as_json:
+                print(json.dumps(self.data, indent=2, sort_keys=True))
+            else:
+                for line in self.lines:
+                    print(line)
+                print(f"status: {self.data['status']}")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the rest of the report goes nowhere, and so does the flush at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 0 if self.data["status"] == "pass" else 1
 
 

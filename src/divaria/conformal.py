@@ -237,9 +237,22 @@ def embed_associative(bracket: FDAlgebra,
                       module: str = "trivial") -> tuple[RepReport, ConformalRep]:
     """Realize g inside the associative coefficient dialgebra of the current
     algebra and verify the associative-dialgebra identities on the subspace
-    generated by the image under both products, words of length <= 3.  The
-    basis of that subspace must begin with the d images of rho, which are
-    then independent, and its T-degree must stay <= 2."""
+    S generated by the image under both products, words of length <= 3.  The
+    basis of S must begin with the d images of rho, which are then
+    independent, and its T-degree D must stay <= 2.
+
+    The 5 identities (the zero-dialgebra axioms and the derived associative
+    ones, all of arity 3) are evaluated on the matrix units E_rc T^k of the
+    current algebra with r, c < 2 and k <= D, not on the triples of S; the
+    units exist since dim M0 >= 2.  This covers S.  As x |- y = x(0) y and
+    x -| y = x y(0), the current algebra on N x N matrices is M_N (x) Cur(k),
+    so an identity p whose monomials all keep their leaves in order factors
+    as p(f1 X1, f2 X2, f3 X3) = X1 X2 X3 p(f1, f2, f3), with the right-hand p
+    evaluated in Cur(k).  It vanishes on all of Cur(M_N) in T-degree <= D,
+    and so on S, if it vanishes on the units.  Units of M_2, not of M_1,
+    because 1 x 1 matrices commute and would hide a product taken in the
+    wrong order.  For an identity that permutes its leaves the reduction is
+    unsound, and it is refused."""
     rep = build_rho(bracket, module)
     cur = rep.cur
     report = RepReport()
@@ -249,19 +262,25 @@ def embed_associative(bracket: FDAlgebra,
     report.record("generated-subspace", basis_mats[:d] == rep.rho,
                   f"the basis does not begin with the {d} images of rho")
 
-    ok = all(max((k for (k, _r, _c) in m), default=0) <= 2 for m in basis_mats)
-    report.record("degree-truncation", ok, "degree exceeds 2")
+    top = max((k for m in basis_mats for (k, _r, _c) in m), default=0)
+    report.record("degree-truncation", top <= 2, "degree exceeds 2")
 
-    dv_axioms = list(zero_dialgebra_axioms())
-    diass = derive_variety(builtin_identity_set("associative")).derived
-    guard_tuples(len(basis_mats) ** 3, f"{len(basis_mats)}^3 triples of the generated subspace")
+    identities = [*zero_dialgebra_axioms(),
+                  *derive_variety(builtin_identity_set("associative")).derived]
+    for p in identities:
+        if any(perm != tuple(range(1, p.arity + 1)) for _shape, perm in p.terms):
+            raise InputError(f"{p} does not keep its leaves in order, "
+                             "so the matrix units of the current algebra cannot check it")
+    units = [{(k, r, c): 1} for k in range(top + 1) for r in range(2) for c in range(2)]
+    where = f"the Cur(M2) units of T-degree <= {top}"
+    guard_tuples(len(units) ** 3, f"{len(units)}^3 triples of {where}")
     products = CoefficientDialgebra(cur).products
-    subwords: dict = {}  # the basis products, computed once for every identity
+    subwords: dict = {}  # the unit products, computed once for every identity
     bad = None
-    for p in itertools.chain(dv_axioms, diass):
-        values = eval_on_tuples(p, basis_mats, products, subwords)
+    for p in identities:
+        values = eval_on_tuples(p, units, products, subwords)
         if any(not cur.is_zero(val) for _idx, val in values):
-            bad = f"{p} fails on generated subspace"
+            bad = f"{p} fails on {where}"
             break
     report.record("associative-dialgebra-identities", bad is None, bad or "")
 

@@ -514,9 +514,7 @@ def build_var_quotient(env: EnvelopePA, sigma: IdentitySet) -> VarQuotient:
                     f"degree-zero part of {t} at basis tuple {idx} is nonzero; "
                     f"the identity fails on A")
             for exps, elem in spread.terms.items():
-                if any(exps):
-                    if elem.c0:
-                        raise InputError("unexpected free part in ideal generator")
+                if any(exps):  # _closed_spread puts the free part at exponent zero only
                     rows.add(dict(elem.c1))
     quotient = EnvelopePA(a, extra_relations=rows.rows())
     return VarQuotient(rows, quotient)

@@ -31,6 +31,9 @@ never calls them, so they live here and not in the package.
 - relabeled_orbit_key, the least scaled sort key over all n! relabelings,
   the reference of translate._orbit_key, which tries one candidate
   relabeling per term of least shape;
+- generated_subspace_failure, the 5 identities of embed_associative
+  evaluated on every triple of the generated subspace's basis, the
+  reference of its check on the matrix units of the current algebra;
 - parse_expression, one identity read by the parser of variety files.
 """
 
@@ -39,6 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from divaria import perms
+from divaria.conformal import generated_basis
 from divaria.dsl import parse_identity, tokenize
 from divaria.envelope import closed_form_eval
 from divaria.errors import InputError
@@ -46,9 +50,11 @@ from divaria.fd import FDAlgebra, Witness
 from divaria.linalg import RowSpace, vec_axpy
 from divaria.operads import consequence_generators
 from divaria.perms import Perm
-from divaria.pseudo import Spread, accumulate, eval_term
+from divaria.pseudo import CoefficientDialgebra, Spread, accumulate, eval_term
+from divaria.translate import derive_variety, zero_dialgebra_axioms
+from divaria.varieties import builtin_identity_set
 from divaria.words import (DiPoly, DiShape, LEAF, LPROD, RPROD, Shape, TensorPoly,
-                           basis_monomials, eval_shape_tree, node, to_vec)
+                           basis_monomials, eval_on_tuples, eval_shape_tree, node, to_vec)
 
 
 def parse_expression(text: str):
@@ -270,3 +276,16 @@ def relabeled_orbit_key(p: DiPoly) -> tuple:
         if best is None or key < best:
             best = key
     return best
+
+
+def generated_subspace_failure(rep):
+    """The first of the zero-dialgebra axioms and the derived associative
+    identities that fails on a triple of generated_basis(rep) under the
+    coefficient products of rep.cur, or None if all 5 vanish there."""
+    basis = generated_basis(rep)
+    products = CoefficientDialgebra(rep.cur).products
+    subwords: dict = {}
+    for p in (*zero_dialgebra_axioms(), *derive_variety(builtin_identity_set("associative")).derived):
+        if any(val for _idx, val in eval_on_tuples(p, basis, products, subwords)):
+            return p
+    return None

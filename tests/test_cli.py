@@ -1,11 +1,18 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import divaria
 from divaria import cli, conformal, pseudo
 from divaria.cli import main
 from divaria.envelope import EnvelopePA
+from divaria.words import DiPoly, all_dishapes
 from support import gl, parse_expression
 
 
@@ -332,13 +339,28 @@ def gl_file(n: int) -> dict:
     return {"dim": n * n, "bracket": gl(n).table}
 
 
-def test_represent_refuses_gl3_up_front(tmp_path, capsys):
+def test_represent_embeds_gl3(tmp_path, capsys):
+    # the generated subspace has 73 basis elements, but the identities are
+    # checked on the 8 matrix units of T-degree <= 1, not on its 73^3 triples
     f = tmp_path / "gl3.json"
     f.write_text(json.dumps(gl_file(3)))
-    assert main(["represent", "--leibniz", str(f), "--json"]) == 2
+    code, out = run(capsys, "represent", "--leibniz", str(f), "--json")
+    assert code == 0
+    report = json.loads(out)
+    embed = {k: v for k, v in report.items() if k.startswith("embed_")}
+    assert len(embed) == 4 and all(embed.values())
+    assert report["status"] == "pass"
+
+
+def test_represent_refuses_an_identity_that_permutes_its_leaves(capsys, monkeypatch):
+    word = DiPoly.monomial(all_dishapes(3)[0], (2, 1, 3))
+    monkeypatch.setattr("divaria.conformal.derive_variety",
+                        lambda _sigma: SimpleNamespace(derived=(word,)))
+    assert main(["represent", "--leibniz", "leibniz2.json"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert "73^3 triples of the generated subspace: 389017 tuples exceed" in out.err
+    assert out.err == (f"error: {word} does not keep its leaves in order, "
+                       "so the matrix units of the current algebra cannot check it\n")
 
 
 @pytest.mark.parametrize("bound,argv,message", [
@@ -348,8 +370,8 @@ def test_represent_refuses_gl3_up_front(tmp_path, capsys):
      "4^3 generator tuples: 64 tuples exceed the enumeration bound 8"),
     (200_000, ["envelope", "--dialgebra", "leibniz2.json", "--verify", "--max-arity", "7"],
      "words of degree 7 on 2^7 basis tuples: 85155840 tuples exceed the enumeration bound"),
-    (2000, ["represent", "--leibniz", "GL2"],
-     "13^3 triples of the generated subspace: 2197 tuples exceed the enumeration bound 2000"),
+    (511, ["represent", "--leibniz", "GL2"],
+     "8^3 triples of the Cur(M2) units of T-degree <= 1: 512 tuples exceed the enumeration bound 511"),
 ], ids=["check", "envelope", "envelope-verify", "represent"])
 def test_tuple_bound_exits_2(tmp_path, capsys, monkeypatch, bound, argv, message):
     f = tmp_path / "gl2.json"
@@ -434,3 +456,21 @@ def test_json_reports_are_byte_identical(capsys, argv):
     code, out = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", [["derive", "--variety", "associative", "--json"],
+                                  ["check", "--dialgebra", "leibniz2.json", "--variety", "lie"]],
+                         ids=["derive-json", "check-text"])
+def test_closed_stdout_prints_no_traceback(argv):
+    # the reader is gone before the report is written, in JSON or as text:
+    # no traceback, and the exit code is the report's
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(divaria.__file__).parents[1])}
+    try:
+        done = subprocess.run([sys.executable, "-m", "divaria.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60, text=True)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr and "Exception" not in done.stderr
+    assert done.returncode == 0

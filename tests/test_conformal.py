@@ -6,13 +6,14 @@ import pytest
 
 from divaria.conformal import (LeibnizData, build_rho, embed_associative, generated_basis,
                                verify_representation)
-from divaria.current import CurrentPA
+from divaria.current import CurrentPA, _at_zero, _mult_into
 from divaria.envelope import build_envelope, build_var_quotient, extend_hom
 from divaria.errors import InputError
 from divaria.fd import FDAlgebra, leibniz2, leibniz3, leibniz_to_dialgebra, sl2
 from divaria.pseudo import CoefficientDialgebra, check_var_pseudo
 from divaria.varieties import builtin_identity_set
 from divaria.words import DiPoly, all_dishapes, eval_on_tuples
+from support import generated_subspace_failure, gl
 
 
 def test_leibniz_data_quotient():
@@ -118,7 +119,7 @@ FAULTS = [
     ("generated-subspace", leibniz2, _image_zeroed),
     ("generated-subspace", leibniz2, _image_duplicated),
     ("degree-truncation", leibniz2, _image_gains_t_cubed),
-    ("associative-dialgebra-identities", sl2, _products_swapped),  # leibniz2: triple products are 0
+    ("associative-dialgebra-identities", sl2, _products_swapped),
     ("mirror-bracket-identity", leibniz2, _commutator_products),
 ]
 
@@ -143,6 +144,62 @@ def test_every_represent_check_has_a_fault(monkeypatch):
     checks = _checks(build_rho(leibniz2()), monkeypatch)
     assert all(checks.values())
     assert set(checks) == {name for name, *_rest in FAULTS}
+
+
+def gl2():
+    return gl(2)
+
+
+@pytest.mark.parametrize("alg", [leibniz2, sl2, gl2])
+def test_unit_check_agrees_with_the_generated_subspace_reference(alg):
+    report, rep = embed_associative(alg())
+    assert report.checks["associative-dialgebra-identities"]
+    assert generated_subspace_failure(rep) is None
+
+
+# mutants of the coefficient products x |- y = x(0) y and x -| y = x y(0)
+def _times(a, b):
+    out: dict = {}
+    _mult_into(out, a, b)
+    return out
+
+
+def _t1_part(a):
+    """The T^1 coefficient of a, as a constant matrix."""
+    return {(0, r, c): v for (k, r, c), v in a.items() if k == 1}
+
+
+def _rprod_reads_t1(rep):
+    rep.cur.rprod = lambda x, y: _times(_t1_part(x), y)
+
+
+def _lprod_reads_t1(rep):
+    rep.cur.lprod = lambda x, y: _times(x, _t1_part(y))
+
+
+def _rprod_keeps_every_degree(rep):
+    rep.cur.rprod = _times
+
+
+def _rprod_in_the_wrong_order(rep):  # y x(0): the same as x(0) y on 1 x 1 matrices
+    rep.cur.rprod = lambda x, y: _times(y, _at_zero(x))
+
+
+# (mutant, whether the generated-subspace reference sees it on gl2):
+# _rprod_keeps_every_degree turns the first zero-dialgebra axiom into
+# -T x y(1) z, which vanishes on every triple of the generated subspace of gl2
+# but not on the matrix units; _rprod_in_the_wrong_order needs units of M_2
+MUTANTS = [(_products_swapped, True), (_rprod_reads_t1, True), (_lprod_reads_t1, True),
+           (_rprod_keeps_every_degree, False), (_rprod_in_the_wrong_order, True)]
+
+
+@pytest.mark.parametrize("mutant,seen_on_subspace", MUTANTS,
+                         ids=[mutant.__name__ for mutant, _seen in MUTANTS])
+def test_coefficient_product_mutant_fails_the_unit_check(mutant, seen_on_subspace, monkeypatch):
+    rep = build_rho(gl2())
+    mutant(rep)
+    assert not _checks(rep, monkeypatch)["associative-dialgebra-identities"]
+    assert (generated_subspace_failure(rep) is not None) == seen_on_subspace
 
 
 def _forbid(*_args, **_kwargs):
@@ -191,9 +248,10 @@ def test_embed_associative_reports_a_failing_identity(monkeypatch):
     word = DiPoly.monomial(all_dishapes(3)[0], (1, 2, 3))
     monkeypatch.setattr("divaria.conformal.derive_variety",
                         lambda _sigma: SimpleNamespace(derived=(word,)))
-    report, _rep = embed_associative(sl2())  # on leibniz2 every triple product is 0
+    report, _rep = embed_associative(sl2())
     assert not report.checks["associative-dialgebra-identities"]
-    assert report.failures == [f"associative-dialgebra-identities: {word} fails on generated subspace"]
+    assert report.failures == [f"associative-dialgebra-identities: {word} fails on "
+                               "the Cur(M2) units of T-degree <= 1"]
 
 
 def test_extension_through_rho():

@@ -14,7 +14,7 @@ from divaria.pseudo import (CoefficientDialgebra, Spread, _eval_plain, accumulat
 from divaria.conformal import build_rho
 from divaria.current import CurrentPA
 from divaria.errors import InputError, ResourceError
-from divaria.fd import (abelian, corpus, diagonal_lift, dual_numbers, leibniz2,
+from divaria.fd import (FDDialgebra, abelian, corpus, diagonal_lift, dual_numbers, leibniz2,
                         leibniz_to_dialgebra, sl2)
 from divaria.linalg import vec_axpy
 from divaria.operads import IdentitySet
@@ -61,13 +61,27 @@ def test_envelope_relations_abelian_and_diagonal():
 
 
 def test_envelope_rejects_non_zero_dialgebra():
-    from divaria.fd import FDDialgebra
     left = [[(1, 0), (0, 0)], [(0, 0), (0, 0)]]
     right = [[(0, 0), (0, 0)], [(0, 0), (0, 1)]]
     with pytest.raises(InputError) as err:
         build_envelope(FDDialgebra(left, right))
     assert str(err.value) == ("not a zero-dialgebra: identity (x1-|x2)|-x3 - (x1|-x2)|-x3 "
                               "fails at (b2, b2, b2); defect ('0', '-1')")
+
+
+def test_envelope_refuses_defect_tensors_that_t_does_not_kill():
+    # on a zero-dialgebra <x,y> = 0 for defects x, y; here e-|e = e and
+    # e|-e = 0, so <e,e> = -e spans the defects and T(e (x) e) = -e
+    with pytest.raises(InputError, match="defect tensors are not killed by T"):
+        EnvelopePA(FDDialgebra([[[1]]], [[[0]]]))
+
+
+def test_envelope_refuses_a_relation_that_t_does_not_kill():
+    d = leibniz_to_dialgebra(leibniz2())
+    assert d.defect(d.basis(0), d.basis(0))  # so T(e1 (x) e1) is not 0
+    EnvelopePA(d, extra_relations=[{(1, 1): 1}])  # <e2,e2> = 0: T kills it
+    with pytest.raises(InputError, match="quotient relation not killed by T"):
+        EnvelopePA(d, extra_relations=[{(0, 0): 1}])
 
 
 # ---------------------------------------------------------------------------
