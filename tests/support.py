@@ -31,9 +31,12 @@ never calls them, so they live here and not in the package.
 - relabeled_orbit_key, the least scaled sort key over all n! relabelings,
   the reference of translate._orbit_key, which tries one candidate
   relabeling per term of least shape;
-- generated_subspace_failure, the 5 identities of embed_associative
-  evaluated on every triple of the generated subspace's basis, the
-  reference of its check on the matrix units of the current algebra;
+- generated_basis and generated_subspace_failure, a basis of the subspace
+  S that the images of rho generate, and the 5 identities of
+  embed_associative evaluated on every triple of it, the references of
+  the two facts about S that embed_associative reads off the images (S
+  begins with them when they have rank d; S's top T-degree is theirs) and
+  of its check on the matrix units of the current algebra;
 - parse_expression, one identity read by the parser of variety files.
 """
 
@@ -42,7 +45,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from divaria import perms
-from divaria.conformal import generated_basis
 from divaria.dsl import parse_identity, tokenize
 from divaria.envelope import closed_form_eval
 from divaria.errors import InputError
@@ -276,6 +278,20 @@ def relabeled_orbit_key(p: DiPoly) -> tuple:
         if best is None or key < best:
             best = key
     return best
+
+
+def generated_basis(rep) -> list:
+    """A basis of the span of the words of length <= 3 in the images rho(x)
+    under both coefficient products of the associative current algebra,
+    the first independent ones in order."""
+    ops = (rep.cur.rprod, rep.cur.lprod)
+    layer1 = rep.rho
+    layer2 = [op(x, y) for x in layer1 for y in layer1 for op in ops]
+    layer3 = [op(x, y) for x, y in itertools.chain(
+        itertools.product(layer1, layer2), itertools.product(layer2, layer1))
+        for op in ops]
+    span = RowSpace()
+    return [m for m in itertools.chain(layer1, layer2, layer3) if m and span.add(dict(m))]
 
 
 def generated_subspace_failure(rep):

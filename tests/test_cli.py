@@ -12,6 +12,7 @@ import divaria
 from divaria import cli, conformal, pseudo
 from divaria.cli import main
 from divaria.envelope import EnvelopePA
+from divaria.fd import sl2
 from divaria.words import DiPoly, all_dishapes
 from support import gl, parse_expression
 
@@ -350,6 +351,18 @@ def test_represent_embeds_gl3(tmp_path, capsys):
     embed = {k: v for k, v in report.items() if k.startswith("embed_")}
     assert len(embed) == 4 and all(embed.values())
     assert report["status"] == "pass"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "02b8014c41a3827eb563682638ce5ae0c22e722cea681df2d9512c4b60c0f278")
+
+
+def test_represent_sl2_adjoint_is_byte_identical(tmp_path, capsys):
+    # the generated subspace of sl2 on the adjoint module has 30 basis elements
+    f = tmp_path / "sl2.json"
+    f.write_text(json.dumps({"dim": 3, "bracket": sl2().table}))
+    code, out = run(capsys, "represent", "--leibniz", str(f), "--module", "adjoint", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7426f4b99576e2778bc2393614185ebc5dc4db7ce6962864d0069603abd4f03d")
 
 
 def test_represent_refuses_an_identity_that_permutes_its_leaves(capsys, monkeypatch):

@@ -4,16 +4,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from divaria.conformal import (LeibnizData, build_rho, embed_associative, generated_basis,
-                               verify_representation)
+from divaria.conformal import LeibnizData, build_rho, embed_associative, verify_representation
 from divaria.current import CurrentPA, _at_zero, _mult_into
 from divaria.envelope import build_envelope, build_var_quotient, extend_hom
 from divaria.errors import InputError
 from divaria.fd import FDAlgebra, leibniz2, leibniz3, leibniz_to_dialgebra, sl2
+from divaria.linalg import RowSpace
 from divaria.pseudo import CoefficientDialgebra, check_var_pseudo
 from divaria.varieties import builtin_identity_set
 from divaria.words import DiPoly, all_dishapes, eval_on_tuples
-from support import generated_subspace_failure, gl
+from support import generated_basis, generated_subspace_failure, gl
 
 
 def test_leibniz_data_quotient():
@@ -150,11 +150,25 @@ def gl2():
     return gl(2)
 
 
-@pytest.mark.parametrize("alg", [leibniz2, sl2, gl2])
-def test_unit_check_agrees_with_the_generated_subspace_reference(alg):
-    report, rep = embed_associative(alg())
+@pytest.mark.parametrize("alg,module", [
+    (leibniz2, "trivial"), (sl2, "trivial"), (gl2, "trivial"), (sl2, "adjoint"), (gl2, "adjoint")],
+    ids=["leibniz2", "sl2", "gl2", "sl2-adjoint", "gl2-adjoint"])
+def test_unit_check_agrees_with_the_generated_subspace_reference(alg, module):
+    report, rep = embed_associative(alg(), module)
     assert report.checks["associative-dialgebra-identities"]
-    assert generated_subspace_failure(rep) is None
+    if module == "trivial":  # the adjoint module's S has 30 and 40 elements: seconds of triples
+        assert generated_subspace_failure(rep) is None
+    # the two facts about S that embed_associative reads off the images of
+    # rho: S's basis begins with them exactly when they have rank d, and S's
+    # top T-degree is theirs, as |- and -| each take one factor at T = 0
+    assert report.checks["generated-subspace"]
+    d = len(rep.rho)
+    for images in (rep.rho, [*rep.rho[:-1], rep.rho[0]]):  # the second has rank d - 1
+        rep.rho = images
+        basis = generated_basis(rep)
+        assert (basis[:d] == images) == (RowSpace(dict(m) for m in images).rank == d)
+        assert (max(k for m in basis for k, _r, _c in m)
+                == max(k for m in images for k, _r, _c in m))
 
 
 # mutants of the coefficient products x |- y = x(0) y and x -| y = x y(0)
@@ -266,5 +280,31 @@ def test_extension_through_rho():
 
 
 def test_module_choice_errors():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="unknown module choice 'nonsense'"):
         build_rho(leibniz2(), "nonsense")
+
+
+def test_adjoint_module_of_the_zero_algebra_is_refused():
+    # a nonzero left Leibniz algebra has a nonzero Lie quotient, and the CLI
+    # refuses dimension 0, so only the API reaches this
+    with pytest.raises(InputError, match="quotient Lie algebra is zero; adjoint module is empty"):
+        build_rho(FDAlgebra([]), "adjoint")
+
+
+def test_squares_that_span_no_ideal_are_refused(monkeypatch):
+    # e1 e1 = e2, e1 e2 = -e1, e2 e1 = e1 is not left Leibniz; the squares span
+    # e2, and e1 e2 = -e1 leaves the span
+    monkeypatch.setattr("divaria.conformal.leibniz_to_dialgebra", lambda _bracket: None)
+    with pytest.raises(InputError, match="span of squares is not an ideal"):
+        LeibnizData(FDAlgebra([[(0, 1), (-1, 0)], [(1, 0), (0, 0)]]))
+
+
+def test_quotient_bracket_that_fails_jacobi_is_refused(monkeypatch):
+    # [e1,e2] = e3 and [e3,e1] = e1, antisymmetric: the squares are zero, and
+    # [[e1,e2],e3] + [[e2,e3],e1] + [[e3,e1],e2] = [e1,e2] = e3
+    monkeypatch.setattr("divaria.conformal.leibniz_to_dialgebra", lambda _bracket: None)
+    bracket = FDAlgebra([[(0, 0, 0), (0, 0, 1), (-1, 0, 0)],
+                         [(0, 0, -1), (0, 0, 0), (0, 0, 0)],
+                         [(1, 0, 0), (0, 0, 0), (0, 0, 0)]])
+    with pytest.raises(InputError, match="quotient bracket fails the Jacobi identity"):
+        LeibnizData(bracket)
