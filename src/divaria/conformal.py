@@ -247,8 +247,9 @@ def embed_associative(bracket: FDAlgebra,
     report = RepReport()
 
     d = bracket.dim
-    report.record("generated-subspace", RowSpace(dict(m) for m in rep.rho).rank == d,
-                  f"the basis does not begin with the {d} images of rho")
+    rank = RowSpace(dict(m) for m in rep.rho).rank
+    report.record("generated-subspace", rank == d,
+                  f"the {d} images of rho have rank {rank} < {d}")
 
     top = max((k for m in rep.rho for (k, _r, _c) in m), default=0)
     report.record("degree-truncation", top <= 2, "degree exceeds 2")

@@ -3,7 +3,9 @@ and homomorphisms out of it.
 
 EnvelopePA is built on (k[T] (x) A) (+) (A (x) A)/W.  W always contains
 the span of defect(x)defect tensors; variety quotients enlarge it by an
-ideal that the closed forms produce.
+ideal that the closed forms produce.  It hands out one shared element per
+generator, basis_a(i) and pair(i, j), never mutated, whose leaf_key keys
+both evaluators' per-shape tables.
 
 The closed-form evaluator assembles values of words on A-arguments (and
 on arguments with a single (A(x)A)-entry) directly from dialgebra
@@ -27,12 +29,12 @@ from .errors import InputError, guard_tuples
 from .fd import FDDialgebra, first_witness, is_zero_dialgebra
 from .linalg import RowSpace, Vec, add_term, decimal_str, vec_axpy
 from .operads import IdentitySet
-from .pseudo import (PseudoAlgebra, Spread, accumulate, eval_term, hom_failure, kept, lin_comb,
+from .pseudo import (PseudoAlgebra, Spread, accumulate, eval_term, hom_failure, lin_comb,
                      n_product, product)
 # re-exports: callers import check_var_pseudo from here, and perfbench/tracer.py reads the others
 from .pseudo import CoefficientDialgebra, check_var_pseudo, pseudo_product  # noqa: F401
 from .translate import derive_variety
-from .words import MultilinearPoly, Shape, all_shapes, eval_shape_tree
+from .words import MultilinearPoly, Shape, all_shapes
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +65,18 @@ class BasisElement(CElement):
         super().__init__({(0, i): 1}, {})
         self.index = i
         self.avec = {i: 1}
+
+
+class PairElement(CElement):
+    """The tensor generator [e_i (x) e_j], reduced modulo the relations.  Like
+    a basis element, it is built once per envelope, shared and never mutated;
+    its key (i, j) classifies it in O(1)."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: tuple, c1: dict):
+        super().__init__({}, c1)
+        self.key = key
 
 
 def _outer(x: Vec, y: Vec) -> dict:
@@ -98,6 +112,8 @@ class EnvelopePA(PseudoAlgebra):
         self.c1_basis = tuple(p for p in sorted(itertools.product(range(d), repeat=2))
                               if p not in pivots)
         self._basis = tuple(map(BasisElement, range(d)))
+        self._pairs = {p: PairElement(p, rel.reduce({p: 1}))
+                       for p in itertools.product(range(d), repeat=2)}
 
     # -- constructors ------------------------------------------------------
 
@@ -107,8 +123,8 @@ class EnvelopePA(PseudoAlgebra):
     def basis_a(self, i: int) -> BasisElement:
         return self._basis[i]
 
-    def pair(self, i: int, j: int) -> CElement:
-        return CElement({}, self.rel.reduce({(i, j): 1}))
+    def pair(self, i: int, j: int) -> PairElement:
+        return self._pairs[i, j]
 
     def tensor_pair(self, x: Vec, y: Vec) -> dict:
         return self.rel.reduce(_outer(x, y))
@@ -191,23 +207,23 @@ class EnvelopePA(PseudoAlgebra):
 
     # -- classification ------------------------------------------------------
 
-    # A shared basis element reads its stored classification; any other
+    # A shared generator reads its stored classification; any other
     # element, equal to one or not, is scanned.
 
-    def basis_index(self, x: CElement) -> int | None:
+    def leaf_key(self, x: CElement):
+        """i for the shared basis element i, (i, j) for the shared pair
+        (i, j), None for any other element."""
         if type(x) is BasisElement:
             return x.index
-        if not x.c1 and len(x.c0) == 1:
-            ((k, i), v), = x.c0.items()
-            if k == 0 and v == 1:
-                return i
+        if type(x) is PairElement and self._pairs.get(x.key) is x:  # not another envelope's
+            return x.key
         return None
 
-    def a_part(self, x: CElement) -> tuple[Vec, int | None] | None:
-        """x as (A-vector, basis_index(x)) if x lies in A, else None.  The
-        A-vector of a shared basis element is its own: never change it."""
+    def a_part(self, x: CElement) -> Vec | None:
+        """x as an A-vector if x lies in A, else None.  The A-vector of a
+        shared basis element is its own: never change it."""
         if type(x) is BasisElement:
-            return x.avec, x.index
+            return x.avec
         if x.c1:
             return None
         out: Vec = {}
@@ -215,7 +231,7 @@ class EnvelopePA(PseudoAlgebra):
             if k:
                 return None
             out[i] = v
-        return out, (i if len(out) == 1 and v == 1 else None)
+        return out
 
 
 def build_envelope(a: FDDialgebra) -> EnvelopePA:
@@ -230,29 +246,28 @@ def build_envelope(a: FDDialgebra) -> EnvelopePA:
 # closed forms (the independent oracle)
 # ---------------------------------------------------------------------------
 
-def _word_values(env: EnvelopePA, shape: Shape, avecs: list) -> list:
-    """Dialgebra values of the word labeled toward each leaf position in turn
-    (the section_dishape labelings), from one bottom-up fold."""
-    if shape.is_leaf:
-        return [avecs[0]]
-    m = shape.left.arity
-    left = _word_values(env, shape.left, avecs[:m])
-    right = _word_values(env, shape.right, avecs[m:])
-    r1, lm = right[0], left[-1]
-    return [env.A.lprod(x, r1) for x in left] + [env.A.rprod(lm, y) for y in right]
-
-
-def _plain_closed(env: EnvelopePA, shape: Shape, avecs: list):
-    """(x0, {i: c1 pair dict}) for a plain word on A arguments."""
-    if shape.is_leaf:
-        return avecs[0], {}
-    m = shape.left.arity
-    return _closed_join(env, _word_values(env, shape.left, avecs[:m]),
-                        _word_values(env, shape.right, avecs[m:]))
+def _word_values(env: EnvelopePA, shape: Shape, keys: tuple, vecs, values: dict) -> list:
+    """Dialgebra values of the word on the A-vectors vecs[k] of its leaf keys
+    k, labeled toward each leaf position in turn (the section_dishape
+    labelings), from one bottom-up fold; kept, with those of its subwords,
+    in values under (shape, keys)."""
+    got = values.get((shape, keys))
+    if got is None:
+        if shape.is_leaf:
+            got = [vecs[keys[0]]]
+        else:
+            m = shape.left.arity
+            left = _word_values(env, shape.left, keys[:m], vecs, values)
+            right = _word_values(env, shape.right, keys[m:], vecs, values)
+            r1, lm = right[0], left[-1]
+            got = [env.A.lprod(x, r1) for x in left] + [env.A.rprod(lm, y) for y in right]
+        values[shape, keys] = got
+    return got
 
 
 def _closed_join(env: EnvelopePA, left: list, right: list):
-    """_plain_closed of a word from the _word_values of its two sides."""
+    """(x0, {i: c1 pair dict}) of a plain word from the _word_values of its
+    two sides."""
     m = len(left)
     x0l, y0 = left[-1], right[-1]
     xs: dict = {}
@@ -269,22 +284,15 @@ def _closed_join(env: EnvelopePA, left: list, right: list):
     return env.A.rprod(x0l, y0), xs
 
 
-def _closed_mono_a(env: EnvelopePA, mono, avecs: list, idx) -> tuple[Vec, dict]:
-    """Closed form of a (possibly twisted) word on A arguments:
-    (x0, {j: pair dict x_j}) for the value x0 - sum_j T_j [x_j].
-
-    idx is the arguments' basis-index tuple, or None; on basis tuples the
-    plain value is kept in env's own table, apart from eval_term's."""
-    shape, sigma = mono
-
-    def plain():  # the permuted arguments are built only when a value is computed
-        return _plain_closed(env, shape, [avecs[s - 1] for s in sigma])
-
-    if idx is None:
-        y0, ys = plain()
-    else:
-        y0, ys = kept(env, "_closed", shape, tuple([idx[s - 1] for s in sigma]), plain)
-    return _closed_twist(env, y0, ys, sigma, perms.inverse(sigma))
+def _closed_mono_a(env: EnvelopePA, shape: Shape, keys: tuple, vecs, values: dict):
+    """(y0, {i: pair dict y_i}) for the value y0 - sum_i T_i [y_i] of a plain
+    word on the A-vectors vecs[k] of its leaf keys k, from the _word_values
+    of its two sides, which are kept in values."""
+    if shape.is_leaf:
+        return vecs[keys[0]], {}
+    m = shape.left.arity
+    return _closed_join(env, _word_values(env, shape.left, keys[:m], vecs, values),
+                        _word_values(env, shape.right, keys[m:], vecs, values))
 
 
 def _closed_twist(env: EnvelopePA, y0: Vec, ys: dict, sigma, inv) -> tuple[Vec, dict]:
@@ -312,19 +320,36 @@ def _closed_twist(env: EnvelopePA, y0: Vec, ys: dict, sigma, inv) -> tuple[Vec, 
     return x0, xs
 
 
-def _closed_d_plain(env: EnvelopePA, shape: Shape, args: list, s: int) -> dict:
-    """C1 value of a plain word whose argument s (leaf position) is a pair."""
+def _closed_d_plain(env: EnvelopePA, shape: Shape, keys: tuple, vecs, values: dict,
+                    s: int) -> dict:
+    """C1 value of a plain word whose leaf s holds the pair vector vecs[k] of
+    its key k and whose other leaves hold A-vectors; kept, with those of its
+    subwords, in values under (shape, keys)."""
     if shape.is_leaf:
-        return args[0]
-    m = shape.left.arity
-    # the other side's value labeled toward its last leaf: every product is |-
-    if s <= m:
-        x = _closed_d_plain(env, shape.left, args[:m], s)
-        y0 = eval_shape_tree(shape.right, args[m:], (env.A.rprod,))
-        return env.tensor_pair({k: -v for k, v in env._t_of_pairs(x).items()}, y0)
-    x0l = eval_shape_tree(shape.left, args[:m], (env.A.rprod,))
-    x = _closed_d_plain(env, shape.right, args[m:], s - m)
-    return env.tensor_pair(x0l, env._t_of_pairs(x))
+        return vecs[keys[0]]
+    got = values.get((shape, keys))
+    if got is None:
+        m = shape.left.arity
+        # the other side's value labeled toward its last leaf: every product is |-
+        if s <= m:
+            x = _closed_d_plain(env, shape.left, keys[:m], vecs, values, s)
+            y0 = _word_values(env, shape.right, keys[m:], vecs, values)[-1]
+            got = env.tensor_pair({k: -v for k, v in env._t_of_pairs(x).items()}, y0)
+        else:
+            x0l = _word_values(env, shape.left, keys[:m], vecs, values)[-1]
+            x = _closed_d_plain(env, shape.right, keys[m:], vecs, values, s - m)
+            got = env.tensor_pair(x0l, env._t_of_pairs(x))
+        values[shape, keys] = got
+    return got
+
+
+def _closed_table(env: EnvelopePA, shape: Shape) -> tuple:
+    """(inverses by permutation, values): env's table for shape, apart from
+    eval_term's.  It holds one shape, and a word of another shape replaces it."""
+    table = getattr(env, "_closed", None)
+    if table is None or table[0] is not shape:
+        table = env._closed = (shape, {}, {})
+    return table[1:]
 
 
 def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
@@ -333,31 +358,44 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
     pseudo-products.
 
     Supported argument patterns: all arguments in A, or exactly one
-    argument in the tensor part.  The arguments are classified once.
+    argument in the tensor part.  The arguments are classified once.  On
+    shared generators (env.leaf_key) the subwords are kept in env's table
+    for the shape; other arguments get a table for this call, keyed by
+    position.
     """
     shape, sigma = t
     n = shape.arity
     if n != len(args):
         raise InputError("arity mismatch")
-    vals, idx, slots = [], [], []
+    vals, slots = [], []
     for pos, x in enumerate(args, start=1):
         got = env.a_part(x)
         if got is None:
             if x.c0:
                 raise InputError("closed forms support pure A or pure tensor arguments only")
             slots.append(pos)
-            vals.append(x.c1)
-        else:
-            vals.append(got[0])
-            idx.append(got[1])
+            got = x.c1
+        vals.append(got)
     if len(slots) > 1:
         raise InputError("closed forms support at most one tensor argument")
+    keys = tuple(map(env.leaf_key, args))
+    if None in keys:
+        keys, inverses, values = tuple(range(n)), {}, {}
+    else:
+        inverses, values = _closed_table(env, shape)
+    inv = inverses.get(sigma)
+    if inv is None:
+        inv = inverses[sigma] = perms.inverse(sigma)
+    vecs = dict(zip(keys, vals))
+    keys = tuple([keys[g - 1] for g in sigma])
     if slots:
-        pair = _closed_d_plain(env, shape, [vals[g - 1] for g in sigma],
-                               perms.inverse(sigma)[slots[0] - 1])
+        pair = _closed_d_plain(env, shape, keys, vecs, values, inv[slots[0] - 1])
         # a reduced vector: nothing to reduce again
         return Spread.of_terms(env, n, {(0,) * (n - 1): CElement({}, pair)} if pair else {})
-    x0, ys = _closed_mono_a(env, t, vals, None if None in idx else tuple(idx))
+    plain = values.get((shape, keys))  # the word itself, not a proper subword
+    if plain is None:
+        plain = values[shape, keys] = _closed_mono_a(env, shape, keys, vecs, values)
+    x0, ys = _closed_twist(env, *plain, sigma, inv)
     xs = {j: {k: -v for k, v in pair.items()} for j, pair in ys.items()}
     return _closed_spread(env, n, x0, xs)
 
@@ -396,26 +434,14 @@ def closed_form_on_tuples(env: EnvelopePA, p: MultilinearPoly) -> Iterator[tuple
     n, d = p.arity, env.A.dim
     guard_tuples(d ** n, f"{d}^{n} basis tuples")
     avecs = [env.A.basis(i) for i in range(d)]
-    subwords: dict = {}
-
-    def subword(s: Shape, at: tuple) -> list:
-        if s.is_leaf:
-            return [avecs[at[0]]]
-        got = subwords.get((s, at))
-        if got is None:
-            got = subwords[s, at] = _word_values(env, s, [avecs[i] for i in at])
-        return got
-
-    def mono(left, right, m, at, sigma, inv):
-        y0, ys = _closed_join(env, subword(left, at[:m]), subword(right, at[m:]))
-        return _closed_twist(env, y0, ys, sigma, inv)
-
-    plan = [(coeff, shape.left, shape.right, shape.left.arity,
-             itemgetter(*[s - 1 for s in sigma]), sigma, perms.inverse(sigma))
+    values: dict = {}
+    plan = [(coeff, shape, itemgetter(*[s - 1 for s in sigma]), sigma, perms.inverse(sigma))
             for (shape, sigma), coeff in p.terms.items()]
     for idx in itertools.product(range(d), repeat=n):
-        yield idx, _closed_sum(env, n, [(coeff, mono(left, right, m, pick(idx), sigma, inv))
-                                        for coeff, left, right, m, pick, sigma, inv in plan])
+        yield idx, _closed_sum(env, n, [
+            (coeff, _closed_twist(env, *_closed_mono_a(env, shape, pick(idx), avecs, values),
+                                  sigma, inv))
+            for coeff, shape, pick, sigma, inv in plan])
 
 
 @lru_cache(maxsize=None)

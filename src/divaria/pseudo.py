@@ -12,8 +12,10 @@ EnvelopePA (envelope module) and CurrentPA (current module) do.  The
 protocol reads the coefficient products |- and -| off the base product; an
 algebra with a closed form for them overrides both.  This module holds
 what works for any of them: spreads, the expanded pseudo-product, the
-recursive word evaluator eval_term and its entry for a polynomial on
-every argument tuple (eval_term_on_tuples), the evaluator of dialgebra
+recursive word evaluator eval_term, which keeps every subword of the
+shape it is on under the leaf keys of shared generators (leaf_key), and
+its entry for a polynomial on every argument tuple
+(eval_term_on_tuples), the evaluator of dialgebra
 polynomials in the coefficient dialgebra, the identity check on
 generators, and the map layer: the linear extension of basis images
 (lin_comb) and the one check that such a map carries both dialgebra
@@ -69,8 +71,9 @@ class PseudoAlgebra:
         """[(name, element)] spanning the algebra over k[T] (plus torsion part)."""
         raise NotImplementedError
 
-    def basis_index(self, x) -> int | None:
-        """i if eval_term may keep plain values on x as basis element i."""
+    def leaf_key(self, x):
+        """The key under which eval_term may keep values on the shared
+        generator x, or None: only equal elements have equal keys."""
         return None
 
     def describe(self, a) -> str:
@@ -243,11 +246,9 @@ def pseudo_product(alg, f: Spread, g: Spread) -> Spread:
 def act_spread(alg, f: Spread, sigma) -> Spread:
     """Slot relabeling T_i -> T_{i*sigma} followed by renormalization."""
     n = f.n
-    if sigma == perms.identity(n):
-        return f
     acc: dict = {}
     for exps, elem in f.terms.items():
-        _check_degree(max(exps))
+        _check_degree(max(exps, default=0))
         full = exps + (0,)
         moved = [0] * n
         for i in range(n):
@@ -261,20 +262,49 @@ def eval_term(alg, t, args: Sequence) -> Spread:
     through the tuple entry, eval_term_on_tuples.
 
     The word (shape, sigma) evaluates the plain shape on the permuted
-    arguments and then twists the slots by sigma.  It keeps its plain
-    values on basis elements in alg's table for its shape.
+    arguments and then twists the slots by sigma.  On shared generators
+    (alg.leaf_key) its subwords are kept in alg's table for its shape;
+    other arguments get a table for this call, keyed by position.
     """
     shape, sigma = t
-    if shape.arity != len(args):
+    n = shape.arity
+    if n != len(args):
         raise InputError("arity mismatch")
     permuted = [args[s - 1] for s in sigma]
-    key = tuple(map(alg.basis_index, permuted))
-    if None in key:
-        plain = _eval_plain(alg, shape, permuted)
-    else:  # the table keeps terms: a spread in it would be a reference cycle through alg
-        plain = Spread.of_terms(alg, shape.arity, kept(
-            alg, "_plain", shape, key, lambda: _eval_plain(alg, shape, permuted).terms))
-    return act_spread(alg, plain, sigma)
+    keys = tuple(map(alg.leaf_key, permuted))
+    if None in keys:
+        ident, values, keys = perms.identity(n), {}, tuple(sigma)
+    else:
+        ident, values = _shape_table(alg, shape)
+    plain = _eval_plain(alg, shape, permuted, keys, values)
+    return plain if sigma == ident else act_spread(alg, plain, sigma)
+
+
+def _shape_table(alg, shape: Shape) -> tuple:
+    """(identity of the shape's arity, values): alg's table for shape.  It
+    holds one shape, and a word of another shape replaces it.  The values
+    are terms, not spreads, which would make a reference cycle through alg."""
+    table = getattr(alg, "_plain", None)
+    if table is None or table[0] is not shape:
+        table = alg._plain = (shape, perms.identity(shape.arity), {})
+    return table[1:]
+
+
+def _eval_plain(alg, shape: Shape, args, keys: tuple, values: dict) -> Spread:
+    """The plain value of shape on args, whose leaf keys are keys; it and
+    the value of each subword are kept in values under (shape, keys)."""
+    terms = values.get((shape, keys))
+    if terms is not None:
+        return Spread.of_terms(alg, shape.arity, terms)
+    if shape.is_leaf:
+        value = leaf_spread(alg, args[0])
+    else:
+        m = shape.left.arity
+        value = pseudo_product(alg,
+                               _eval_plain(alg, shape.left, args[:m], keys[:m], values),
+                               _eval_plain(alg, shape.right, args[m:], keys[m:], values))
+    values[shape, keys] = value.terms
+    return value
 
 
 def eval_term_on_tuples(alg, p: MultilinearPoly, args: Sequence) -> Iterator[tuple]:
@@ -303,31 +333,6 @@ def eval_term_on_tuples(alg, p: MultilinearPoly, args: Sequence) -> Iterator[tup
             for exps, elem in value.terms.items():
                 accumulate(alg, acc, exps, elem, coeff)
         yield idx, Spread.of_terms(alg, n, acc)
-
-
-def kept(owner, attr: str, shape: Shape, key, compute):
-    """The value at key of the table owner.attr, computed on first use.
-
-    The table holds the values of one shape, at most d^n of them on
-    basis-index keys, and a new shape replaces it.  Each evaluator names
-    its own table, so no value passes from one to the other."""
-    table = getattr(owner, attr, None)
-    if table is None or table[0] != shape.key:
-        table = (shape.key, {})
-        setattr(owner, attr, table)
-    value = table[1].get(key)
-    if value is None:
-        value = table[1][key] = compute()
-    return value
-
-
-def _eval_plain(alg, shape: Shape, args) -> Spread:
-    if shape.is_leaf:
-        return leaf_spread(alg, args[0])
-    m = shape.left.arity
-    return pseudo_product(alg,
-                          _eval_plain(alg, shape.left, args[:m]),
-                          _eval_plain(alg, shape.right, args[m:]))
 
 
 def product(alg, x, y) -> Spread:

@@ -140,6 +140,14 @@ def test_fault_injected_rep_fails_its_check(name, alg, fault, monkeypatch):
     assert not _checks(rep, monkeypatch)[name]
 
 
+def test_zeroed_image_failure_gives_the_rank(monkeypatch):
+    rep = build_rho(leibniz2())
+    _image_zeroed(rep)
+    monkeypatch.setattr("divaria.conformal.build_rho", lambda _bracket, _module="trivial": rep)
+    report, _rep = embed_associative(rep.data.g)
+    assert "generated-subspace: the 2 images of rho have rank 1 < 2" in report.failures
+
+
 def test_every_represent_check_has_a_fault(monkeypatch):
     checks = _checks(build_rho(leibniz2()), monkeypatch)
     assert all(checks.values())

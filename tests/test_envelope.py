@@ -1,3 +1,5 @@
+import functools
+import gc
 import itertools
 import random
 import sys
@@ -6,10 +8,10 @@ from fractions import Fraction
 import pytest
 
 from divaria import envelope, pseudo
-from divaria.envelope import (BasisElement, CElement, EnvelopePA, _word_values,
+from divaria.envelope import (BasisElement, CElement, EnvelopePA, PairElement, _word_values,
                               build_envelope, build_var_quotient, closed_form_eval, extend_hom,
                               oracle_sweep)
-from divaria.pseudo import (CoefficientDialgebra, Spread, _eval_plain, accumulate, act_spread,
+from divaria.pseudo import (CoefficientDialgebra, Spread, accumulate, act_spread,
                             check_var_pseudo, eval_term, leaf_spread, n_product, pseudo_product)
 from divaria.conformal import build_rho
 from divaria.current import CurrentPA
@@ -205,7 +207,7 @@ def test_word_values_match_section_labelings(name):
         for shape in all_shapes(n):
             vs = [a_vec(*(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(a.dim)))
                   for _ in range(n)]
-            values = _word_values(env, shape, vs)
+            values = _word_values(env, shape, tuple(range(n)), vs, {})
             assert len(values) == n
             for p in range(1, n + 1):
                 want = eval_shape_tree(section_dishape(shape, p), vs, (a.lprod, a.rprod))
@@ -280,91 +282,206 @@ def test_closed_forms_never_read_the_normalization_tables(monkeypatch):
 # the per-shape tables of the two evaluators
 # ---------------------------------------------------------------------------
 
-def test_kept_values_equal_fresh_evaluation():
-    # with the tables warm, every word of degree <= 3 on every basis tuple
-    # gives the value of a fresh evaluation, on both sides
-    env = build_envelope(dict(corpus())["leibniz3"])
+def _word_arguments(env, n: int) -> list:
+    """Every basis tuple of length n, then every one-pair tuple: each tensor
+    generator of the c1 basis in each slot, each basis tuple in the others."""
     d = env.A.dim
+    out = [[env.basis_a(i) for i in idx] for idx in itertools.product(range(d), repeat=n)]
+    for slot, pr, idx in itertools.product(range(n), env.c1_basis,
+                                           itertools.product(range(d), repeat=n - 1)):
+        out.append([env.basis_a(i) for i in idx[:slot]] + [env.pair(*pr)]
+                   + [env.basis_a(i) for i in idx[slot:]])
+    return out
+
+
+def _unshared(x: CElement) -> CElement:
+    return CElement(dict(x.c0), dict(x.c1))
+
+
+def test_kept_values_equal_fresh_evaluation():
+    # with the tables warm, every word of degree <= 3 on every basis tuple and
+    # every one-pair tuple gives the value of a fresh evaluation, on both sides
+    env = build_envelope(dict(corpus())["leibniz3"])
+    fold = (functools.partial(pseudo_product, env),)
     for n in range(1, 4):
         for shape in all_shapes(n):
             for k, perm in enumerate(symmetric_group(n)):
-                for idx in itertools.product(range(d), repeat=n):
-                    args = [env.basis_a(i) for i in idx]
+                for args in _word_arguments(env, n):
+                    permuted = [args[s - 1] for s in perm]
                     if k:  # the first permutation filled both tables
-                        key = tuple(idx[s - 1] for s in perm)
-                        assert key in env._plain[1] and key in env._closed[1]
+                        key = (shape, tuple(map(env.leaf_key, permuted)))
+                        assert key in env._plain[2] and key in env._closed[2]
                     value = eval_term(env, (shape, perm), args)
-                    fresh = act_spread(env, _eval_plain(env, shape, [args[s - 1] for s in perm]), perm)
-                    assert value.eq(fresh)
+                    fresh = eval_shape_tree(shape, [leaf_spread(env, x) for x in permuted], fold)
+                    assert value.eq(act_spread(env, fresh, perm))
                     closed = closed_form_eval(env, (shape, perm), args)
-                    kept, env._closed = env._closed, None  # evaluate through _plain_closed
-                    assert closed.eq(closed_form_eval(env, (shape, perm), args))
-                    env._closed = kept
+                    assert closed.eq(closed_form_eval(env, (shape, perm), list(map(_unshared, args))))
                     assert closed.eq(value)
 
 
-def _corrupt_hits(attr):
-    """kept, except that a value of the table attr read back from it is wrong."""
-    real = pseudo.kept
+def test_subwords_of_two_shapes_on_the_same_keys_stay_apart():
+    # both halves of ((x1 x2) x3)(x4 (x5 x6)) on (e, f, f, e, f, f) have the
+    # leaf keys (0, 1, 1); on sl2 the word changes if one half reads the other's value
+    env = build_envelope(dict(corpus())["sl2"])
+    left, right = node(B2, LEAF), node(LEAF, B2)
+    word, args = (node(left, right), tuple(range(1, 7))), [env.basis_a(i) for i in (0, 1, 1)] * 2
+    halves = [eval_term(env, (half, (1, 2, 3)), args[:3]) for half in (left, right)]
+    value = pseudo_product(env, *halves)
+    assert not value.eq(pseudo_product(env, halves[0], halves[0]))
+    assert eval_term(env, word, args).eq(value)
+    assert closed_form_eval(env, word, args).eq(value)
 
-    def kept(owner, name, shape, key, compute):
-        table = getattr(owner, name, None)
-        hit = table is not None and table[0] == shape.key and key in table[1]
-        value = real(owner, name, shape, key, compute)
-        if name != attr or not hit:
+
+class _WrongHits(dict):
+    """A per-shape table whose hits on the chosen leaf keys come back wrong."""
+
+    def __init__(self, wrong, chosen):
+        super().__init__()
+        self.wrong, self.chosen = wrong, chosen
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        if value is None or not self.chosen(key[1]):
             return value
-        if attr == "_plain":  # add e1 to the constant term
-            zero = (0,) * (shape.arity - 1)
-            return {**value, zero: owner.add(value.get(zero, owner.zero()), owner.basis_a(0))}
-        x0, xs = value
-        x0 = dict(x0)
-        vec_axpy(x0, 1, owner.A.basis(0))
-        return x0, xs
-    return kept
+        return self.wrong(key[0], value)
+
+
+TABLES = {"_plain": "_shape_table", "_closed": "_closed_table"}  # attribute: its function
+
+
+def _with_wrong_hits(module, attr: str, wrong, chosen):
+    """module's table function for the attribute attr, making each new
+    table a _WrongHits."""
+    real = getattr(module, TABLES[attr])
+
+    def table(owner, shape):
+        first, values = real(owner, shape)
+        if type(values) is dict:
+            values = _WrongHits(functools.partial(wrong, owner), chosen)
+            setattr(owner, attr, (shape, first, values))
+        return first, values
+    return table
+
+
+def _plus(x: dict, y: dict) -> dict:
+    out = dict(x)
+    vec_axpy(out, 1, y)
+    return out
+
+
+def _wrong_terms(env, shape, terms):
+    """The spread terms with e1 added to the constant term."""
+    zero = (0,) * (shape.arity - 1)
+    return {**terms, zero: env.add(terms.get(zero, env.zero()), env.basis_a(0))}
+
+
+def _wrong_closed(env, _shape, value):
+    """e1 added to the _word_values or the plain x0, a pair to a C1 value."""
+    if isinstance(value, list):
+        return [_plus(v, {0: 1}) for v in value]
+    if isinstance(value, tuple):
+        return _plus(value[0], {0: 1}), value[1]
+    return _plus(value, {env.c1_basis[0]: 1})
+
+
+def _basis_only(keys) -> bool:
+    return all(type(k) is int for k in keys)
+
+
+def _holds_a_pair(keys) -> bool:
+    return not _basis_only(keys)
 
 
 @pytest.mark.parametrize("attr", ["_plain", "_closed"])
 def test_wrong_table_value_is_a_mismatch(monkeypatch, attr):
-    # the sweep compares what the tables hand back, so a wrong kept value shows
-    env = build_envelope(dict(corpus())["leibniz2"])
-    assert oracle_sweep(env, 3, lambda n: []) == (None, 2 + 8 + 2 * 6 * 8)
-    for module in (pseudo, envelope):  # eval_term's module and the closed forms'
-        monkeypatch.setattr(module, "kept", _corrupt_hits(attr))
-    env = build_envelope(dict(corpus())["leibniz2"])
-    bad, _checked = oracle_sweep(env, 3, lambda n: [])
-    assert bad is not None
+    # the sweep compares what the tables hand back, so a wrong kept value of a
+    # basis-only subword or of a one-pair subword shows, on either side
+    module, wrong = {"_plain": (pseudo, _wrong_terms), "_closed": (envelope, _wrong_closed)}[attr]
+
+    def sweep():
+        env = build_envelope(dict(corpus())["leibniz2"])
+        return oracle_sweep(env, 3, lambda n: [(env.c1_basis[0], (0,) * (n - 1))])
+    assert sweep() == (None, 2 + 8 + 2 * 6 * 8 + 1 + 2 * 2 + 12 * 3)
+    for chosen, kind in ((_basis_only, "word "), (_holds_a_pair, "one-pair word ")):
+        with monkeypatch.context() as mp:
+            mp.setattr(module, TABLES[attr], _with_wrong_hits(module, attr, wrong, chosen))
+            bad, _checked = sweep()
+        assert bad is not None and bad.startswith(kind), (chosen.__name__, bad)
+
+
+def _subtrees(shape) -> set:
+    if shape.is_leaf:
+        return {shape}
+    return {shape} | _subtrees(shape.left) | _subtrees(shape.right)
 
 
 def test_tables_hold_one_shape_after_a_sweep():
     env = build_envelope(dict(corpus())["leibniz2"])
     d = env.A.dim
     rng = random.Random(3)
-    bad, _checked = oracle_sweep(env, 4, lambda n: [(rng.choice(env.c1_basis), (0,) * (n - 1))])
+    bad, _checked = oracle_sweep(env, 4, lambda n: [(rng.choice(env.c1_basis),
+                                                     tuple(rng.randrange(d) for _ in range(n - 1)))])
     assert bad is None
-    last = all_shapes(4)[-1].key
+    last = all_shapes(4)[-1]
+    generators = set(range(d)) | set(env.c1_basis)
     for attr in ("_plain", "_closed"):
-        shape_key, values = getattr(env, attr)
-        assert shape_key == last
-        assert 0 < len(values) <= d ** 4
-        assert all(len(key) == 4 and set(key) <= set(range(d)) for key in values)
+        shape, _first, values = getattr(env, attr)
+        assert shape is last
+        assert values, attr
+        for sub, keys in values:
+            assert sub in _subtrees(last) and len(keys) == sub.arity, (attr, sub, keys)
+            assert set(keys) <= generators and sum(type(k) is tuple for k in keys) <= 1
+        assert any(not _basis_only(keys) for _sub, keys in values), attr
 
 
 def test_tensor_and_current_arguments_bypass_the_tables(env2):
-    for i in range(env2.A.dim):
-        assert env2.basis_index(env2.basis_a(i)) == i
-    for x in (env2.pair(0, 0), env2.t_act(env2.basis_a(0)), env2.scale(env2.basis_a(0), 2),
-              env2.zero(), env2.add(env2.basis_a(0), env2.basis_a(1))):
-        assert env2.basis_index(x) is None
-    env = build_envelope(env2.A)
+    d = env2.A.dim
+    for i in range(d):
+        assert env2.leaf_key(env2.basis_a(i)) == i
+    for pr in itertools.product(range(d), repeat=2):
+        assert env2.leaf_key(env2.pair(*pr)) == pr
+    e0, e1 = env2.basis_a(0), env2.basis_a(1)
+    other = build_envelope(env2.A)
+    unkeyed = [env2.t_act(e0), env2.scale(e0, 2), env2.zero(), env2.add(e0, e1),
+               _unshared(e0), _unshared(env2.pair(0, 0)), other.pair(0, 0)]
+    for x in unkeyed:
+        assert env2.leaf_key(x) is None, x
     word = (B2, (2, 1))
+    env = build_envelope(env2.A)  # shared pairs use the tables
     args = [env.pair(0, 0), env.basis_a(0)]
     assert eval_term(env, word, args).eq(closed_form_eval(env, word, args))
+    assert env._plain[0] is B2 and env._closed[0] is B2
+    env = build_envelope(env2.A)
+    e0, e1 = env.basis_a(0), env.basis_a(1)
+    for x in (env.scale(e0, 2), env.zero(), env.add(e0, e1), _unshared(e0), _unshared(env.pair(0, 0))):
+        args = [x, e1]
+        assert eval_term(env, word, args).eq(closed_form_eval(env, word, args))
+    eval_term(env, word, [env.t_act(e0), e1])
     assert getattr(env, "_plain", None) is None and getattr(env, "_closed", None) is None
-    from divaria.current import CurrentPA
     cur = CurrentPA(2)
     gens = [g for _, g in cur.generators()]
     eval_term(cur, word, gens[:2])
     assert getattr(cur, "_plain", None) is None
+
+
+def test_per_word_sweep_leaves_no_cyclic_garbage():
+    # the tables keep terms, lists and dicts: nothing in them refers back to
+    # the envelope, so a dropped envelope is freed by reference counting
+    a = dict(corpus())["leibniz2"]
+    rng = random.Random(5)
+    env = build_envelope(a)
+    pairs = env.c1_basis
+    gc.collect()
+    gc.disable()
+    try:
+        bad, _checked = oracle_sweep(env, 4, lambda n: [(rng.choice(pairs),
+                                                         tuple(rng.randrange(a.dim) for _ in range(n - 1)))])
+        assert bad is None
+        assert env._plain and env._closed
+        del env
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_closed_form_rejects_mixed_arguments(env2):
@@ -409,7 +526,7 @@ def test_d_form_matches_substitution_formula(env2):
 
 
 # ---------------------------------------------------------------------------
-# shared basis elements
+# shared generators
 # ---------------------------------------------------------------------------
 
 def test_shared_basis_elements_never_change():
@@ -431,35 +548,73 @@ def test_shared_basis_elements_never_change():
 
 
 def _scan(x):
-    """(basis_index, a_part) of x, read off its coordinates."""
+    """x's A-vector, or None if x is not in A, read off its coordinates."""
     if x.c1 or any(k for k, _i in x.c0):
-        return None, None
-    avec = {i: v for (_k, i), v in x.c0.items()}
-    index = next(iter(avec)) if list(avec.values()) == [1] else None
-    return index, (avec, index)
+        return None
+    return {i: v for (_k, i), v in x.c0.items()}
 
 
 @pytest.mark.parametrize("name", ["leibniz2", "bar-unit"])
 def test_stored_classification_agrees_with_the_scan(name):
     env = build_envelope(dict(corpus())[name])
     d = env.A.dim
-    shared = [env.basis_a(i) for i in range(d)]
-    fresh = [CElement({(0, i): 1}, {}) for i in range(d)]
-    assert all(type(e) is BasisElement for e in shared)
+    pairs = list(itertools.product(range(d), repeat=2))
+    shared = [env.basis_a(i) for i in range(d)] + [env.pair(*pr) for pr in pairs]
+    fresh = list(map(_unshared, shared))
+    assert [type(x) for x in shared] == [BasisElement] * d + [PairElement] * d * d
+    for x, key in zip(shared, list(range(d)) + pairs):
+        assert env.leaf_key(x) == key
+        if type(key) is int:
+            assert (x.c0, x.c1) == ({(0, key): 1}, {}), x
+        else:
+            assert (x.c0, x.c1) == ({}, env.rel.reduce({key: 1})), x
     others = [env.from_a({i: 1}) for i in range(d)] + [env.zero()]
-    for i, j in itertools.product(range(d), repeat=2):
-        others += [env.scale(shared[i], 2), env.add(shared[i], shared[j]), env.t_act(shared[i]),
-                   env.pair(i, j), env.add(shared[i], env.pair(i, j)),
-                   env.add(shared[i], env.scale(shared[j], Fraction(1, 2)))]
+    for i, j in pairs:
+        e, f = shared[i], shared[j]
+        others += [env.scale(e, 2), env.add(e, f), env.t_act(e), env.add(e, env.pair(i, j)),
+                   env.add(e, env.scale(f, Fraction(1, 2))), env.scale(env.pair(i, j), 2)]
+    assert all(env.leaf_key(x) is None for x in fresh + others)
     for x in shared + fresh + others:
-        assert (env.basis_index(x), env.a_part(x)) == _scan(x), x
-    # interleaved on one envelope, so a wrong stored index reads a wrong table entry
+        assert env.a_part(x) == _scan(x), x
+    # interleaved on one envelope, so a wrong stored key reads a wrong table entry
     for n in range(1, 4):
         for word in itertools.product(all_shapes(n), symmetric_group(n)):
-            for idx in itertools.product(range(d), repeat=n):
-                values = [f(env, word, [pool[i] for i in idx]) for pool in (shared, fresh)
+            for args in _word_arguments(env, n):
+                values = [f(env, word, pool) for pool in (args, list(map(_unshared, args)))
                           for f in (eval_term, closed_form_eval)]
-                assert all(values[0].eq(v) for v in values[1:]), (word, idx)
+                assert all(values[0].eq(v) for v in values[1:]), (word, args)
+
+
+def test_generators_are_shared_and_keyed():
+    for name, a in corpus():
+        env = build_envelope(a)
+        pairs = list(itertools.product(range(a.dim), repeat=2))
+        assert all(env.pair(*pr) is env.pair(*pr) for pr in pairs), name
+        gens = [env.basis_a(i) for i in range(a.dim)] + [env.pair(*pr) for pr in pairs]
+        again = [g for _name, g in env.generators()] + [env.pair(*pr) for pr in reversed(pairs)]
+        keys = [env.leaf_key(x) for x in gens]
+        assert None not in keys and len(set(keys)) == len(gens), name
+        for x, y in itertools.product(gens, again):
+            if env.leaf_key(x) == env.leaf_key(y):
+                assert env.eq(x, y), (name, x, y)
+
+
+def test_pairs_keep_their_reduced_value():
+    # a sweep, a quotient and two extensions read the shared pairs; none changes one
+    env = build_envelope(leibniz_to_dialgebra(leibniz2()))
+    rng = random.Random(17)
+
+    def one_pair(n):
+        return [(rng.choice(env.c1_basis), tuple(rng.randrange(2) for _ in range(n - 1)))]
+    assert oracle_sweep(env, 4, one_pair)[0] is None
+    q = build_var_quotient(env, LIE).quotient
+    rep = build_rho(leibniz2())
+    assert all(extend_hom(q, rep.rho, rep.cur_lie).checks.values())
+    assert all(extend_hom(q, [q.basis_a(0), q.basis_a(1)], q).checks.values())
+    for e in (env, q):
+        for pr in itertools.product(range(2), repeat=2):
+            x = e.pair(*pr)
+            assert (x.key, x.c0, x.c1) == (pr, {}, e.rel.reduce({pr: 1}))
 
 
 # ---------------------------------------------------------------------------

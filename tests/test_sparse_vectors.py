@@ -53,16 +53,17 @@ def test_results_hold_no_zero():
         for c1 in c1s:
             assert _zero_free(env._t_of_pairs(c1)), (name, c1)
         for v in vecs:
-            vec, _index = env.a_part(env.from_a(v))
+            vec = env.a_part(env.from_a(v))
             assert vec == v and _zero_free(vec), (name, v)
 
 
-def _comparable(table):
-    """The table with each CElement as its (c0, c1) pair, sharing its dicts."""
-    shape_key, values = table
-    return shape_key, {key: ({exps: (e.c0, e.c1) for exps, e in value.items()}
-                             if isinstance(value, dict) else value)
-                       for key, value in values.items()}
+def _comparable(table, terms: bool):
+    """The table with shape keys for shapes and, if it keeps spread terms,
+    each CElement as its (c0, c1) pair, sharing its dicts."""
+    shape, _first, values = table
+    return shape.key, {(sub.key, keys): ({exps: (e.c0, e.c1) for exps, e in value.items()}
+                                         if terms else value)
+                       for (sub, keys), value in values.items()}
 
 
 def test_kept_values_are_never_changed():
@@ -72,11 +73,10 @@ def test_kept_values_are_never_changed():
             for shape in all_shapes(n):
                 for sweep in range(2):  # the second reads every value from the tables
                     for sigma in symmetric_group(n):  # twisted words included
-                        for idx in itertools.product(range(d.dim), repeat=n):
-                            args = [env.basis_a(i) for i in idx]
+                        for args in _word_arguments(env, n):  # one-pair words included
                             value = eval_term(env, (shape, sigma), args)
                             assert value.eq(closed_form_eval(env, (shape, sigma), args))
-                    tables = [_comparable(env._plain), _comparable(env._closed)]
+                    tables = [_comparable(env._plain, True), _comparable(env._closed, False)]
                     if sweep == 0:
                         first = copy.deepcopy(tables)
                 assert tables == first, (name, shape.key)
