@@ -7,12 +7,12 @@ ideal that the closed forms produce.  It hands out one shared element per
 generator, basis_a(i) and pair(i, j), never mutated, whose leaf_key keys
 both evaluators' per-shape tables.
 
-The closed-form evaluator assembles values of words on A-arguments (and
-on arguments with a single (A(x)A)-entry) directly from dialgebra
-evaluations of labeled words; it is the independent oracle against the
-recursive pseudo-product evaluator of the pseudo module, and the two are
-compared term by term in the test suite before the closed forms are
-trusted anywhere.
+The closed-form evaluator assembles values of words on A-arguments
+directly from dialgebra evaluations of labeled words, and reads the values
+on tensor-part arguments off those by H-linearity (the lemma of
+closed_form_eval); it is the independent oracle against the recursive
+pseudo-product evaluator of the pseudo module, and the two are compared
+term by term in the test suite before the closed forms are trusted anywhere.
 """
 
 from __future__ import annotations
@@ -320,29 +320,6 @@ def _closed_twist(env: EnvelopePA, y0: Vec, ys: dict, sigma, inv) -> tuple[Vec, 
     return x0, xs
 
 
-def _closed_d_plain(env: EnvelopePA, shape: Shape, keys: tuple, vecs, values: dict,
-                    s: int) -> dict:
-    """C1 value of a plain word whose leaf s holds the pair vector vecs[k] of
-    its key k and whose other leaves hold A-vectors; kept, with those of its
-    subwords, in values under (shape, keys)."""
-    if shape.is_leaf:
-        return vecs[keys[0]]
-    got = values.get((shape, keys))
-    if got is None:
-        m = shape.left.arity
-        # the other side's value labeled toward its last leaf: every product is |-
-        if s <= m:
-            x = _closed_d_plain(env, shape.left, keys[:m], vecs, values, s)
-            y0 = _word_values(env, shape.right, keys[m:], vecs, values)[-1]
-            got = env.tensor_pair({k: -v for k, v in env._t_of_pairs(x).items()}, y0)
-        else:
-            x0l = _word_values(env, shape.left, keys[:m], vecs, values)[-1]
-            x = _closed_d_plain(env, shape.right, keys[m:], vecs, values, s - m)
-            got = env.tensor_pair(x0l, env._t_of_pairs(x))
-        values[shape, keys] = got
-    return got
-
-
 def _closed_table(env: EnvelopePA, shape: Shape) -> tuple:
     """(inverses by permutation, values): env's table for shape, apart from
     eval_term's.  It holds one shape, and a word of another shape replaces it."""
@@ -357,11 +334,22 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
     entry, closed_form_on_tuples.  Only dialgebra evaluations are used, no
     pseudo-products.
 
-    Supported argument patterns: all arguments in A, or exactly one
-    argument in the tensor part.  The arguments are classified once.  On
-    shared generators (env.leaf_key) the subwords are kept in env's table
-    for the shape; other arguments get a table for this call, keyed by
-    position.
+    Each argument lies in A or in the tensor part; others are refused.  The
+    arguments are classified once.  On shared generators (env.leaf_key) the
+    plain closed forms and their subwords are kept in env's table for the
+    shape, under basis indices; other arguments get a table for this call.
+
+    Lemma: let x be a tensor-part element, and v the value of a word of
+    arity n >= 2 with x in slot s.  Each slot of a pseudo-algebra word is
+    H-linear, so
+      for s < n:  v(..., T.x, ...) = T_s.v(..., x, ...),
+      for s = n:  v(..., T.x) = -(T_1 + ... + T_{n-1}).v(..., x) + T.const(v).
+    The left side is a value on A, of T-degree <= 1, and a nonzero linear
+    form in the T_i raises the top degree by one.  So v is of degree zero
+    and needs no twist: it is the T_p coefficient for p < n, and minus the
+    T_1 coefficient for p = n, of the plain word with T.x = sum_k c_k e_k at
+    x's plain position p.  Two such steps make v 0 when a second slot also
+    holds a tensor-part argument.
     """
     shape, sigma = t
     n = shape.arity
@@ -377,27 +365,40 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
             got = x.c1
         vals.append(got)
     if len(slots) > 1:
-        raise InputError("closed forms support at most one tensor argument")
+        return Spread.of_terms(env, n, {})
+    if slots and n == 1:  # the argument itself
+        return Spread.of_terms(env, 1, {(): CElement({}, vals[0])})
     keys = tuple(map(env.leaf_key, args))
     if None in keys:
-        keys, inverses, values = tuple(range(n)), {}, {}
+        # keyed by position; basis index k is key n + k, apart from them
+        keys, base, inverses, values = tuple(range(n)), n, {}, {}
     else:
-        inverses, values = _closed_table(env, shape)
+        base, (inverses, values) = 0, _closed_table(env, shape)
     inv = inverses.get(sigma)
     if inv is None:
         inv = inverses[sigma] = perms.inverse(sigma)
     vecs = dict(zip(keys, vals))
     keys = tuple([keys[g - 1] for g in sigma])
-    if slots:
-        pair = _closed_d_plain(env, shape, keys, vecs, values, inv[slots[0] - 1])
-        # a reduced vector: nothing to reduce again
-        return Spread.of_terms(env, n, {(0,) * (n - 1): CElement({}, pair)} if pair else {})
+    if not slots:
+        x0, ys = _closed_twist(env, *_closed_plain(env, shape, keys, vecs, values), sigma, inv)
+        xs = {j: {k: -v for k, v in pair.items()} for j, pair in ys.items()}
+        return _closed_spread(env, n, x0, xs)
+    p = inv[slots[0] - 1]
+    sign, j = (-1, p) if p < n else (1, 1)
+    c1: dict = {}  # reduced: a combination of reduced vectors
+    for k, c in env._t_of_pairs(vals[slots[0] - 1]).items():
+        vecs[base + k] = env.basis_a(k).avec
+        ys = _closed_plain(env, shape, keys[:p - 1] + (base + k,) + keys[p:], vecs, values)[1]
+        vec_axpy(c1, sign * c, ys.get(j, {}))
+    return Spread.of_terms(env, n, {(0,) * (n - 1): CElement({}, c1)} if c1 else {})
+
+
+def _closed_plain(env: EnvelopePA, shape: Shape, keys: tuple, vecs, values: dict):
+    """_closed_mono_a of the word, kept in values under (shape, keys)."""
     plain = values.get((shape, keys))  # the word itself, not a proper subword
     if plain is None:
         plain = values[shape, keys] = _closed_mono_a(env, shape, keys, vecs, values)
-    x0, ys = _closed_twist(env, *plain, sigma, inv)
-    xs = {j: {k: -v for k, v in pair.items()} for j, pair in ys.items()}
-    return _closed_spread(env, n, x0, xs)
+    return plain
 
 
 def _closed_sum(env: EnvelopePA, n: int, values) -> Spread:
@@ -482,7 +483,7 @@ def oracle_sweep(env: EnvelopePA, max_arity: int, one_pair) -> tuple[str | None,
                     args = [env.basis_a(i) for i in idx]
                     checked += 1
                     if not eval_term(env, word, args).eq(closed_form_eval(env, word, args)):
-                        return f"word {shape.key} perm {perm} tuple {idx}", checked
+                        return f"word {shape.flat_key()} perm {perm} tuple {idx}", checked
                 for slot in range(1, n + 1):
                     for pr, idx in one_pair(n):
                         it = iter(idx)
@@ -490,7 +491,8 @@ def oracle_sweep(env: EnvelopePA, max_arity: int, one_pair) -> tuple[str | None,
                                 for pos in range(1, n + 1)]
                         checked += 1
                         if not eval_term(env, word, args).eq(closed_form_eval(env, word, args)):
-                            return f"one-pair word {shape.key} perm {perm} slot {slot}", checked
+                            return (f"one-pair word {shape.flat_key()} perm {perm} slot {slot}",
+                                    checked)
     return None, checked
 
 
@@ -509,20 +511,13 @@ def build_var_quotient(env: EnvelopePA, sigma: IdentitySet) -> VarQuotient:
     basis tuples, check the degree-zero parts vanish, and quotient by the
     resulting ideal.
 
-    Lemma: arguments with one tensor-part entry add no rows.  Let x be a
-    tensor-part element with T.x = delta in A, and v the value of an
-    identity (arity n >= 2, which IdentitySet enforces) with x in slot s.
-    Each slot of a pseudo-algebra word is H-linear, so
-      for s < n:  v(..., T.x, ...) = T_s.v(..., x, ...),
-      for s = n:  v(..., T.x) = -(T_1 + ... + T_{n-1}).v(..., x) + T.const(v),
-    the second after slot n is eliminated (v(..., x) is concentrated in
-    degree zero).  The left side is the value on an A-tuple with delta in
-    slot s; by multilinearity its T-coefficients are combinations of the
-    rows added here.  Multiplying by a nonzero linear form in the T_i is
-    injective on coefficients, so every coefficient of v(..., x, ...), and
-    with it every one-pair row, lies in the span of the basis-tuple rows.
-    This builds a span and nothing else: oracle_sweep, check_var_pseudo and
-    extend_hom check values, not a span, and still enumerate every tuple.
+    Arguments in the tensor part add no rows.  By the lemma of
+    closed_form_eval (an identity has arity n >= 2, which IdentitySet
+    enforces), the value with a tensor-part x in slot s is 0 or a
+    T-coefficient of the value with T.x in A in slot s, which by
+    multilinearity is a combination of the rows added here.  This builds a
+    span and nothing else: oracle_sweep, check_var_pseudo and extend_hom
+    check values, not a span, and still enumerate every tuple.
 
     env's A passed the zero-dialgebra check of build_envelope, so the
     quotient does not check it again.

@@ -12,6 +12,10 @@ Coefficients are int when integral, else Fraction; polynomials are kept
 canonical (like terms merged, zeros dropped).  The order on shapes is
 lexicographic on a preorder encoding with internal nodes before leaves,
 so left combs come first; monomials sort by (shape, one-line perm, center).
+A shape's key nests its children's keys, (0, left.key, right.key) or
+(0, label, left.key, right.key), and (1,) for a leaf: preorder encodings
+are prefix-free, so nested keys sort as the flat encodings do, and each
+node shares its children's keys instead of copying them.
 """
 
 from __future__ import annotations
@@ -53,7 +57,14 @@ class Shape:
         return self.left is None
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({''.join(map(str, self.key))})"
+        return f"{type(self).__name__}({''.join(map(str, self.flat_key()))})"
+
+    def flat_key(self) -> tuple:
+        """The preorder encoding, flat: 0 (then the label, on a DiShape) for
+        an internal node, 1 for a leaf."""
+        if self.is_leaf:
+            return self.key
+        return self.key[:-2] + self.left.flat_key() + self.right.flat_key()
 
     def __lt__(self, other: "Shape") -> bool:
         return self.key < other.key
@@ -69,31 +80,29 @@ class DiShape(Shape):
         self.label = label
 
 
+# keyed by the children, which are interned: identity hashing is exact
 _SHAPE_CACHE: dict[tuple, Shape] = {}
 LEAF = Shape(None, None, (1,))
-_SHAPE_CACHE[LEAF.key] = LEAF
 
 
 def node(left: Shape, right: Shape) -> Shape:
-    key = (0,) + left.key + right.key
-    got = _SHAPE_CACHE.get(key)
+    got = _SHAPE_CACHE.get((left, right))
     if got is None:
-        got = _SHAPE_CACHE[key] = Shape(left, right, key)
+        got = _SHAPE_CACHE[left, right] = Shape(left, right, (0, left.key, right.key))
     return got
 
 
 _DISHAPE_CACHE: dict[tuple, DiShape] = {}
 DILEAF = DiShape(None, None, None, (1,))
-_DISHAPE_CACHE[DILEAF.key] = DILEAF
 
 
 def dinode(label: int, left: DiShape, right: DiShape) -> DiShape:
     if label not in (LPROD, RPROD):
         raise InputError(f"bad product label {label!r}")
-    key = (0, label) + left.key + right.key
-    got = _DISHAPE_CACHE.get(key)
+    got = _DISHAPE_CACHE.get((label, left, right))
     if got is None:
-        got = _DISHAPE_CACHE[key] = DiShape(label, left, right, key)
+        got = _DISHAPE_CACHE[label, left, right] = DiShape(label, left, right,
+                                                           (0, label, left.key, right.key))
     return got
 
 

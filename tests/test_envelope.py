@@ -298,9 +298,21 @@ def _unshared(x: CElement) -> CElement:
     return CElement(dict(x.c0), dict(x.c1))
 
 
+def _basis_keys(env, keys: tuple) -> list:
+    """The closed table's keys for the plain word on keys: the keys
+    themselves if all are basis indices, else one key per basis index in
+    the support of T.x, put in place of the pair x."""
+    at = [i for i, k in enumerate(keys) if type(k) is tuple]
+    if not at:
+        return [keys]
+    t_image = env.t_act(env.pair(*keys[at[0]])).c0
+    return [keys[:at[0]] + (k,) + keys[at[0] + 1:] for _deg, k in t_image]
+
+
 def test_kept_values_equal_fresh_evaluation():
     # with the tables warm, every word of degree <= 3 on every basis tuple and
-    # every one-pair tuple gives the value of a fresh evaluation, on both sides
+    # every one-pair tuple gives the value of a fresh evaluation, on both
+    # sides; a one-pair word reads the closed table under basis keys only
     env = build_envelope(dict(corpus())["leibniz3"])
     fold = (functools.partial(pseudo_product, env),)
     for n in range(1, 4):
@@ -309,14 +321,17 @@ def test_kept_values_equal_fresh_evaluation():
                 for args in _word_arguments(env, n):
                     permuted = [args[s - 1] for s in perm]
                     if k:  # the first permutation filled both tables
-                        key = (shape, tuple(map(env.leaf_key, permuted)))
-                        assert key in env._plain[2] and key in env._closed[2]
+                        keys = tuple(map(env.leaf_key, permuted))
+                        assert (shape, keys) in env._plain[2]
+                        assert all((shape, basis) in env._closed[2]
+                                   for basis in _basis_keys(env, keys))
                     value = eval_term(env, (shape, perm), args)
                     fresh = eval_shape_tree(shape, [leaf_spread(env, x) for x in permuted], fold)
                     assert value.eq(act_spread(env, fresh, perm))
                     closed = closed_form_eval(env, (shape, perm), args)
                     assert closed.eq(closed_form_eval(env, (shape, perm), list(map(_unshared, args))))
                     assert closed.eq(value)
+            assert all(_basis_only(keys) for _sub, keys in env._closed[2]), shape
 
 
 def test_subwords_of_two_shapes_on_the_same_keys_stay_apart():
@@ -376,12 +391,19 @@ def _wrong_terms(env, shape, terms):
 
 
 def _wrong_closed(env, _shape, value):
-    """e1 added to the _word_values or the plain x0, a pair to a C1 value."""
+    """e1 added to the _word_values or to the plain x0."""
     if isinstance(value, list):
         return [_plus(v, {0: 1}) for v in value]
-    if isinstance(value, tuple):
-        return _plus(value[0], {0: 1}), value[1]
-    return _plus(value, {env.c1_basis[0]: 1})
+    return _plus(value[0], {0: 1}), value[1]
+
+
+def _wrong_t_coefficients(env, shape, value):
+    """A pair added to every T-coefficient of a plain closed form; the
+    _word_values and the plain x0 are kept."""
+    if isinstance(value, list):
+        return value
+    ys, pair = value[1], {env.c1_basis[0]: 1}
+    return value[0], {j: _plus(ys.get(j, {}), pair) for j in range(1, shape.arity)}
 
 
 def _basis_only(keys) -> bool:
@@ -392,21 +414,51 @@ def _holds_a_pair(keys) -> bool:
     return not _basis_only(keys)
 
 
+WRONG_HITS = {  # attribute: (module, [(wrong value, chosen keys, mismatch kind)])
+    "_plain": (pseudo, [(_wrong_terms, _basis_only, "word "),
+                        (_wrong_terms, _holds_a_pair, "one-pair word ")]),
+    # a one-pair word reads the plain closed forms on basis keys, at T-coefficients alone
+    "_closed": (envelope, [(_wrong_closed, _basis_only, "word "),
+                           (_wrong_t_coefficients, _basis_only, "one-pair word ")]),
+}
+
+
 @pytest.mark.parametrize("attr", ["_plain", "_closed"])
 def test_wrong_table_value_is_a_mismatch(monkeypatch, attr):
     # the sweep compares what the tables hand back, so a wrong kept value of a
     # basis-only subword or of a one-pair subword shows, on either side
-    module, wrong = {"_plain": (pseudo, _wrong_terms), "_closed": (envelope, _wrong_closed)}[attr]
+    module, cases = WRONG_HITS[attr]
 
     def sweep():
         env = build_envelope(dict(corpus())["leibniz2"])
         return oracle_sweep(env, 3, lambda n: [(env.c1_basis[0], (0,) * (n - 1))])
     assert sweep() == (None, 2 + 8 + 2 * 6 * 8 + 1 + 2 * 2 + 12 * 3)
-    for chosen, kind in ((_basis_only, "word "), (_holds_a_pair, "one-pair word ")):
+    for wrong, chosen, kind in cases:
         with monkeypatch.context() as mp:
             mp.setattr(module, TABLES[attr], _with_wrong_hits(module, attr, wrong, chosen))
             bad, _checked = sweep()
-        assert bad is not None and bad.startswith(kind), (chosen.__name__, bad)
+        assert bad is not None and bad.startswith(kind), (wrong.__name__, chosen.__name__, bad)
+
+
+def _off_at_arity_3(holds_a_pair):
+    """closed_form_eval with e1 added to the value of every word of arity 3
+    whose arguments hold a pair (or, with holds_a_pair false, do not)."""
+    def closed(env, word, args):
+        value = closed_form_eval(env, word, args)
+        if word[0].arity != 3 or any(type(x) is PairElement for x in args) != holds_a_pair:
+            return value
+        return Spread(env, 3, {**value.terms, (0, 0): env.add(value.constant(), env.basis_a(0))})
+    return closed
+
+
+def test_mismatch_messages_print_the_flat_preorder_key(monkeypatch):
+    env = build_envelope(dict(corpus())["leibniz2"])
+    want = {False: "word (0, 0, 1, 1, 1) perm (1, 2, 3) tuple (0, 0, 0)",
+            True: "one-pair word (0, 0, 1, 1, 1) perm (1, 2, 3) slot 1"}
+    for holds_a_pair, message in want.items():
+        monkeypatch.setattr(envelope, "closed_form_eval", _off_at_arity_3(holds_a_pair))
+        bad, _checked = oracle_sweep(env, 3, lambda n: [(env.c1_basis[0], (0,) * (n - 1))])
+        assert bad == message
 
 
 def _subtrees(shape) -> set:
@@ -431,7 +483,9 @@ def test_tables_hold_one_shape_after_a_sweep():
         for sub, keys in values:
             assert sub in _subtrees(last) and len(keys) == sub.arity, (attr, sub, keys)
             assert set(keys) <= generators and sum(type(k) is tuple for k in keys) <= 1
-        assert any(not _basis_only(keys) for _sub, keys in values), attr
+    # the recursive side keeps one-pair subwords; the closed side keeps basis keys only
+    assert any(not _basis_only(keys) for _sub, keys in env._plain[2])
+    assert all(_basis_only(keys) for _sub, keys in env._closed[2])
 
 
 def test_tensor_and_current_arguments_bypass_the_tables(env2):
@@ -486,10 +540,36 @@ def test_per_word_sweep_leaves_no_cyclic_garbage():
 
 def test_closed_form_rejects_mixed_arguments(env2):
     mixed = env2.add(env2.basis_a(0), env2.pair(0, 0))
-    with pytest.raises(InputError):
-        closed_form_eval(env2, (B2, (1, 2)), [mixed, env2.basis_a(0)])
-    with pytest.raises(InputError):
-        closed_form_eval(env2, (B2, (1, 2)), [env2.pair(0, 0), env2.pair(0, 1)])
+    t_power = env2.t_act(env2.basis_a(0))
+    for x in (mixed, t_power):
+        for args in ([x, env2.basis_a(0)], [x, env2.pair(0, 0)], [env2.pair(0, 1), x]):
+            with pytest.raises(InputError, match="pure A or pure tensor arguments only"):
+                closed_form_eval(env2, (B2, (1, 2)), args)
+
+
+def _multi_pair_tuples(env, n: int):
+    """Every tuple of n generators with two or more tensor generators of
+    the c1 basis, the other slots on A basis elements."""
+    gens = [env.basis_a(i) for i in range(env.A.dim)] + [env.pair(*pr) for pr in env.c1_basis]
+    for args in itertools.product(gens, repeat=n):
+        if sum(type(x) is PairElement for x in args) >= 2:
+            yield args
+
+
+def test_evaluators_agree_on_tuples_of_two_or_more_pairs():
+    # the lemma of closed_form_eval makes these values 0: every tuple of arity
+    # <= 4 with two, three or four pairs is compared on one word, the words
+    # taken in turn
+    for name, a in corpus():
+        env = build_envelope(a)
+        for n in (2, 3, 4):
+            words = list(itertools.product(all_shapes(n), symmetric_group(n)))
+            tuples = list(_multi_pair_tuples(env, n))
+            for w, word in enumerate(words):  # word-major, so the tables stay warm
+                for args in tuples[w::len(words)]:
+                    value = eval_term(env, word, args)
+                    assert value.eq(closed_form_eval(env, word, args)), (name, word, args)
+                    assert value.is_zero(), (name, word, args)
 
 
 def test_d_form_matches_substitution_formula(env2):

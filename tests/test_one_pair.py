@@ -185,3 +185,33 @@ def test_closed_forms_of_identities_match_the_recursive_evaluator(name):
             for args in tuples:
                 closed = poly_value(closed_form_eval, env, t, args)
                 assert closed.eq(poly_value(eval_term, env, t, args)), (variety, t)
+
+
+def test_criterion_08_one_pair_draws_meet_nonzero_values():
+    # criterion 08's one-pair draws, drawn in the order oracle_sweep asks for
+    # them, counted per member where the value of a word of arity >= 2 is
+    # nonzero (an arity-1 word returns the pair itself)
+    rng = random.Random(88)
+    nonzero, t_kills_pairs = {}, set()
+    for name, d in corpus():
+        env = build_envelope(d)
+        assert env.c1_basis, name
+        drawn = nonzero[name] = 0
+        for n in range(1, 5):
+            for word in itertools.product(all_shapes(n), symmetric_group(n)):
+                for slot in range(n):
+                    for _ in range(3):
+                        pr = env.c1_basis[rng.randrange(len(env.c1_basis))]
+                        args = [env.basis_a(rng.randrange(d.dim)) for _ in range(n - 1)]
+                        args.insert(slot, env.pair(*pr))
+                        drawn += 1
+                        if n > 1 and not closed_form_eval(env, word, args).is_zero():
+                            nonzero[name] += 1
+        assert drawn == 1563, name
+        if all(env.is_zero(env.t_act(env.pair(*pr))) for pr in env.c1_basis):
+            t_kills_pairs.add(name)
+    assert sum(nonzero.values()) > 0, nonzero
+    # none on sl2, uppertri2-diag, dual-numbers-diag and abelian2: T kills every
+    # pair there, so by the lemma of closed_form_eval every value is 0
+    none = {name for name, count in nonzero.items() if not count}
+    assert none == t_kills_pairs == {"sl2", "uppertri2-diag", "dual-numbers-diag", "abelian2"}

@@ -1,12 +1,15 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from divaria.dsl import parse_variety
 from divaria.errors import InputError
 from divaria.perms import random_perm, symmetric_group
-from divaria.words import (DiPoly, DILEAF, LEAF, LPROD, MultilinearPoly, RPROD,
+from divaria.translate import derive_variety
+from divaria.words import (DiPoly, DiShape, DILEAF, LEAF, LPROD, MultilinearPoly, RPROD,
                            TensorPoly, all_dishapes, all_shapes, basis_monomials,
                            dinode, graft, node, section_dishape, to_vec)
 from support import center_leaf_position, from_vec
@@ -22,6 +25,44 @@ def test_shape_counts_are_catalan():
 
 def test_shape_order_prefers_left_combs():
     assert all_shapes(3)[0] is LC3
+
+
+def _preorder(s) -> tuple:
+    """The flat preorder encoding of s, built from its children."""
+    if s.is_leaf:
+        return (1,)
+    head = (0, s.label) if isinstance(s, DiShape) else (0,)
+    return head + _preorder(s.left) + _preorder(s.right)
+
+
+def test_nested_keys_sort_as_the_flat_preorder_encodings():
+    for shapes in ([s for n in range(1, 8) for s in all_shapes(n)],
+                   [s for n in range(1, 8) for s in all_dishapes(n)]):
+        assert [s.flat_key() for s in shapes] == list(map(_preorder, shapes))
+        assert len({s.key for s in shapes}) == len(shapes)
+        assert sorted(shapes, key=lambda s: s.key) == sorted(shapes, key=_preorder)
+        assert sorted(shapes) == sorted(shapes, key=_preorder)
+
+
+def test_shapes_print_their_flat_preorder_encoding():
+    assert repr(LC3) == "Shape(00111)" and repr(LEAF) == "Shape(1)"
+    assert repr(dinode(RPROD, dinode(LPROD, DILEAF, DILEAF), DILEAF)) == "DiShape(0100111)"
+
+
+def test_derive_on_a_long_left_comb_stays_small():
+    # a node shares its children's keys: a flat key copied its subtree, and
+    # this derivation peaked at about 220 MB
+    n = 300
+    chain = "*".join(f"x{i}" for i in range(1, n + 1))
+    sigma = parse_variety(f"variety comb\nidentity {chain} - x1*({chain[3:]})\n")
+    tracemalloc.start()
+    try:
+        derived = derive_variety(sigma).derived
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(derived) == n
+    assert peak < 64 << 20, peak
 
 
 def test_word_rendering():
