@@ -5,14 +5,17 @@ EnvelopePA is built on (k[T] (x) A) (+) (A (x) A)/W.  W always contains
 the span of defect(x)defect tensors; variety quotients enlarge it by an
 ideal that the closed forms produce.  It hands out one shared element per
 generator, basis_a(i) and pair(i, j), never mutated, whose leaf_key keys
-both evaluators' per-shape tables.
+the recursive evaluator's per-shape table; the closed forms key theirs by
+basis indices alone.
 
-The closed-form evaluator assembles values of words on A-arguments
-directly from dialgebra evaluations of labeled words, and reads the values
-on tensor-part arguments off those by H-linearity (the lemma of
-closed_form_eval); it is the independent oracle against the recursive
-pseudo-product evaluator of the pseudo module, and the two are compared
-term by term in the test suite before the closed forms are trusted anywhere.
+The closed-form evaluator assembles values of words on basis elements of A
+directly from dialgebra evaluations of labeled words.  Words are
+multilinear, so the values on other A-arguments are combinations of
+those, and H-linear in each slot, so the values on tensor-part arguments
+are read off them too (the lemma of closed_form_eval).  It is the
+independent oracle against the recursive pseudo-product evaluator of the
+pseudo module, and the two are compared term by term in the test suite
+before the closed forms are trusted anywhere.
 """
 
 from __future__ import annotations
@@ -56,15 +59,14 @@ class CElement:
 
 class BasisElement(CElement):
     """The basis element i of A, in degree zero.  An envelope builds each one
-    once and hands out that object, so it is shared and never mutated; it
-    carries its index and its A-vector, which classify it in O(1)."""
+    once and hands out that object, so it is shared and never mutated; its
+    index classifies it in O(1)."""
 
-    __slots__ = ("index", "avec")
+    __slots__ = ("index",)
 
     def __init__(self, i: int):
         super().__init__({(0, i): 1}, {})
         self.index = i
-        self.avec = {i: 1}
 
 
 class PairElement(CElement):
@@ -219,20 +221,6 @@ class EnvelopePA(PseudoAlgebra):
             return x.key
         return None
 
-    def a_part(self, x: CElement) -> Vec | None:
-        """x as an A-vector if x lies in A, else None.  The A-vector of a
-        shared basis element is its own: never change it."""
-        if type(x) is BasisElement:
-            return x.avec
-        if x.c1:
-            return None
-        out: Vec = {}
-        for (k, i), v in x.c0.items():
-            if k:
-                return None
-            out[i] = v
-        return out
-
 
 def build_envelope(a: FDDialgebra) -> EnvelopePA:
     """The envelope of a, after checking that a is a zero-dialgebra."""
@@ -246,19 +234,19 @@ def build_envelope(a: FDDialgebra) -> EnvelopePA:
 # closed forms (the independent oracle)
 # ---------------------------------------------------------------------------
 
-def _word_values(env: EnvelopePA, shape: Shape, keys: tuple, vecs, values: dict) -> list:
-    """Dialgebra values of the word on the A-vectors vecs[k] of its leaf keys
-    k, labeled toward each leaf position in turn (the section_dishape
-    labelings), from one bottom-up fold; kept, with those of its subwords,
-    in values under (shape, keys)."""
+def _word_values(env: EnvelopePA, shape: Shape, keys: tuple, values: dict) -> list:
+    """Dialgebra values of the word on the basis elements keys of A, labeled
+    toward each leaf position in turn (the section_dishape labelings), from
+    one bottom-up fold; kept, with those of its subwords, in values under
+    (shape, keys)."""
     got = values.get((shape, keys))
     if got is None:
         if shape.is_leaf:
-            got = [vecs[keys[0]]]
+            got = [{keys[0]: 1}]
         else:
             m = shape.left.arity
-            left = _word_values(env, shape.left, keys[:m], vecs, values)
-            right = _word_values(env, shape.right, keys[m:], vecs, values)
+            left = _word_values(env, shape.left, keys[:m], values)
+            right = _word_values(env, shape.right, keys[m:], values)
             r1, lm = right[0], left[-1]
             got = [env.A.lprod(x, r1) for x in left] + [env.A.rprod(lm, y) for y in right]
         values[shape, keys] = got
@@ -284,15 +272,15 @@ def _closed_join(env: EnvelopePA, left: list, right: list):
     return env.A.rprod(x0l, y0), xs
 
 
-def _closed_mono_a(env: EnvelopePA, shape: Shape, keys: tuple, vecs, values: dict):
+def _closed_mono_a(env: EnvelopePA, shape: Shape, keys: tuple, values: dict):
     """(y0, {i: pair dict y_i}) for the value y0 - sum_i T_i [y_i] of a plain
-    word on the A-vectors vecs[k] of its leaf keys k, from the _word_values
-    of its two sides, which are kept in values."""
+    word on the basis elements keys of A, from the _word_values of its two
+    sides, which are kept in values."""
     if shape.is_leaf:
-        return vecs[keys[0]], {}
+        return {keys[0]: 1}, {}
     m = shape.left.arity
-    return _closed_join(env, _word_values(env, shape.left, keys[:m], vecs, values),
-                        _word_values(env, shape.right, keys[m:], vecs, values))
+    return _closed_join(env, _word_values(env, shape.left, keys[:m], values),
+                        _word_values(env, shape.right, keys[m:], values))
 
 
 def _closed_twist(env: EnvelopePA, y0: Vec, ys: dict, sigma, inv) -> tuple[Vec, dict]:
@@ -334,10 +322,17 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
     entry, closed_form_on_tuples.  Only dialgebra evaluations are used, no
     pseudo-products.
 
-    Each argument lies in A or in the tensor part; others are refused.  The
-    arguments are classified once.  On shared generators (env.leaf_key) the
-    plain closed forms and their subwords are kept in env's table for the
-    shape, under basis indices; other arguments get a table for this call.
+    Each argument lies in A or in the tensor part; others are refused.  Each
+    is read once: a shared basis element (env.leaf_key) by its index, any
+    other argument by its content.  A tensor-part argument is one with a
+    tensor part and no free part; a shared pair that reduces to 0 is the
+    zero A-vector.
+
+    Multilinearity: a word's value is linear in each argument, so it is the
+    combination, over the basis expansions of the A-vector arguments (and of
+    T.x, below), of the plain closed forms on basis indices, which env's
+    table for the shape keeps with their subwords; shared basis elements
+    give one such word with coefficient 1.
 
     Lemma: let x be a tensor-part element, and v the value of a word of
     arity n >= 2 with x in slot s.  Each slot of a pseudo-algebra word is
@@ -355,67 +350,69 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
     n = shape.arity
     if n != len(args):
         raise InputError("arity mismatch")
-    vals, slots = [], []
+    items, slots, expand = [], [], False
     for pos, x in enumerate(args, start=1):
-        got = env.a_part(x)
-        if got is None:
-            if x.c0:
+        item = env.leaf_key(x)
+        if type(item) is not int:
+            expand = True
+            if x.c1 and not x.c0:  # by content, not by key: a shared pair may reduce to 0
+                slots.append(pos)
+                item = env._t_of_pairs(x.c1)
+            elif x.c1 or any(k for k, _i in x.c0):
                 raise InputError("closed forms support pure A or pure tensor arguments only")
-            slots.append(pos)
-            got = x.c1
-        vals.append(got)
+            else:
+                item = {i: v for (_k, i), v in x.c0.items()}
+        items.append(item)
     if len(slots) > 1:
         return Spread.of_terms(env, n, {})
     if slots and n == 1:  # the argument itself
-        return Spread.of_terms(env, 1, {(): CElement({}, vals[0])})
-    keys = tuple(map(env.leaf_key, args))
-    if None in keys:
-        # keyed by position; basis index k is key n + k, apart from them
-        keys, base, inverses, values = tuple(range(n)), n, {}, {}
-    else:
-        base, (inverses, values) = 0, _closed_table(env, shape)
+        return Spread.of_terms(env, 1, {(): CElement({}, args[0].c1)})
+    inverses, values = _closed_table(env, shape)
     inv = inverses.get(sigma)
     if inv is None:
         inv = inverses[sigma] = perms.inverse(sigma)
-    vecs = dict(zip(keys, vals))
-    keys = tuple([keys[g - 1] for g in sigma])
+    items = [items[g - 1] for g in sigma]
+    combos = _basis_combos(items) if expand else [(tuple(items), 1)]
     if not slots:
-        x0, ys = _closed_twist(env, *_closed_plain(env, shape, keys, vecs, values), sigma, inv)
-        xs = {j: {k: -v for k, v in pair.items()} for j, pair in ys.items()}
-        return _closed_spread(env, n, x0, xs)
+        return _closed_sum(env, n, [
+            (c, _closed_twist(env, *_closed_plain(env, shape, keys, values), sigma, inv))
+            for keys, c in combos])
     p = inv[slots[0] - 1]
     sign, j = (-1, p) if p < n else (1, 1)
     c1: dict = {}  # reduced: a combination of reduced vectors
-    for k, c in env._t_of_pairs(vals[slots[0] - 1]).items():
-        vecs[base + k] = env.basis_a(k).avec
-        ys = _closed_plain(env, shape, keys[:p - 1] + (base + k,) + keys[p:], vecs, values)[1]
-        vec_axpy(c1, sign * c, ys.get(j, {}))
+    for keys, c in combos:
+        vec_axpy(c1, sign * c, _closed_plain(env, shape, keys, values)[1].get(j, {}))
     return Spread.of_terms(env, n, {(0,) * (n - 1): CElement({}, c1)} if c1 else {})
 
 
-def _closed_plain(env: EnvelopePA, shape: Shape, keys: tuple, vecs, values: dict):
+def _basis_combos(items: list) -> list:
+    """(basis indices, coefficient) of each term of the multilinear
+    expansion of items, each a basis index or a vector over the basis."""
+    combos = [((), 1)]
+    for item in items:
+        terms = ((item, 1),) if type(item) is int else item.items()
+        combos = [(keys + (k,), c * v) for keys, c in combos for k, v in terms]
+    return combos
+
+
+def _closed_plain(env: EnvelopePA, shape: Shape, keys: tuple, values: dict):
     """_closed_mono_a of the word, kept in values under (shape, keys)."""
     plain = values.get((shape, keys))  # the word itself, not a proper subword
     if plain is None:
-        plain = values[shape, keys] = _closed_mono_a(env, shape, keys, vecs, values)
+        plain = values[shape, keys] = _closed_mono_a(env, shape, keys, values)
     return plain
 
 
 def _closed_sum(env: EnvelopePA, n: int, values) -> Spread:
-    """The spread of the sum of coeff * (y0, ys) over the (coeff, closed
-    form) pairs in values, added into fresh accumulators."""
+    """The spread x0 + sum_j T_j [xs[j]] over n slots of the sum of
+    coeff * (y0, ys) over the (coeff, closed form) pairs in values, added
+    into fresh accumulators, never into the kept values themselves."""
     x0: Vec = {}
     xs: dict = {}  # j -> the tensor part of the T_j coefficient: -sum of coeff * x_j
     for coeff, (y0, ys) in values:
         vec_axpy(x0, coeff, y0)
         for j, pair in ys.items():
             _add_scaled(xs, j, -coeff, pair)
-    return _closed_spread(env, n, x0, xs)
-
-
-def _closed_spread(env: EnvelopePA, n: int, x0: Vec, xs: dict) -> Spread:
-    """The spread x0 + sum_j T_j [xs[j]] over n slots.  x0 and the xs[j] are
-    fresh dicts, zero-free and reduced, never the kept values themselves."""
     terms = {(0,) * (n - 1): env.from_a(x0)} if x0 else {}
     units = _unit_exps(n)
     for j, pair in xs.items():
@@ -434,14 +431,12 @@ def closed_form_on_tuples(env: EnvelopePA, p: MultilinearPoly) -> Iterator[tuple
     """
     n, d = p.arity, env.A.dim
     guard_tuples(d ** n, f"{d}^{n} basis tuples")
-    avecs = [env.A.basis(i) for i in range(d)]
     values: dict = {}
     plan = [(coeff, shape, itemgetter(*[s - 1 for s in sigma]), sigma, perms.inverse(sigma))
             for (shape, sigma), coeff in p.terms.items()]
     for idx in itertools.product(range(d), repeat=n):
         yield idx, _closed_sum(env, n, [
-            (coeff, _closed_twist(env, *_closed_mono_a(env, shape, pick(idx), avecs, values),
-                                  sigma, inv))
+            (coeff, _closed_twist(env, *_closed_mono_a(env, shape, pick(idx), values), sigma, inv))
             for coeff, shape, pick, sigma, inv in plan])
 
 
@@ -535,7 +530,7 @@ def build_var_quotient(env: EnvelopePA, sigma: IdentitySet) -> VarQuotient:
                     f"degree-zero part of {t} at basis tuple {idx} is nonzero; "
                     f"the identity fails on A")
             for exps, elem in spread.terms.items():
-                if any(exps):  # _closed_spread puts the free part at exponent zero only
+                if any(exps):  # _closed_sum puts the free part at exponent zero only
                     rows.add(dict(elem.c1))
     quotient = EnvelopePA(a, extra_relations=rows.rows())
     return VarQuotient(rows, quotient)

@@ -108,6 +108,22 @@ def test_every_method_is_read():
     assert unread == []
 
 
+def test_every_slot_is_read():
+    """A __slots__ entry of a src class that the program never reads as an
+    attribute is stored and never used: what read it is gone.  A read
+    through any object counts, writes do not, and calls from tests do not."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PROGRAM}
+    slots = [(f"{path.stem}.{cls.name}.{name}", name)
+             for path, tree in trees.items() if path.parent == PACKAGE
+             for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for stmt in cls.body if isinstance(stmt, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+             for name in ast.literal_eval(stmt.value)]
+    reads = {attr for tree in trees.values() for attr, _enclosing in _attribute_reads(tree)}
+    assert slots
+    assert [qual for qual, name in slots if name not in reads] == []
+
+
 def test_every_import_is_used():
     """A name that a src module imports and never reads is dead.  Names
     listed in __all__ and imports marked # noqa: F401 (re-exports) are exempt."""

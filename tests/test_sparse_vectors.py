@@ -15,7 +15,7 @@ from divaria.perms import symmetric_group
 from divaria.pseudo import Spread, eval_term
 from divaria.translate import derive_variety, zero_dialgebra_axioms
 from divaria.varieties import builtin_identity_set
-from divaria.words import all_shapes, eval_on_tuples
+from divaria.words import LEAF, all_shapes, eval_on_tuples
 from support import gl, spread_sum
 
 ALGEBRAS = corpus() + [("gl2", leibniz_to_dialgebra(gl(2)))]
@@ -52,9 +52,10 @@ def test_results_hold_no_zero():
                                          for s in (1, -1)]
         for c1 in c1s:
             assert _zero_free(env._t_of_pairs(c1)), (name, c1)
-        for v in vecs:
-            vec = env.a_part(env.from_a(v))
-            assert vec == v and _zero_free(vec), (name, v)
+        for v in vecs:  # an unshared A-vector expands over the basis
+            value = closed_form_eval(env, (LEAF, (1,)), [env.from_a(v)])
+            assert value.eq(Spread(env, 1, {(): env.from_a(v)})), (name, v)
+            assert all(_zero_free(e.c0) and _zero_free(e.c1) for e in value.terms.values())
 
 
 def _comparable(table, terms: bool):

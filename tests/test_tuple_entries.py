@@ -229,7 +229,7 @@ def test_closed_entry_never_reaches_the_recursive_evaluator(monkeypatch):
 def test_recursive_entry_never_reaches_the_closed_forms(monkeypatch):
     closed = [fn for fn in vars(envelope) if "closed" in fn or fn == "_word_values"]
     assert {"closed_form_eval", "closed_form_on_tuples", "_closed_sum", "_closed_join",
-            "_closed_twist", "_closed_spread", "_closed_mono_a", "_word_values"} <= set(closed)
+            "_closed_twist", "_closed_mono_a", "_word_values"} <= set(closed)
     cases = [(q, t) for label, q, sigma in quotients() for t in sigma if label.endswith("/lie")]
     cases += [(env, SHAPES_APART) for env in shapes_apart_cases()]
     raw, lie = build_envelope(dict(corpus())["leibniz2"]), builtin_identity_set("lie")
