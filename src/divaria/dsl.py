@@ -31,6 +31,14 @@ from .words import (DiPoly, DILEAF, dinode, LEAF, LPROD, MultilinearPoly,
 _OPS = ("|-", "-|", "*")
 _DIGITS = "0123456789"
 
+# The parser recurses through four calls per open parenthesis (at most 400
+# frames here), and the tree walks once per product and per parenthesis
+# (at most 700), so every identity line within these bounds parses and
+# derives below Python's default recursion limit of 1000, whatever the
+# entry point; a line beyond them is refused before it is parsed.
+MAX_NESTING = 100     # parentheses open at once
+MAX_OPERATORS = 600   # products
+
 
 @dataclass
 class Token:
@@ -265,6 +273,22 @@ def parse_identity(tokens: list[Token]) -> TermPoly:
     return expr_to_poly(terms, end.line)
 
 
+def _check_nesting(tokens: list[Token], line: int, col: int) -> None:
+    """Refuse an identity line that opens more than MAX_NESTING parentheses
+    at once or holds more than MAX_OPERATORS products, before it is parsed."""
+    depth = deepest = ops = 0
+    for tok in tokens:
+        if tok.kind == "lparen":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif tok.kind == "rparen":
+            depth -= 1
+        elif tok.kind == "op":
+            ops += 1
+    if deepest > MAX_NESTING or ops > MAX_OPERATORS:
+        raise ParseError("identity nested too deeply", line, col)
+
+
 def parse_variety(text: str) -> IdentitySet:
     """Parse a variety file into an identity set of one-product polynomials."""
     lines: dict[int, list[Token]] = {}
@@ -288,10 +312,8 @@ def parse_variety(text: str) -> IdentitySet:
                     raise ParseError("vars expects x<digits> entries", t.line, t.col)
                 declared_vars.append(int(t.text[1:]))
         elif head.kind == "name" and head.text == "identity":
-            try:
-                poly = parse_identity(ts[1:])
-            except RecursionError:  # the parser and the tree walks recurse once per level
-                raise ParseError("identity nested too deeply", ln, head.col) from None
+            _check_nesting(ts, ln, head.col)
+            poly = parse_identity(ts[1:])
             if not isinstance(poly, MultilinearPoly):
                 raise InputError(f"line {ln}: variety identities use '*' only")
             identities.append(poly)

@@ -3,19 +3,23 @@ and homomorphisms out of it.
 
 EnvelopePA is built on (k[T] (x) A) (+) (A (x) A)/W.  W always contains
 the span of defect(x)defect tensors; variety quotients enlarge it by an
-ideal that the closed forms produce.  It hands out one shared element per
-generator, basis_a(i) and pair(i, j), never mutated, whose leaf_key keys
-the recursive evaluator's per-shape table; the closed forms key theirs by
-basis indices alone.
+ideal that the closed forms produce.  When a relation has a Fraction
+entry, reduction turns the integral Fractions it makes back into int.  The
+envelope hands out one shared element per generator, basis_a(i) and
+pair(i, j), never mutated, whose leaf_key keys the recursive evaluator's
+per-shape table and its twist plans; the closed forms key theirs by basis
+indices alone.
 
 The closed-form evaluator assembles values of words on basis elements of A
-directly from dialgebra evaluations of labeled words.  Words are
-multilinear, so the values on other A-arguments are combinations of
-those, and H-linear in each slot, so the values on tensor-part arguments
-are read off them too (the lemma of closed_form_eval).  It is the
-independent oracle against the recursive pseudo-product evaluator of the
-pseudo module, and the two are compared term by term in the test suite
-before the closed forms are trusted anywhere.
+directly from dialgebra evaluations of labeled words: on shared basis
+elements it reads the plain word from its table under the permuted
+indices and twists it.  Words are multilinear, so the values on other
+A-arguments are combinations of those, and H-linear in each slot, so the
+values on tensor-part arguments are read off them too (the lemma of
+closed_form_eval).  It is the independent oracle against the recursive
+pseudo-product evaluator of the pseudo module, and the two are compared
+term by term in the test suite before the closed forms are trusted
+anywhere.
 """
 
 from __future__ import annotations
@@ -23,14 +27,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Iterator, Sequence
 
 from . import perms
 from .errors import InputError, guard_tuples
 from .fd import FDDialgebra, first_witness, is_zero_dialgebra
-from .linalg import RowSpace, Vec, add_term, decimal_str, vec_axpy
+from .linalg import RowSpace, Vec, add_term, decimal_str, rational, vec_axpy
 from .operads import IdentitySet
 from .pseudo import (PseudoAlgebra, Spread, accumulate, eval_term, hom_failure, lin_comb,
                      n_product, product)
@@ -86,6 +91,11 @@ def _outer(x: Vec, y: Vec) -> dict:
     return {(i, j): a * b for i, a in x.items() for j, b in y.items()}
 
 
+def _settled_reduce(rel: RowSpace, c1: dict) -> dict:
+    """c1 modulo rel, with its integral Fractions as int."""
+    return {k: rational(c) for k, c in rel.reduce(c1).items()}
+
+
 class EnvelopePA(PseudoAlgebra):
     """(k[T] (x) A) (+) (A (x) A)/W with the four base products.
 
@@ -110,11 +120,15 @@ class EnvelopePA(PseudoAlgebra):
                 raise InputError("quotient relation not killed by T")
             rel.add(extra)
         self.rel = rel
+        # a Fraction in a relation makes integral Fractions out of int data,
+        # which would leave int arithmetic, the fast path, for good
+        fractional = any(type(c) is Fraction for row in rel.rows() for c in row.values())
+        self._reduce = partial(_settled_reduce, rel) if fractional else rel.reduce
         pivots = set(rel.pivots())
         self.c1_basis = tuple(p for p in sorted(itertools.product(range(d), repeat=2))
                               if p not in pivots)
         self._basis = tuple(map(BasisElement, range(d)))
-        self._pairs = {p: PairElement(p, rel.reduce({p: 1}))
+        self._pairs = {p: PairElement(p, self._reduce({p: 1}))
                        for p in itertools.product(range(d), repeat=2)}
 
     # -- constructors ------------------------------------------------------
@@ -129,7 +143,7 @@ class EnvelopePA(PseudoAlgebra):
         return self._pairs[i, j]
 
     def tensor_pair(self, x: Vec, y: Vec) -> dict:
-        return self.rel.reduce(_outer(x, y))
+        return self._reduce(_outer(x, y))
 
     # -- element protocol ----------------------------------------------------
 
@@ -178,7 +192,7 @@ class EnvelopePA(PseudoAlgebra):
                 prod = {(0, s): c * t for s, t in enumerate(xi_right[j]) if t}
                 if prod:
                     accumulate(self, buckets, (k, l), CElement(prod, {}))
-                accumulate(self, buckets, (k + 1, l), CElement({}, self.rel.reduce({(i, j): -c})))
+                accumulate(self, buckets, (k + 1, l), CElement({}, self._reduce({(i, j): -c})))
             if y.c1:
                 ty = self._t_of_pairs(y.c1)
                 if ty:
@@ -322,17 +336,19 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
     entry, closed_form_on_tuples.  Only dialgebra evaluations are used, no
     pseudo-products.
 
-    Each argument lies in A or in the tensor part; others are refused.  Each
-    is read once: a shared basis element (env.leaf_key) by its index, any
-    other argument by its content.  A tensor-part argument is one with a
-    tensor part and no free part; a shared pair that reduces to 0 is the
-    zero A-vector.
+    When every argument is a shared basis element, as on every basis tuple
+    of a sweep, their indices, permuted by sigma, key env's table for the
+    shape directly: the plain closed form is twisted and spread as it is.
+    Otherwise each argument lies in A or in the tensor part; others are
+    refused.  Each is read once: a shared basis element (env.leaf_key) by
+    its index, any other argument by its content.  A tensor-part argument
+    is one with a tensor part and no free part; a shared pair that reduces
+    to 0 is the zero A-vector.
 
     Multilinearity: a word's value is linear in each argument, so it is the
     combination, over the basis expansions of the A-vector arguments (and of
     T.x, below), of the plain closed forms on basis indices, which env's
-    table for the shape keeps with their subwords; shared basis elements
-    give one such word with coefficient 1.
+    table for the shape keeps with their subwords.
 
     Lemma: let x be a tensor-part element, and v the value of a word of
     arity n >= 2 with x in slot s.  Each slot of a pseudo-algebra word is
@@ -350,11 +366,16 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
     n = shape.arity
     if n != len(args):
         raise InputError("arity mismatch")
-    items, slots, expand = [], [], False
+    if all(type(x) is BasisElement for x in args):
+        inverses, values = _closed_table(env, shape)
+        keys = tuple(args[g - 1].index for g in sigma)
+        x0, xs = _closed_twist(env, *_closed_plain(env, shape, keys, values), sigma,
+                               _inverse(inverses, sigma))
+        return _closed_spread(env, n, x0, xs, -1)  # the value is x0 - sum_j T_j [x_j]
+    items, slots = [], []
     for pos, x in enumerate(args, start=1):
         item = env.leaf_key(x)
         if type(item) is not int:
-            expand = True
             if x.c1 and not x.c0:  # by content, not by key: a shared pair may reduce to 0
                 slots.append(pos)
                 item = env._t_of_pairs(x.c1)
@@ -368,11 +389,8 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
     if slots and n == 1:  # the argument itself
         return Spread.of_terms(env, 1, {(): CElement({}, args[0].c1)})
     inverses, values = _closed_table(env, shape)
-    inv = inverses.get(sigma)
-    if inv is None:
-        inv = inverses[sigma] = perms.inverse(sigma)
-    items = [items[g - 1] for g in sigma]
-    combos = _basis_combos(items) if expand else [(tuple(items), 1)]
+    inv = _inverse(inverses, sigma)
+    combos = _basis_combos([items[g - 1] for g in sigma])
     if not slots:
         return _closed_sum(env, n, [
             (c, _closed_twist(env, *_closed_plain(env, shape, keys, values), sigma, inv))
@@ -383,6 +401,14 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
     for keys, c in combos:
         vec_axpy(c1, sign * c, _closed_plain(env, shape, keys, values)[1].get(j, {}))
     return Spread.of_terms(env, n, {(0,) * (n - 1): CElement({}, c1)} if c1 else {})
+
+
+def _inverse(inverses: dict, sigma) -> tuple:
+    """The inverse of sigma, kept in inverses, the table's."""
+    inv = inverses.get(sigma)
+    if inv is None:
+        inv = inverses[sigma] = perms.inverse(sigma)
+    return inv
 
 
 def _basis_combos(items: list) -> list:
@@ -413,11 +439,18 @@ def _closed_sum(env: EnvelopePA, n: int, values) -> Spread:
         vec_axpy(x0, coeff, y0)
         for j, pair in ys.items():
             _add_scaled(xs, j, -coeff, pair)
+    return _closed_spread(env, n, x0, xs, 1)
+
+
+def _closed_spread(env: EnvelopePA, n: int, x0: Vec, xs: dict, sign: int) -> Spread:
+    """The spread x0 + sign * sum_j T_j [xs[j]] over n slots.  x0 is copied.
+    With sign 1 the nonzero xs[j] become the terms themselves; with sign -1
+    they are negated into fresh dicts, so they may be kept values."""
     terms = {(0,) * (n - 1): env.from_a(x0)} if x0 else {}
     units = _unit_exps(n)
     for j, pair in xs.items():
         if pair:
-            terms[units[j - 1]] = CElement({}, pair)
+            terms[units[j - 1]] = CElement({}, pair if sign == 1 else {k: -v for k, v in pair.items()})
     return Spread.of_terms(env, n, terms)
 
 

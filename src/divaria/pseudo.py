@@ -13,8 +13,9 @@ protocol reads the coefficient products |- and -| off the base product; an
 algebra with a closed form for them overrides both.  This module holds
 what works for any of them: spreads, the expanded pseudo-product, the
 recursive word evaluator eval_term, which keeps every subword of the
-shape it is on under the leaf keys of shared generators (leaf_key), and
-its entry for a polynomial on every argument tuple
+shape it is on under the leaf keys of shared generators (leaf_key), with
+the plan of each slot twist beside them, and its entry for a polynomial
+on every argument tuple
 (eval_term_on_tuples), the evaluator of dialgebra
 polynomials in the coefficient dialgebra, the identity check on
 generators, and the map layer: the linear extension of basis images
@@ -207,19 +208,20 @@ def _product_table(p: int, q: int, k: int, m: int) -> tuple:
     return _by_power((off, power, coeff) for (off, power), coeff in merged.items())
 
 
-def _spread_into(alg, acc: dict, base: tuple, elem, table: tuple):
-    """acc += the sum over the table of c T^(base + offsets) (x)_H T^power elem.
+def _spread_into(alg, acc: dict, elem, entries) -> None:
+    """acc += the sum over the (exponents, T-power, coefficient) entries of
+    c T^exponents (x)_H T^power elem.
 
-    The table rises in T-power, so each power of elem is computed once; once
-    T kills elem, no later entry adds anything."""
+    The entries rise in T-power, so each power of elem is computed once;
+    once T kills elem, no later entry adds anything."""
     power, shifted = 0, elem
-    for off, need, c in table:
+    for exps, need, c in entries:
         while power < need:
             shifted = alg.t_act(shifted)
             power += 1
             if alg.is_zero(shifted):
                 return
-        accumulate(alg, acc, tuple(map(add, base, off)), shifted, c)
+        accumulate(alg, acc, exps, shifted, c)
 
 
 def leaf_spread(alg, x) -> Spread:
@@ -239,21 +241,42 @@ def pseudo_product(alg, f: Spread, g: Spread) -> Spread:
                 if alg.is_zero(c):
                     continue
                 _check_degree(max(mu_top + p, nu_top + q))
-                _spread_into(alg, acc, base, c, _product_table(p, q, k, m))
+                _spread_into(alg, acc, c, [(tuple(map(add, base, off)), power, coeff)
+                                           for off, power, coeff in _product_table(p, q, k, m)])
     return Spread.of_terms(alg, k + m, acc)
 
 
-def act_spread(alg, f: Spread, sigma) -> Spread:
-    """Slot relabeling T_i -> T_{i*sigma} followed by renormalization."""
+def _twist_plan(exps: tuple, sigma, n: int) -> tuple:
+    """The twist of T^exps over n slots by sigma: T_i -> T_{i*sigma}, then
+    slot n removed, as (target exponents, T-power, coefficient) triples by
+    rising T-power; the degree is checked before the slot table is read."""
+    _check_degree(max(exps, default=0))
+    full = exps + (0,)
+    moved = [0] * n
+    for i in range(n):
+        moved[sigma[i] - 1] = full[i]
+    base = moved[:-1]
+    return tuple((tuple(map(add, base, off)), power, coeff)
+                 for off, power, coeff in _slot_table(moved[-1], n))
+
+
+def act_spread(alg, f: Spread, sigma, plans: dict | None = None) -> Spread:
+    """Slot relabeling T_i -> T_{i*sigma} followed by renormalization.
+
+    Each term is spread through its plan (_twist_plan), read from plans
+    under (exponents, sigma) or made and put there.  plans belongs to the
+    caller, which drops it with its table for the shape (eval_term) or at
+    the end of its call (eval_term_on_tuples), so no plan outlives the
+    slot table it was read from; without plans, they last for this call."""
     n = f.n
+    if plans is None:
+        plans = {}
     acc: dict = {}
     for exps, elem in f.terms.items():
-        _check_degree(max(exps, default=0))
-        full = exps + (0,)
-        moved = [0] * n
-        for i in range(n):
-            moved[sigma[i] - 1] = full[i]
-        _spread_into(alg, acc, tuple(moved[:-1]), elem, _slot_table(moved[-1], n))
+        plan = plans.get((exps, sigma))
+        if plan is None:
+            plan = plans[exps, sigma] = _twist_plan(exps, sigma, n)
+        _spread_into(alg, acc, elem, plan)
     return Spread.of_terms(alg, n, acc)
 
 
@@ -273,20 +296,23 @@ def eval_term(alg, t, args: Sequence) -> Spread:
     permuted = [args[s - 1] for s in sigma]
     keys = tuple(map(alg.leaf_key, permuted))
     if None in keys:
-        ident, values, keys = perms.identity(n), {}, tuple(sigma)
+        ident, values, plans, keys = perms.identity(n), {}, None, tuple(sigma)
     else:
         ident, values = _shape_table(alg, shape)
+        plans = alg._plans
     plain = _eval_plain(alg, shape, permuted, keys, values)
-    return plain if sigma == ident else act_spread(alg, plain, sigma)
+    return plain if sigma == ident else act_spread(alg, plain, sigma, plans)
 
 
 def _shape_table(alg, shape: Shape) -> tuple:
     """(identity of the shape's arity, values): alg's table for shape.  It
-    holds one shape, and a word of another shape replaces it.  The values
+    holds one shape, and a word of another shape replaces it, and with it
+    the twist plans of act_spread kept beside it in alg._plans.  The values
     are terms, not spreads, which would make a reference cycle through alg."""
     table = getattr(alg, "_plain", None)
     if table is None or table[0] is not shape:
         table = alg._plain = (shape, perms.identity(shape.arity), {})
+        alg._plans = {}
     return table[1:]
 
 
@@ -313,23 +339,24 @@ def eval_term_on_tuples(alg, p: MultilinearPoly, args: Sequence) -> Iterator[tup
 
     The plain value of each proper subword is kept, for this call only, under
     (interned shape, indices into args of its leaves), through the kernel of
-    words.eval_on_tuples; kept spreads are never changed, as the monomials
-    add into a fresh accumulator.
+    words.eval_on_tuples, and so are the twist plans of act_spread; kept
+    spreads are never changed, as the monomials add into a fresh accumulator.
     """
     n, g = p.arity, len(args)
     guard_tuples(g ** n, f"{g}^{n} generator tuples")
     leaves = [leaf_spread(alg, x) for x in args]
     products = (partial(pseudo_product, alg),)
     subwords: dict = {}
-    plan = [(coeff, shape, itemgetter(*[s - 1 for s in sigma]),
-             None if sigma == perms.identity(n) else sigma)
-            for (shape, sigma), coeff in p.terms.items()]
+    plans: dict = {}
+    words = [(coeff, shape, itemgetter(*[s - 1 for s in sigma]),
+              None if sigma == perms.identity(n) else sigma)
+             for (shape, sigma), coeff in p.terms.items()]
     for idx in itertools.product(range(g), repeat=n):
         acc: dict = {}
-        for coeff, shape, pick, sigma in plan:
+        for coeff, shape, pick, sigma in words:
             value = top_product(shape, pick(idx), leaves, products, subwords)
             if sigma is not None:
-                value = act_spread(alg, value, sigma)
+                value = act_spread(alg, value, sigma, plans)
             for exps, elem in value.terms.items():
                 accumulate(alg, acc, exps, elem, coeff)
         yield idx, Spread.of_terms(alg, n, acc)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import divaria
-from divaria import cli, conformal, pseudo
+from divaria import cli, conformal, dsl, pseudo
 from divaria.cli import main
 from divaria.envelope import EnvelopePA
 from divaria.fd import sl2
@@ -278,6 +278,33 @@ def test_deeply_nested_identity_exits_2(tmp_path, capsys):
     f.write_text(f"variety deep\nidentity {nested_identity(100)}\n")
     assert main(["derive", "--variety", str(f), "--json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["identities"]) == 2 + 100
+
+
+def _bound_lines() -> dict:
+    """Identity lines at the stated bounds of dsl and one past each."""
+    depth, ops = dsl.MAX_NESTING, dsl.MAX_OPERATORS
+    return {"nesting": "(" * depth + "x1*x2" + ")" * depth,
+            "nesting+1": "(" * (depth + 1) + "x1*x2" + ")" * (depth + 1),
+            "operators+1": "*".join(f"x{i}" for i in range(1, ops + 3))}
+
+
+@pytest.mark.parametrize("name,code", [("nesting", 0), ("nesting+1", 2), ("operators+1", 2)])
+def test_identity_bounds_hold_at_every_entry_point(tmp_path, capsys, name, code):
+    # the bounds are checked before parsing, so the answer does not depend
+    # on the caller's stack: in process and in a fresh interpreter alike
+    f = tmp_path / "bound.var"
+    f.write_text(f"variety bound\nidentity {_bound_lines()[name]}\n")
+    argv = ["derive", "--variety", str(f), "--json"]
+    assert main(argv) == code
+    out = capsys.readouterr()
+    env = {**os.environ, "PYTHONPATH": str(Path(divaria.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "divaria.cli", *argv], capture_output=True,
+                          env=env, timeout=60, text=True)
+    assert done.returncode == code
+    if code:
+        assert out.err == done.stderr == "error: line 2, column 1: identity nested too deeply\n"
+    else:
+        assert out.out == done.stdout and "Traceback" not in done.stderr
 
 
 def test_deeply_nested_json_exits_2(tmp_path, capsys):

@@ -12,7 +12,8 @@ from divaria.envelope import (BasisElement, CElement, EnvelopePA, PairElement, _
                               build_envelope, build_var_quotient, closed_form_eval, extend_hom,
                               oracle_sweep)
 from divaria.pseudo import (CoefficientDialgebra, Spread, accumulate, act_spread,
-                            check_var_pseudo, eval_term, leaf_spread, n_product, pseudo_product)
+                            check_var_pseudo, eval_term, leaf_spread, n_product, product,
+                            pseudo_product)
 from divaria.conformal import build_rho
 from divaria.current import CurrentPA
 from divaria.errors import InputError, ResourceError
@@ -336,6 +337,23 @@ def test_kept_values_equal_fresh_evaluation():
             assert all(_basis_only(keys) for _sub, keys in env._closed[2]), shape
 
 
+def test_shared_basis_paths_equal_the_unshared_ones():
+    # shared basis elements take the direct closed path and eval_term's
+    # planned twists; equal unshared copies take the multilinear expansion
+    # and a table for the call alone, which keeps no plans
+    for _name, a in corpus():
+        env = build_envelope(a)
+        for n in range(1, 4):
+            for word in itertools.product(all_shapes(n), symmetric_group(n)):
+                for idx in itertools.product(range(a.dim), repeat=n):
+                    shared = [env.basis_a(i) for i in idx]
+                    copies = [env.from_a({i: 1}) for i in idx]
+                    assert closed_form_eval(env, word, shared).eq(
+                        closed_form_eval(env, word, copies)), (word, idx)
+                    assert eval_term(env, word, shared).eq(
+                        eval_term(env, word, list(map(_unshared, shared)))), (word, idx)
+
+
 def test_subwords_of_two_shapes_on_the_same_keys_stay_apart():
     # both halves of ((x1 x2) x3)(x4 (x5 x6)) on (e, f, f, e, f, f) have the
     # leaf keys (0, 1, 1); on sl2 the word changes if one half reads the other's value
@@ -544,6 +562,36 @@ def test_per_word_sweep_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _integral_fractions(elem: CElement) -> int:
+    return sum(type(c) is Fraction and c.denominator == 1
+               for c in (*elem.c0.values(), *elem.c1.values()))
+
+
+def test_bar_unit_products_hold_no_integral_fraction():
+    # bar-unit is the one corpus member whose relations hold a Fraction; its
+    # envelope turns the integral Fractions that reduction makes into int,
+    # and the products keep their values
+    envs = {name: build_envelope(a) for name, a in corpus()}
+    assert [name for name, env in envs.items() if env._reduce != env.rel.reduce] == ["bar-unit"]
+    env = envs["bar-unit"]
+    kept = build_envelope(env.A)
+    kept._reduce = kept.rel.reduce  # the reduction as it was, unsettled
+    kept._pairs = {p: PairElement(p, kept.rel.reduce({p: 1})) for p in kept._pairs}
+    gens = [g for _name, g in env.generators()]
+    xs = gens + [env.t_act(g) for g in gens]
+    unsettled = 0
+    for x, y in itertools.product(xs, repeat=2):
+        got, want = env.base_product(x, y), kept.base_product(x, y)
+        assert [(p, q) for p, q, _e in got] == [(p, q) for p, q, _e in want]
+        assert all(env.eq(e, f) for (_p, _q, e), (_r, _s, f) in zip(got, want))
+        assert not any(_integral_fractions(e) for _p, _q, e in got)
+        unsettled += sum(_integral_fractions(e) for _p, _q, e in want)
+        assert product(env, x, y).eq(product(kept, x, y))
+    assert unsettled  # without the settling, reduction leaves integral Fractions
+    for pr, x in env._pairs.items():
+        assert x.c1 == kept.pair(*pr).c1 and not _integral_fractions(x)
 
 
 def test_closed_form_rejects_mixed_arguments(env2):

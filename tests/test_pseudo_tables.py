@@ -1,10 +1,12 @@
-"""The normalization tables of pseudo.
+"""The normalization tables of pseudo, and the twist plans made from them.
 
 _slot_table and _product_table replace the expansion through coproduct
 splits that the normalizer used to walk on every call.  The tests compare
 pseudo_product and act_spread with that unfused expansion, which is kept
 here as the reference, and check that the tables stay within
-DEGREE_BOUND.
+DEGREE_BOUND.  act_spread reads each twist through a plan made from
+_slot_table; the plans are checked against the unfused expansion too, and
+they live in an envelope's table for one shape, never in the process.
 """
 
 import itertools
@@ -21,6 +23,7 @@ from divaria.fd import corpus
 from divaria.hopf import coproduct_splits
 from divaria.perms import symmetric_group
 from divaria.pseudo import Spread, accumulate, act_spread, pseudo_product
+from divaria.words import all_shapes
 
 CORPUS = dict(corpus())
 ALGEBRAS = ["leibniz3", "sl2", "bar-unit", "current2"]
@@ -227,3 +230,77 @@ def test_flipped_table_coefficient_is_a_mismatch(monkeypatch, name):
     finally:  # product tables made meanwhile read the flipped slot tables
         products.cache_clear()
     assert bad is not None
+
+
+# ---------------------------------------------------------------------------
+# the twist plans of act_spread
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_planned_twists_match_the_unfused_expansion(name):
+    # one plan dict for every spread and permutation, as eval_term_on_tuples
+    # keeps it: the second pass reads every plan back
+    alg = _algebra(name)
+    rng = random.Random(13)
+    plans: dict = {}
+    spreads = [random_spread(alg, rng, n) for n in range(1, 5) for _ in range(2)]
+    for _ in range(2):
+        for f in spreads:
+            for sigma in symmetric_group(f.n):
+                got = act_spread(alg, f, sigma, plans)
+                assert same(alg, got, unfused_act(alg, f, sigma)), sigma
+    assert {(exps, sigma) for exps, sigma in plans} == {
+        (exps, sigma) for f in spreads for exps in f.terms for sigma in symmetric_group(f.n)}
+
+
+def _sweep(env, max_arity):
+    d = env.A.dim
+    rng = random.Random(7)
+    return oracle_sweep(env, max_arity, lambda n: [(rng.choice(env.c1_basis),
+                                                    tuple(rng.randrange(d) for _ in range(n - 1)))])
+
+
+def _plan_keys(env, words, args) -> set:
+    for word in words:
+        pseudo.eval_term(env, word, args)
+    return set(env._plans)
+
+
+def test_plans_hold_the_last_shape_only():
+    env = build_envelope(CORPUS["sl2"])
+    assert _sweep(env, 4)[0] is None
+    last = all_shapes(4)[-1]
+    assert env._plain[0] is last
+    assert env._plans and all(len(sigma) == 4 and len(exps) == 3 for exps, sigma in env._plans)
+    tops = {exps for (shape, _keys), terms in env._plain[2].items() if shape is last
+            for exps in terms}
+    assert {exps for exps, _sigma in env._plans} <= tops
+    # a word of another shape of the same arity starts plans of its own
+    first, second = all_shapes(3)
+    args = [env.basis_a(i) for i in (0, 1, 2)]
+    sigma = (3, 1, 2)
+    alone = _plan_keys(build_envelope(CORPUS["sl2"]), [(second, sigma)], args)
+    assert _plan_keys(build_envelope(CORPUS["sl2"]), [(first, sigma)], args) - alone
+    after = _plan_keys(build_envelope(CORPUS["sl2"]), [(first, sigma), (second, sigma)], args)
+    assert after == alone
+
+
+def test_a_fresh_envelope_reads_a_patched_slot_table(monkeypatch):
+    # plans live in the envelope, not in the process: a fresh envelope swept
+    # after the slot table changes builds its plans from the changed table
+    assert _sweep(build_envelope(CORPUS["leibniz2"]), 3)[0] is None
+    table, products = pseudo._slot_table, pseudo._product_table
+
+    def flipped(*key):
+        *rest, (off, power, coeff) = table(*key)
+        return (*rest, (off, power, -coeff))
+    monkeypatch.setattr(pseudo, "_slot_table", flipped)
+    env = build_envelope(CORPUS["leibniz2"])
+    try:
+        bad, _checked = _sweep(env, 3)
+        assert bad is not None
+        n = env._plain[0].arity
+        assert env._plans and all(plan == pseudo._twist_plan(exps, sigma, n)
+                                  for (exps, sigma), plan in env._plans.items())
+    finally:  # product tables made meanwhile read the flipped slot tables
+        products.cache_clear()
