@@ -135,7 +135,12 @@ class FDDialgebra:
 
 
 def eval_identity(alg: FDAlgebra | FDDialgebra, p: TermPoly) -> Witness | None:
-    """None if p vanishes on all basis tuples of alg, else the first lex witness."""
+    """None if p vanishes on all basis tuples of alg, else the first lex witness.
+
+    The values come from words.eval_on_tuples, which joins the nonzero
+    values of p's subwords under the bilinear products of alg and yields
+    every tuple in lex order, so the witness names the first failing tuple
+    although no product with a zero factor is made."""
     n = p.arity
     guard_tuples(alg.dim ** n, f"{alg.dim}^{n} basis tuples")
     basis = [alg.basis(i) for i in range(alg.dim)]

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import add, itemgetter
+from operator import add
 from typing import Iterator, Sequence
 
 from . import perms
@@ -36,7 +36,7 @@ from .errors import InputError, ResourceError, guard_tuples
 from .hopf import antipode_sign, coproduct_splits
 from .linalg import add_term
 from .operads import IdentitySet
-from .words import MultilinearPoly, Shape, eval_shape_tree, top_product
+from .words import MultilinearPoly, Shape, eval_shape_tree, nonzero_words
 
 DEGREE_BOUND = 16  # largest T-power a normalized term may carry
 
@@ -139,6 +139,10 @@ class Spread:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        """True when nonzero: words.nonzero_words tests its values by truth."""
+        return bool(self.terms)
 
     def eq(self, other: "Spread") -> bool:
         """No term is zero, so equal spreads have the same exponents."""
@@ -335,31 +339,35 @@ def _eval_plain(alg, shape: Shape, args, keys: tuple, values: dict) -> Spread:
 
 def eval_term_on_tuples(alg, p: MultilinearPoly, args: Sequence) -> Iterator[tuple]:
     """Yield (index tuple, eval_term(alg, p, tuple)) for every tuple of the
-    elements args, in lex order.  p has arity >= 2, as every identity has.
+    elements args, in lex order, with a zero spread at the tuples where p
+    vanishes.  p has arity >= 2, as every identity has.
 
-    The plain value of each proper subword is kept, for this call only, under
-    (interned shape, indices into args of its leaves), through the kernel of
-    words.eval_on_tuples, and so are the twist plans of act_spread; kept
-    spreads are never changed, as the monomials add into a fresh accumulator.
+    The pseudo-product is bilinear, so the plain values of p's words come
+    from the join of words.nonzero_words on the nonzero spreads alone: each
+    proper subword shape keeps a table of its nonzero plain values, for this
+    call only, and so do the twist plans of act_spread.  Each word's value
+    is twisted by each monomial of its shape and added into the accumulator
+    of the tuple it belongs to, which is dropped when it cancels; kept
+    spreads are never changed.
     """
     n, g = p.arity, len(args)
     guard_tuples(g ** n, f"{g}^{n} generator tuples")
     leaves = [leaf_spread(alg, x) for x in args]
     products = (partial(pseudo_product, alg),)
-    subwords: dict = {}
+    ident = perms.identity(n)
     plans: dict = {}
-    words = [(coeff, shape, itemgetter(*[s - 1 for s in sigma]),
-              None if sigma == perms.identity(n) else sigma)
-             for (shape, sigma), coeff in p.terms.items()]
+    acc: dict = {}
+    for monos, at, value in nonzero_words(p, leaves, products, {}):
+        for coeff, sigma, place in monos:
+            twisted = value if sigma == ident else act_spread(alg, value, sigma, plans)
+            idx = place(at)
+            cur = acc.setdefault(idx, {})
+            for exps, elem in twisted.terms.items():
+                accumulate(alg, cur, exps, elem, coeff)
+            if not cur:
+                del acc[idx]
     for idx in itertools.product(range(g), repeat=n):
-        acc: dict = {}
-        for coeff, shape, pick, sigma in words:
-            value = top_product(shape, pick(idx), leaves, products, subwords)
-            if sigma is not None:
-                value = act_spread(alg, value, sigma, plans)
-            for exps, elem in value.terms.items():
-                accumulate(alg, acc, exps, elem, coeff)
-        yield idx, Spread.of_terms(alg, n, acc)
+        yield idx, Spread.of_terms(alg, n, acc.pop(idx, None) or {})
 
 
 def product(alg, x, y) -> Spread:

@@ -428,15 +428,20 @@ def _fold(s, it, products):
 def eval_on_tuples(p: TermPoly, basis: Sequence, products: Sequence[Callable],
                    subwords: dict) -> Iterator[tuple]:
     """Yield (index tuple, value of p) for every tuple of basis indices, in
-    lex order; a caller that stops at the first nonzero value computes
-    nothing past it.  p has arity >= 2, as every identity has.
+    lex order, with {} at the tuples where p vanishes.  p has arity >= 2, as
+    every identity has.
 
     products is indexed by node labels, as in eval_shape_tree; values are
-    zero-free dicts.  The value of each proper subword with two or more leaves is computed once per
-    tuple of leaf indices and kept in subwords, keyed by its interned shape
-    and that tuple, so an arity-3 check makes d^2 inner products where a
-    fold per tuple makes d^3.  Kept values are shared and never mutated:
-    each monomial's top product is added into a fresh accumulator.
+    zero-free dicts.  Every product is bilinear, so a word with a zero
+    subword is zero, and the words of p are joined from the nonzero values
+    alone (nonzero_words): each proper subword shape with two or more leaves
+    gets one table of its nonzero values by leaf indices, kept in subwords
+    under the interned shape, and a caller that passes one subwords dict for
+    several polynomials on one basis shares the tables.  The values of p's
+    words are not kept: each is added, at the tuple its monomial's
+    permutation gives, into an accumulator held only while nonzero, so the
+    memory is the subword tables and the tuples where p is nonzero.  Kept
+    values are shared and never mutated.
 
     >>> ab = node(LEAF, LEAF)
     >>> assoc = (MultilinearPoly.monomial(node(ab, LEAF), (1, 2, 3))
@@ -446,36 +451,65 @@ def eval_on_tuples(p: TermPoly, basis: Sequence, products: Sequence[Callable],
     >>> subwords = {}
     >>> [idx for idx, val in eval_on_tuples(assoc, basis, (mul,), subwords) if val]
     []
-    >>> len(subwords)  # x1 x2 and x2 x3 share their keys: d^2 entries for 2 d^3 subwords
-    4
+    >>> [len(table) for table in subwords.values()]  # x1 x2 and x2 x3: one table, 2 of 4 pairs
+    [2]
     >>> comm = MultilinearPoly.monomial(ab, (1, 2)) - MultilinearPoly.monomial(ab, (2, 1))
     >>> next((idx, val) for idx, val in eval_on_tuples(comm, basis, (mul,), {}) if val)
     ((0, 1), {1: 1})
     """
-    plan = [(coeff, shape, itemgetter(*[k - 1 for k in perm]))
-            for (shape, perm), coeff in p.terms.items()]
+    acc: dict = {}
+    for monos, at, value in nonzero_words(p, basis, products, subwords):
+        for coeff, _perm, place in monos:
+            idx = place(at)
+            cur = acc.setdefault(idx, {})
+            vec_axpy(cur, coeff, value)
+            if not cur:
+                del acc[idx]
     for idx in index_tuples(range(len(basis)), repeat=p.arity):
-        acc: dict = {}
-        for coeff, shape, pick in plan:
-            vec_axpy(acc, coeff, top_product(shape, pick(idx), basis, products, subwords))
-        yield idx, acc
+        yield idx, acc.pop(idx, None) or {}
 
 
-def top_product(s, leaves: tuple, basis, products, subwords):
-    """The top product of the word of shape s on the elements of basis (of
-    any kind) at leaves, its proper subwords read from or kept in subwords
-    (module level for the reason given at _fold)."""
-    m = s.left.arity
-    left = (basis[leaves[0]] if s.left.is_leaf
-            else _subword(s.left, leaves[:m], basis, products, subwords))
-    right = (basis[leaves[m]] if s.right.is_leaf
-             else _subword(s.right, leaves[m:], basis, products, subwords))
-    return products[s.label](left, right)
+def nonzero_words(p: TermPoly, basis: Sequence, products: Sequence[Callable],
+                  subwords: dict) -> Iterator[tuple]:
+    """Yield (monomials, leaf indices, value) for every nonzero value of a
+    word shape of p on elements of basis (of any kind, true when nonzero):
+    monomials lists the (coefficient, permutation, placement) of each
+    monomial of that shape, and placement maps the leaf indices to the
+    index tuple at which the monomial takes this value.  Each shape's values
+    are streamed once for all of its monomials.
+
+    Sound for bilinear products only: a value with a zero factor is taken
+    to be zero, and its product is never made."""
+    leaves = {(i,): x for i, x in enumerate(basis) if x}
+    groups: dict = {}
+    for (shape, perm), coeff in p.terms.items():
+        place = itemgetter(*[k - 1 for k in perms.inverse(perm)])
+        groups.setdefault(shape, []).append((coeff, perm, place))
+    for shape, monos in groups.items():
+        for idx, value in _join(shape, leaves, products, subwords):
+            yield monos, idx, value
 
 
-def _subword(s, leaves: tuple, basis, products, subwords):
-    key = (s, leaves)
-    got = subwords.get(key)
+def _join(s, leaves: dict, products, subwords: dict) -> Iterator[tuple]:
+    """Yield (leaf indices, value) for every nonzero value of the word of
+    shape s, a product of a nonzero value of each child (module level for
+    the reason given at _fold)."""
+    left = _table(s.left, leaves, products, subwords)
+    right = _table(s.right, leaves, products, subwords).items()
+    prod = products[s.label]
+    for li, lv in left.items():
+        for ri, rv in right:
+            value = prod(lv, rv)
+            if value:
+                yield li + ri, value
+
+
+def _table(s, leaves: dict, products, subwords: dict) -> dict:
+    """The nonzero values of the word of shape s by leaf indices: leaves for
+    a leaf, else read from or kept in subwords under s."""
+    if s.is_leaf:
+        return leaves
+    got = subwords.get(s)
     if got is None:
-        got = subwords[key] = top_product(s, leaves, basis, products, subwords)
+        got = subwords[s] = dict(_join(s, leaves, products, subwords))
     return got
