@@ -315,7 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_represent)
 
     p = sub.add_parser("operad-selftest", help="randomized operad law checks")
-    p.add_argument("--max-arity", type=int, default=8, dest="max_arity")
+    p.add_argument("--max-arity", type=int, default=8, dest="max_arity",
+                   help="largest arity drawn for Sym and E, at most 64; "
+                        "the polynomial operads AlgS, DialgS and AlgS(x)E run at "
+                        "min(MAX_ARITY, 5)")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")

@@ -172,12 +172,25 @@ def sym_compose(sigma: Perm, pi: Partition, taus: Sequence[Perm]) -> Perm:
     if len(taus) != n or any(len(taus[i]) != pi[i] for i in range(n)):
         raise InputError("inner permutation degrees do not match partition")
     pi_sigma = act_partition(pi, sigma)
-    start = tuple(itertools.accumulate(pi_sigma, initial=0))  # block i: start[i-1]+1 .. start[i]
-    images = []
     for s, tau in zip(sigma, taus):
-        lo, hi = (start[s - 1], start[s]) if 1 <= s <= n else (0, 0)
+        size = pi_sigma[s - 1] if 1 <= s <= n else 0
         for t in tau:
-            if not 0 < t <= hi - lo:
+            if not 0 < t <= size:
                 raise InputError(f"pair ({s},{t}) out of range for partition {pi_sigma!r}")
-            images.append(lo + t)
-    return tuple(images)
+    return _place_blocks(sigma, block_starts(pi_sigma), taus)
+
+
+def block_starts(pi: Partition) -> tuple[int, ...]:
+    """The offsets 0, m_1, m_1 + m_2, ..., sum(pi): block i of pi holds the
+    positions start[i-1] + 1 .. start[i].
+
+    >>> block_starts((3, 2, 4))
+    (0, 3, 5, 9)
+    """
+    return tuple(itertools.accumulate(pi, initial=0))
+
+
+def _place_blocks(sigma: Perm, start: Sequence[int], taus: Sequence[Perm]) -> Perm:
+    """The permutation that sends (i, j) to start[i*sigma - 1] + j*taus[i-1]:
+    block i is placed at the start offset of block i*sigma, with no checks."""
+    return tuple([start[s - 1] + t for s, tau in zip(sigma, taus) for t in tau])

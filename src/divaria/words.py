@@ -225,25 +225,30 @@ class TermPoly:
         group = perms.symmetric_group(n)
         return [(s, p) for s in cls.shapes(n) for p in group]
 
-    @staticmethod
-    def compose_mono(mono, pi: tuple, inner: Sequence) -> tuple:
+    @classmethod
+    def compose_mono(cls, mono, pi: tuple, inner: Sequence) -> tuple:
         """The operad composite of monomial mono with the monomials inner
         along the partition pi.
 
-        The outer permutation redistributes the blocks: the result is the
-        graft of the reordered inner shapes into the outer shape, paired
-        with the permutation composite over the reordered partition.
+        The outer permutation sigma redistributes the blocks: the result is
+        the graft of the inner shapes, in sigma's order, into the outer shape,
+        paired with the permutation that places block sigma(i), relabeled by
+        its inner permutation, at that block's start offset in pi.
 
         >>> x2x1, x1x2 = (node(LEAF, LEAF), (2, 1)), (node(LEAF, LEAF), (1, 2))
         >>> shape, perm = TermPoly.compose_mono(x2x1, (1, 2), [(LEAF, (1,)), x1x2])
         >>> str(MultilinearPoly.monomial(shape, perm))  # x2 x1 with x2 -> x2 x3
         '(x2*x3)*x1'
         """
+        return cls._place_mono(mono, perms.block_starts(pi), inner)
+
+    @staticmethod
+    def _place_mono(mono, start, inner):
+        """compose_mono given the block start offsets of the partition."""
         sigma = mono[1]
-        pi2 = perms.act_partition(pi, perms.inverse(sigma))  # blocks reordered by sigma^{-1}
-        reordered = [inner[k - 1] for k in sigma]
+        reordered = [inner[s - 1] for s in sigma]
         return (graft(mono[0], [g[0] for g in reordered]),
-                perms.sym_compose(sigma, pi2, [g[1] for g in reordered]))
+                perms._place_blocks(sigma, start, [g[1] for g in reordered]))
 
     @classmethod
     def random_mono(cls, n: int, rng) -> tuple:
@@ -380,10 +385,10 @@ class TensorPoly(TermPoly):
         return [(s, p, c) for s, p in super().monomials(n) for c in range(1, n + 1)]
 
     @classmethod
-    def compose_mono(cls, mono, pi: tuple, inner: Sequence) -> tuple:
+    def _place_mono(cls, mono, start, inner):
         center = mono[2]
-        return super().compose_mono(mono, pi, inner) + (
-            perms.pair_to_index(pi, center, inner[center - 1][2]),)
+        return super()._place_mono(mono, start, inner) + (
+            start[center - 1] + inner[center - 1][2],)
 
     @classmethod
     def random_mono(cls, n: int, rng) -> tuple:

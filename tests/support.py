@@ -25,6 +25,11 @@ never calls them, so they live here and not in the package.
   per-tuple references of envelope.closed_form_on_tuples and the ideal of
   envelope.build_var_quotient;
 - from_vec, the inverse of words.to_vec;
+- round_trip_compose_mono, the operad composite of monomials computed by
+  reordering the partition by sigma^{-1} and composing through
+  perms.sym_compose, which reorders it back, with a TensorPoly center from
+  pair_to_index: the reference of TermPoly.compose_mono, which reads each
+  block's start offset straight off the partition;
 - relabeled_consequences, the consequence span with every relabeling
   built as a polynomial and then mapped to coordinates, the reference of
   operads.consequence_space, which permutes coordinates instead;
@@ -56,7 +61,8 @@ from divaria.pseudo import CoefficientDialgebra, Spread, accumulate, eval_term
 from divaria.translate import derive_variety, zero_dialgebra_axioms
 from divaria.varieties import builtin_identity_set
 from divaria.words import (DiPoly, DiShape, LEAF, LPROD, RPROD, Shape, TensorPoly,
-                           basis_monomials, eval_on_tuples, eval_shape_tree, node, to_vec)
+                           basis_monomials, eval_on_tuples, eval_shape_tree, graft, node,
+                           to_vec)
 
 
 def parse_expression(text: str):
@@ -256,6 +262,22 @@ def from_vec(cls, n: int, vec: dict):
     index = basis_monomials(cls, n)
     rev = {i: m for m, i in index.items()}
     return cls(n, {rev[i]: c for i, c in vec.items()})
+
+
+def round_trip_compose_mono(cls, mono, pi: tuple, inner) -> tuple:
+    """The composite of the cls monomial mono with the monomials inner along
+    pi: the blocks of pi reordered by sigma^{-1}, then composed through
+    sym_compose (which validates every entry), the center of a TensorPoly
+    monomial the index of its inner center in pi."""
+    sigma = mono[1]
+    pi2 = perms.act_partition(pi, perms.inverse(sigma))
+    reordered = [inner[k - 1] for k in sigma]
+    out = (graft(mono[0], [g[0] for g in reordered]),
+           perms.sym_compose(sigma, pi2, [g[1] for g in reordered]))
+    if cls is TensorPoly:
+        center = mono[2]
+        out += (perms.pair_to_index(pi, center, inner[center - 1][2]),)
+    return out
 
 
 def relabeled_consequences(sigma, n: int) -> RowSpace:

@@ -13,6 +13,7 @@ from divaria import cli, conformal, dsl, pseudo
 from divaria.cli import main
 from divaria.envelope import EnvelopePA
 from divaria.fd import sl2
+from divaria.operads import OPERAD_ARITY_BOUND
 from divaria.words import DiPoly, all_dishapes
 from support import gl, parse_expression
 
@@ -353,6 +354,31 @@ def test_operad_selftest_refuses_no_trials(capsys, trials):
     assert main(["operad-selftest", "--trials", trials, "--json"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and f"trials must be >= 1, got {trials}" in out.err
+
+
+def test_operad_selftest_help_names_the_bounds(capsys):
+    with pytest.raises(SystemExit):
+        main(["operad-selftest", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"at most {OPERAD_ARITY_BOUND};" in text and "run at min(MAX_ARITY, 5)" in text
+
+
+def test_operad_selftest_arity_bound(capsys):
+    # Sym and E run at the bound; one above it is refused before any trial,
+    # in process and in a fresh interpreter alike
+    at = ["operad-selftest", "--max-arity", str(OPERAD_ARITY_BOUND), "--trials", "30", "--json"]
+    assert main(at) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    above = ["operad-selftest", "--max-arity", str(OPERAD_ARITY_BOUND + 1), "--json"]
+    assert main(above) == 2
+    out = capsys.readouterr()
+    message = (f"error: operad arity {OPERAD_ARITY_BOUND + 1} exceeds the documented bound "
+               f"{OPERAD_ARITY_BOUND}\n")
+    assert out.out == "" and out.err == message
+    env = {**os.environ, "PYTHONPATH": str(Path(divaria.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "divaria.cli", *above], capture_output=True,
+                          env=env, timeout=60, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", message)
 
 
 def test_represent_rejects_bool_dim(tmp_path, capsys):

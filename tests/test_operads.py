@@ -4,8 +4,9 @@ import pytest
 
 from divaria.errors import InputError, ResourceError
 from divaria.linalg import vec_axpy
-from divaria.operads import (ALGS, ALGSE, CONSEQUENCE_ARITY_BOUND, DIALGS, E, SYM,
-                             IdentitySet, SymOperad, axiom_check, consequence_space)
+from divaria.operads import (ALGS, ALGSE, CONSEQUENCE_ARITY_BOUND, DIALGS, E,
+                             OPERAD_ARITY_BOUND, SYM, IdentitySet, SymOperad, axiom_check,
+                             consequence_space)
 from divaria.perms import inverse, random_partition, random_perm, sym_compose, symmetric_group
 from divaria.varieties import BUILTIN, builtin_identity_set
 from divaria.words import (DILEAF, LEAF, LPROD, RPROD, DiPoly, MultilinearPoly, TensorPoly,
@@ -86,6 +87,32 @@ def test_axiom_check_passes(op, max_arity):
     report = axiom_check(op, max_arity, 250, seed=17)
     assert report.passed, report.summary()
     assert report.checked == CHECKED[op.name]
+
+
+# the counts of the command line's own run, operad-selftest --trials 1000 --seed 0,
+# whose draws the benchmark times: Sym and E at arity 8, the polynomial operads at 5
+CLI_CHECKED = {
+    "Sym": {"assoc": 354, "unit": 333, "equivariance": 313},
+    "E": {"assoc": 318, "unit": 346, "equivariance": 336},
+    "AlgS": {"assoc": 335, "unit": 348, "equivariance": 317},
+    "DialgS": {"assoc": 335, "unit": 348, "equivariance": 317},
+    "AlgS(x)E": {"assoc": 328, "unit": 322, "equivariance": 350},
+}
+
+
+@pytest.mark.parametrize("op,max_arity", [(SYM, 8), (E, 8), (ALGS, 5), (DIALGS, 5), (ALGSE, 5)])
+def test_axiom_check_counts_of_the_command_line_run(op, max_arity):
+    report = axiom_check(op, max_arity, 1000, seed=0)
+    assert report.passed, report.summary()
+    assert report.checked == CLI_CHECKED[op.name]
+
+
+@pytest.mark.parametrize("op", [SYM, E], ids=["Sym", "E"])
+def test_axiom_check_arity_bound(op):
+    assert axiom_check(op, OPERAD_ARITY_BOUND, 50, seed=3).passed
+    with pytest.raises(ResourceError,
+                       match=f"operad arity {OPERAD_ARITY_BOUND + 1} exceeds the documented bound"):
+        axiom_check(op, OPERAD_ARITY_BOUND + 1, 50, seed=3)
 
 
 def test_axiom_check_vacuous_at_arity_one():
