@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .current import CurrentPA, PolyMat, _at_zero, _mult_into
+from .current import CurrentPA, PolyMat
 from .errors import InputError, guard_tuples
 from .fd import FDAlgebra, FDDialgebra, leibniz_to_dialgebra
 from .linalg import RowSpace, Vec, add_term, vec_axpy
@@ -97,11 +97,10 @@ class LeibnizData:
         """[A_s, A_t] = sum_i c_i A_i for the quotient bracket sum_i c_i x_i of x_s, x_t."""
         d = self.g.dim
         acts = [{(0, r, c): v for (r, c), v in a.items()} for a in self.action]  # T-degree 0
+        cur = CurrentPA(self.dim_v, bracket=True)
         for s in range(d):
             for t in range(d):
-                lhs: dict = {}
-                _mult_into(lhs, acts[s], acts[t])
-                _mult_into(lhs, acts[t], _at_zero(acts[s], -1))
+                lhs = cur.rprod(acts[s], acts[t])  # x(0) y - y x(0)
                 rhs: dict = {}
                 for i, c in self.l_bracket(self.g.basis(s), self.g.basis(t)).items():
                     vec_axpy(rhs, c, acts[i])

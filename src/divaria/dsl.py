@@ -24,20 +24,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
+from .linalg import add_term
 from .operads import IdentitySet
 from .words import (DiPoly, DILEAF, dinode, LEAF, LPROD, MultilinearPoly,
                     node, RPROD, TermPoly)
 
-_OPS = ("|-", "-|", "*")
 _DIGITS = "0123456789"
 
 # The parser recurses through four calls per open parenthesis (at most 400
-# frames here), and the tree walks once per product and per parenthesis
-# (at most 700), so every identity line within these bounds parses and
-# derives below Python's default recursion limit of 1000, whatever the
-# entry point; a line beyond them is refused before it is parsed.
-MAX_NESTING = 100     # parentheses open at once
-MAX_OPERATORS = 600   # products
+# frames here), and derive and printing recurse through the at most
+# MAX_OPERATORS products of a shape, so every line within these bounds parses
+# and derives below Python's default recursion limit of 1000, whatever the
+# entry point.  A line beyond them is refused before it is parsed, and a
+# product or sum that would expand past MAX_MONOMIALS before it is built.
+MAX_NESTING = 100       # parentheses open at once
+MAX_OPERATORS = 600     # products
+MAX_MONOMIALS = 10_000  # monomials in the expansion of a line
 
 
 @dataclass
@@ -150,115 +152,110 @@ class _Parser:
             raise ParseError(f"expected {kind}, found {tok.text!r}", tok.line, tok.col)
         return tok
 
-    # expression grammar -----------------------------------------------------
+    # expression grammar: each rule returns its monomials -------------------
 
-    def parse_expr(self):
-        terms = []
+    def parse_expr(self) -> list:
         sign = 1
         tok = self.peek()
         if tok and tok.kind == "minus":
             self.next()
             sign = -1
-        terms.append(self.parse_term(sign))
+        monos = self.parse_term(sign)
         while True:
             tok = self.peek()
-            if tok and tok.kind in ("plus", "minus"):
-                self.next()
-                terms.append(self.parse_term(1 if tok.kind == "plus" else -1))
-            else:
-                return terms
+            if not (tok and tok.kind in ("plus", "minus")):
+                return monos
+            self.next()
+            more = self.parse_term(1 if tok.kind == "plus" else -1)
+            if set(more[0][3]) != set(monos[0][3]):
+                raise ParseError("summands use different variables (not multilinear)",
+                                 tok.line, tok.col)
+            _check_expansion(len(monos) + len(more), tok)
+            monos += more
 
-    def parse_term(self, sign: int):
+    def parse_term(self, sign: int) -> list:
         coeff = Fraction(sign)
         tok = self.peek()
         if tok and tok.kind == "num":
             self.next()
             coeff *= Fraction(tok.text)
-        return (coeff, self.parse_factor())
+        return [(coeff * c, kind, shape, leaves)
+                for c, kind, shape, leaves in self.parse_factor()]
 
-    def parse_factor(self):
-        tree = self.parse_primary()
+    def parse_factor(self) -> list:
+        monos = self.parse_primary()
         while True:
             tok = self.peek()
-            if tok and tok.kind == "op":
-                self.next()
-                tree = ("op", tok.text, tree, self.parse_primary(), tok.line, tok.col)
-            else:
-                return tree
+            if not (tok and tok.kind == "op"):
+                return monos
+            self.next()
+            monos = _product(tok, monos, self.parse_primary())
 
-    def parse_primary(self):
+    def parse_primary(self) -> list:
         tok = self.peek()
         if tok is None:
             raise ParseError("expected a factor", self.end.line, self.end.col)
         if tok.kind == "var":
             self.next()
-            return ("var", int(tok.text[1:]), tok.line, tok.col)
+            return [(1, None, None, (int(tok.text[1:]),))]
         if tok.kind == "lparen":
             self.next()
             inner = self.parse_expr()
             self.expect("rparen")
-            return ("expr", inner)
+            return inner
         raise ParseError(f"expected a variable or '(', found {tok.text!r}", tok.line, tok.col)
 
 
-def _tree_to_monomials(tree):
-    """Expand an AST factor into [(coeff, opkind, shapetree, leaves)] where
-    opkind is '*' or 'di' and shapetree nests ('leaf', var)/(op, l, r)."""
-    kind = tree[0]
-    if kind == "var":
-        return [(Fraction(1), None, ("leaf", tree[1]))]
-    if kind == "expr":
-        out = []
-        for coeff, sub in tree[1]:
-            for c2, ok, st in _tree_to_monomials(sub):
-                out.append((coeff * c2, ok, st))
-        return out
-    _, op, lhs, rhs, line, col = tree
-    okind = "*" if op == "*" else "di"
+def _check_expansion(count: int, tok: Token) -> None:
+    if count > MAX_MONOMIALS:
+        raise ParseError(f"identity expands to more than {MAX_MONOMIALS} monomials",
+                         tok.line, tok.col)
+
+
+def _product(op: Token, left: list, right: list) -> list:
+    """The monomials (coefficient, kind, shape, leaves) of left op right, every
+    left one times every right one; kind is '*' or 'di', and a bare variable,
+    of kind and shape None, takes the leaf of the first product that uses it."""
+    kind = "*" if op.text == "*" else "di"
+    if any(k not in (None, kind) for _c, k, _s, _v in left + right):
+        raise ParseError("mixing '*' with dialgebra products", op.line, op.col)
+    if not set(left[0][3]).isdisjoint(right[0][3]):  # a factor's summands share variables
+        raise ParseError("a variable occurs on both sides of a product (not multilinear)",
+                         op.line, op.col)
+    _check_expansion(len(left) * len(right), op)
+    leaf = LEAF if kind == "*" else DILEAF
+    label = LPROD if op.text == "-|" else RPROD
+    right = [(c, leaf if s is None else s, v) for c, _k, s, v in right]
     out = []
-    for cl, okl, stl in _tree_to_monomials(lhs):
-        for cr, okr, str_ in _tree_to_monomials(rhs):
-            for sub in (okl, okr):
-                if sub is not None and sub != okind:
-                    raise ParseError("mixing '*' with dialgebra products", line, col)
-            out.append((cl * cr, okind, (op, stl, str_)))
+    for cl, _k, sl, vl in left:
+        sl = leaf if sl is None else sl
+        for cr, sr, vr in right:
+            shape = node(sl, sr) if kind == "*" else dinode(label, sl, sr)
+            out.append((cl * cr, kind, shape, vl + vr))
     return out
 
 
-def _shape_of(st, di: bool):
-    if st[0] == "leaf":
-        return (DILEAF if di else LEAF), [st[1]]
-    op, l, r = st
-    ls, lv = _shape_of(l, di)
-    rs, rv = _shape_of(r, di)
-    if di:
-        return dinode(LPROD if op == "-|" else RPROD, ls, rs), lv + rv
-    return node(ls, rs), lv + rv
-
-
-def expr_to_poly(terms, line: int) -> TermPoly:
-    """Signed-term list -> canonical polynomial; enforces multilinearity."""
-    monos = []
-    for coeff, tree in terms:
-        monos.extend((coeff * c, ok, st) for c, ok, st in _tree_to_monomials(tree))
-    kinds = {ok for _c, ok, _st in monos if ok is not None}
+def expr_to_poly(monos: list, line: int) -> TermPoly:
+    """The polynomial of a list of monomials (coefficient, kind, shape,
+    leaves), summed in one dict; enforces multilinearity."""
+    kinds = {kind for _c, kind, _s, _v in monos if kind is not None}
     if len(kinds) > 1:
         raise InputError("an identity cannot mix '*' with '|-'/'-|'")
-    di = kinds == {"di"}
-    cls = DiPoly if di else MultilinearPoly
-    poly = None
-    for coeff, _ok, st in monos:
-        shape, leaves = _shape_of(st, di)
-        n = len(leaves)
-        if sorted(leaves) != list(range(1, n + 1)):
-            raise InputError(
-                f"line {line}: monomial variables {sorted(leaves)} are not x1..x{n} "
-                f"exactly once each (not multilinear)")
-        term = cls(n, {(shape, tuple(leaves)): coeff})
-        poly = term if poly is None else poly + term
-    if poly is None:
+    if not monos:
         raise InputError("empty expression")
-    return poly
+    di = kinds == {"di"}
+    leaf = DILEAF if di else LEAF
+    n = len(monos[0][3])
+    terms: dict = {}
+    for coeff, _kind, shape, leaves in monos:
+        if sorted(leaves) != list(range(1, len(leaves) + 1)):
+            raise InputError(
+                f"line {line}: monomial variables {sorted(leaves)} are not x1..x{len(leaves)} "
+                f"exactly once each (not multilinear)")
+        if len(leaves) != n:
+            raise InputError("mixed arities")
+        add_term(terms, (leaf if shape is None else shape, leaves), coeff)
+    return (DiPoly if di else MultilinearPoly)(n, terms)
 
 
 def parse_identity(tokens: list[Token]) -> TermPoly:
@@ -266,11 +263,11 @@ def parse_identity(tokens: list[Token]) -> TermPoly:
     expression that ends early is an error at the end of the line."""
     *body, end = tokens
     parser = _Parser(body, end)
-    terms = parser.parse_expr()
+    monos = parser.parse_expr()
     tok = parser.peek()
     if tok is not None:
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return expr_to_poly(terms, end.line)
+    return expr_to_poly(monos, end.line)
 
 
 def _check_nesting(tokens: list[Token], line: int, col: int) -> None:

@@ -42,10 +42,10 @@ def _labels(labels: Sequence[str] | None, dim: int) -> tuple:
 
 
 def _table(raw, dim: int):
-    rows = tuple(tuple(_as_cell(raw[i][j], dim) for j in range(dim)) for i in range(dim))
-    if len(raw) != dim:
-        raise InputError("structure table has wrong dimension")
-    return rows
+    for row in raw:
+        if len(row) != dim:
+            raise InputError(f"structure table row of length {len(row)}, expected {dim}")
+    return tuple(tuple(_as_cell(cell, dim) for cell in row) for row in raw)
 
 
 def _sparse(table) -> tuple:

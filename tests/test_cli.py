@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -281,29 +282,53 @@ def test_deeply_nested_identity_exits_2(tmp_path, capsys):
     assert len(json.loads(capsys.readouterr().out)["identities"]) == 2 + 100
 
 
+def _ten_monomials(a: int, b: int) -> str:
+    """A sum of ten monomials in xa, xb that equals xa*xb + xb*xa."""
+    return f"(x{a}*x{b} + x{b}*x{a}" + f" - x{a}*x{b} + x{a}*x{b}" * 4 + ")"
+
+
 def _bound_lines() -> dict:
-    """Identity lines at the stated bounds of dsl and one past each."""
-    depth, ops = dsl.MAX_NESTING, dsl.MAX_OPERATORS
+    """Identity lines at the stated bounds of dsl and one past each, and a
+    product of sums that is not multilinear."""
+    depth, ops, monos = dsl.MAX_NESTING, dsl.MAX_OPERATORS, dsl.MAX_MONOMIALS
+    assert monos == 10 ** 4  # the lines below expand to 10 ** 4 monomials
+    expansion = "*".join(_ten_monomials(2 * i + 1, 2 * i + 2) for i in range(4))
     return {"nesting": "(" * depth + "x1*x2" + ")" * depth,
             "nesting+1": "(" * (depth + 1) + "x1*x2" + ")" * (depth + 1),
-            "operators+1": "*".join(f"x{i}" for i in range(1, ops + 3))}
+            "operators+1": "*".join(f"x{i}" for i in range(1, ops + 3)),
+            "monomials": expansion,
+            "monomials+1": expansion + " + " + "*".join(f"x{i}" for i in range(1, 9)),
+            "not-multilinear": "*".join(f"(x{2 * i + 1}+x{2 * i + 2})" for i in range(30))}
 
 
-@pytest.mark.parametrize("name,code", [("nesting", 0), ("nesting+1", 2), ("operators+1", 2)])
+_BOUND_ERRORS = {
+    "nesting+1": "line 2, column 1: identity nested too deeply",
+    "operators+1": "line 2, column 1: identity nested too deeply",
+    "monomials+1": "line 2, column 330: identity expands to more than 10000 monomials",
+    "not-multilinear": "line 2, column 13: summands use different variables (not multilinear)",
+}
+
+
+@pytest.mark.parametrize("name,code", [("nesting", 0), ("nesting+1", 2), ("operators+1", 2),
+                                       ("monomials", 0), ("monomials+1", 2),
+                                       ("not-multilinear", 2)])
 def test_identity_bounds_hold_at_every_entry_point(tmp_path, capsys, name, code):
-    # the bounds are checked before parsing, so the answer does not depend
-    # on the caller's stack: in process and in a fresh interpreter alike
+    # the bounds are checked before parsing, or, for the expansion, before a
+    # product or sum past it is built, so the answer does not depend on the
+    # caller's stack: in process and in a fresh interpreter alike, and fast
     f = tmp_path / "bound.var"
     f.write_text(f"variety bound\nidentity {_bound_lines()[name]}\n")
     argv = ["derive", "--variety", str(f), "--json"]
+    start = time.perf_counter()
     assert main(argv) == code
+    assert time.perf_counter() - start < 1
     out = capsys.readouterr()
     env = {**os.environ, "PYTHONPATH": str(Path(divaria.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-m", "divaria.cli", *argv], capture_output=True,
                           env=env, timeout=60, text=True)
     assert done.returncode == code
     if code:
-        assert out.err == done.stderr == "error: line 2, column 1: identity nested too deeply\n"
+        assert out.err == done.stderr == f"error: {_BOUND_ERRORS[name]}\n"
     else:
         assert out.out == done.stdout and "Traceback" not in done.stderr
 

@@ -1,5 +1,9 @@
+import importlib
 import random
+import re
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,11 +47,47 @@ def test_coefficients_and_left_assoc():
 def test_distribution_over_parens():
     p = parse_expression("(x1*x2 + x2*x1)*x3")
     assert p == parse_expression("(x1*x2)*x3 + (x2*x1)*x3")
+    assert parse_expression("2 (x1*x2 + x2*x1)") == parse_expression("2 x1*x2 + 2 x2*x1")
 
 
 def test_mixed_products_rejected():
     with pytest.raises(InputError):
         parse_expression("x1*(x2|-x3)")
+
+
+# 2 ** 14 monomials, past the bound at the last product
+_PAST_BOUND = "*".join(f"(x{i}*x{i + 1} + x{i + 1}*x{i})" for i in range(1, 28, 2))
+
+
+@pytest.mark.parametrize("text,column,message", [
+    ("x1*(x2|-x3) +", 3, "mixing '*' with dialgebra products"),
+    ("(x1*x2)*(x2*x3)", 8, "a variable occurs on both sides of a product (not multilinear)"),
+    ("x1*x2 - x2*x1 + x1*x3", 15, "summands use different variables (not multilinear)"),
+    (_PAST_BOUND, _PAST_BOUND.rindex("*(") + 1, "identity expands to more than 10000 monomials"),
+], ids=["mixing", "shared-variable", "different-variables", "expansion"])
+def test_refused_where_written(text, column, message):
+    # a product or sum is refused at its operator, before it is expanded
+    # and before the rest of the line is read
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert str(err.value) == f"line 1, column {column}: {message}"
+
+
+def test_product_of_sums_parses_in_one_pass():
+    text = "*".join(f"(x{i}*x{i + 1} + x{i + 1}*x{i})" for i in range(1, 24, 2))
+    start = time.perf_counter()
+    p = parse_expression(text)
+    assert time.perf_counter() - start < 0.5
+    assert p.arity == 24 and len(p.terms) == 2 ** 12
+
+
+def test_readme_states_the_bounds_of_the_code():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    stated = re.findall(r"`(\w+)\.([A-Z_]+)` = (\d+)", readme)
+    assert {(m, n) for m, n, _v in stated} >= {
+        ("dsl", "MAX_NESTING"), ("dsl", "MAX_OPERATORS"), ("dsl", "MAX_MONOMIALS")}
+    for module, name, value in stated:
+        assert getattr(importlib.import_module(f"divaria.{module}"), name) == int(value)
 
 
 def test_variety_file_parsing():

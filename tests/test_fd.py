@@ -85,6 +85,18 @@ def test_non_leibniz_rejected():
         leibniz_to_dialgebra(FDAlgebra(t))
 
 
+@pytest.mark.parametrize("table", [
+    [[(1, 0)], [(0, 1), (0, 0)]],                   # a short row
+    [[(1, 0), (0, 0), (0, 1)], [(0, 1), (0, 0)]],   # a long row
+], ids=["short-row", "long-row"])
+def test_ragged_table_rejected(table):
+    square = [[(0, 0), (0, 0)], [(0, 0), (0, 0)]]
+    for build in (lambda: FDAlgebra(table), lambda: FDDialgebra(table, square),
+                  lambda: FDDialgebra(square, table)):
+        with pytest.raises(InputError, match="structure table row of length"):
+            build()
+
+
 def test_defect_examples():
     d2 = leibniz_to_dialgebra(leibniz2())
     assert d2.defect(d2.basis(0), d2.basis(0)) == {1: 2}
