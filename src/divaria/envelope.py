@@ -7,8 +7,10 @@ ideal that the closed forms produce.  When a relation has a Fraction
 entry, reduction turns the integral Fractions it makes back into int.  The
 envelope hands out one shared element per generator, basis_a(i) and
 pair(i, j), never mutated, whose leaf_key keys the recursive evaluator's
-per-shape table and its twist plans; the closed forms key theirs by basis
-indices alone.
+per-shape table; the closed forms key theirs by basis indices alone.  Each
+table holds values only: what depends on the word alone, the twist plans
+of the pseudo module and the inverses of the closed forms, is kept for the
+process by an lru_cache on each side.
 
 The closed-form evaluator assembles values of words on basis elements of A
 directly from dialgebra evaluations of labeled words: on shared basis
@@ -38,7 +40,7 @@ from .fd import FDDialgebra, first_witness, is_zero_dialgebra
 from .linalg import RowSpace, Vec, add_term, decimal_str, rational, vec_axpy
 from .operads import IdentitySet
 from .pseudo import (PseudoAlgebra, Spread, accumulate, eval_term, hom_failure, lin_comb,
-                     n_product, product)
+                     product)
 # re-exports: callers import check_var_pseudo from here, and perfbench/tracer.py reads the others
 from .pseudo import CoefficientDialgebra, check_var_pseudo, pseudo_product  # noqa: F401
 from .translate import derive_variety
@@ -267,68 +269,66 @@ def _word_values(env: EnvelopePA, shape: Shape, keys: tuple, values: dict) -> li
     return got
 
 
-def _closed_join(env: EnvelopePA, left: list, right: list):
-    """(x0, {i: c1 pair dict}) of a plain word from the _word_values of its
-    two sides."""
-    m = len(left)
-    x0l, y0 = left[-1], right[-1]
-    xs: dict = {}
-    for i, li in enumerate(left, start=1):
-        pair = env.tensor_pair(li, y0)
-        if pair:
-            xs[i] = pair
-    for j, rj in enumerate(right[:-1], start=1):
-        diff = dict(y0)
-        vec_axpy(diff, -1, rj)
-        pair = env.tensor_pair(x0l, diff)
-        if pair:
-            xs[m + j] = pair
-    return env.A.rprod(x0l, y0), xs
-
-
-def _closed_mono_a(env: EnvelopePA, shape: Shape, keys: tuple, values: dict):
-    """(y0, {i: pair dict y_i}) for the value y0 - sum_i T_i [y_i] of a plain
+def _closed_join(env: EnvelopePA, shape: Shape, keys: tuple, values: dict):
+    """(y0, {i: pair dict z_i}) for the value y0 + sum_i T_i [z_i] of a plain
     word on the basis elements keys of A, from the _word_values of its two
     sides, which are kept in values."""
     if shape.is_leaf:
         return {keys[0]: 1}, {}
     m = shape.left.arity
-    return _closed_join(env, _word_values(env, shape.left, keys[:m], values),
-                        _word_values(env, shape.right, keys[m:], values))
+    left = _word_values(env, shape.left, keys[:m], values)
+    right = _word_values(env, shape.right, keys[m:], values)
+    x0l, y0 = left[-1], right[-1]
+    minus_y0 = {k: -v for k, v in y0.items()}
+    zs: dict = {}
+    for i, li in enumerate(left, start=1):
+        pair = env.tensor_pair(li, minus_y0)
+        if pair:
+            zs[i] = pair
+    for j, rj in enumerate(right[:-1], start=m + 1):
+        diff = dict(minus_y0)
+        vec_axpy(diff, 1, rj)
+        pair = env.tensor_pair(x0l, diff)
+        if pair:
+            zs[j] = pair
+    return env.A.rprod(x0l, y0), zs
 
 
-def _closed_twist(env: EnvelopePA, y0: Vec, ys: dict, sigma, inv) -> tuple[Vec, dict]:
-    """The closed form (x0, {j: x_j}) of the word with permutation sigma,
-    whose inverse is inv, from the closed form (y0, ys) of its plain word."""
+def _closed_twist(env: EnvelopePA, y0: Vec, zs: dict, sigma, inv) -> tuple[Vec, dict]:
+    """The closed form (x0, {j: x_j}), for the value x0 + sum_j T_j [x_j], of
+    the word with permutation sigma, whose inverse is inv, from the closed
+    form (y0, zs) of its plain word."""
     n = len(sigma)
     if sigma[n - 1] == n:
         x0 = y0
-        xs = {j: ys[inv[j - 1]] for j in range(1, n) if inv[j - 1] in ys}
+        xs = {j: zs[inv[j - 1]] for j in range(1, n) if inv[j - 1] in zs}
     else:
-        q = inv[n - 1]
-        yq = ys.get(q, {})
+        zq = zs.get(inv[n - 1], {})
         x0 = dict(y0)  # y0 may come from the table: never add into it
-        vec_axpy(x0, -1, env._t_of_pairs(yq))
+        vec_axpy(x0, 1, env._t_of_pairs(zq))
         xs = {}
         nsig = sigma[n - 1]
         for j in range(1, n):
             if j == nsig:
-                val = {k: -v for k, v in yq.items()}
+                val = {k: -v for k, v in zq.items()}
             else:
-                val = dict(ys.get(inv[j - 1], {}))
-                vec_axpy(val, -1, yq)
+                val = dict(zs.get(inv[j - 1], {}))
+                vec_axpy(val, -1, zq)
             if val:
                 xs[j] = val
     return x0, xs
 
 
-def _closed_table(env: EnvelopePA, shape: Shape) -> tuple:
-    """(inverses by permutation, values): env's table for shape, apart from
-    eval_term's.  It holds one shape, and a word of another shape replaces it."""
+def _closed_table(env: EnvelopePA, shape: Shape) -> dict:
+    """The values of env's table for shape, apart from eval_term's.  It
+    holds one shape, and a word of another shape replaces it."""
     table = getattr(env, "_closed", None)
     if table is None or table[0] is not shape:
-        table = env._closed = (shape, {}, {})
-    return table[1:]
+        table = env._closed = (shape, {})
+    return table[1]
+
+
+_inverse = lru_cache(maxsize=None)(perms.inverse)  # the closed side's own, kept for the process
 
 
 def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
@@ -367,11 +367,10 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
     if n != len(args):
         raise InputError("arity mismatch")
     if all(type(x) is BasisElement for x in args):
-        inverses, values = _closed_table(env, shape)
         keys = tuple(args[g - 1].index for g in sigma)
-        x0, xs = _closed_twist(env, *_closed_plain(env, shape, keys, values), sigma,
-                               _inverse(inverses, sigma))
-        return _closed_spread(env, n, x0, xs, -1)  # the value is x0 - sum_j T_j [x_j]
+        x0, xs = _closed_twist(env, *_closed_plain(env, shape, keys, _closed_table(env, shape)),
+                               sigma, _inverse(sigma))
+        return _closed_spread(env, n, x0, xs)
     items, slots = [], []
     for pos, x in enumerate(args, start=1):
         item = env.leaf_key(x)
@@ -388,27 +387,18 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
         return Spread.of_terms(env, n, {})
     if slots and n == 1:  # the argument itself
         return Spread.of_terms(env, 1, {(): CElement({}, args[0].c1)})
-    inverses, values = _closed_table(env, shape)
-    inv = _inverse(inverses, sigma)
+    values, inv = _closed_table(env, shape), _inverse(sigma)
     combos = _basis_combos([items[g - 1] for g in sigma])
     if not slots:
         return _closed_sum(env, n, [
             (c, _closed_twist(env, *_closed_plain(env, shape, keys, values), sigma, inv))
             for keys, c in combos])
     p = inv[slots[0] - 1]
-    sign, j = (-1, p) if p < n else (1, 1)
+    sign, j = (1, p) if p < n else (-1, 1)
     c1: dict = {}  # reduced: a combination of reduced vectors
     for keys, c in combos:
         vec_axpy(c1, sign * c, _closed_plain(env, shape, keys, values)[1].get(j, {}))
     return Spread.of_terms(env, n, {(0,) * (n - 1): CElement({}, c1)} if c1 else {})
-
-
-def _inverse(inverses: dict, sigma) -> tuple:
-    """The inverse of sigma, kept in inverses, the table's."""
-    inv = inverses.get(sigma)
-    if inv is None:
-        inv = inverses[sigma] = perms.inverse(sigma)
-    return inv
 
 
 def _basis_combos(items: list) -> list:
@@ -422,35 +412,34 @@ def _basis_combos(items: list) -> list:
 
 
 def _closed_plain(env: EnvelopePA, shape: Shape, keys: tuple, values: dict):
-    """_closed_mono_a of the word, kept in values under (shape, keys)."""
+    """_closed_join of the word, kept in values under (shape, keys)."""
     plain = values.get((shape, keys))  # the word itself, not a proper subword
     if plain is None:
-        plain = values[shape, keys] = _closed_mono_a(env, shape, keys, values)
+        plain = values[shape, keys] = _closed_join(env, shape, keys, values)
     return plain
 
 
 def _closed_sum(env: EnvelopePA, n: int, values) -> Spread:
-    """The spread x0 + sum_j T_j [xs[j]] over n slots of the sum of
-    coeff * (y0, ys) over the (coeff, closed form) pairs in values, added
-    into fresh accumulators, never into the kept values themselves."""
+    """The spread over n slots of the sum of coeff * (x0, xs) over the
+    (coeff, closed form) pairs in values, added into fresh accumulators,
+    never into the kept values themselves."""
     x0: Vec = {}
-    xs: dict = {}  # j -> the tensor part of the T_j coefficient: -sum of coeff * x_j
-    for coeff, (y0, ys) in values:
+    xs: dict = {}
+    for coeff, (y0, zs) in values:
         vec_axpy(x0, coeff, y0)
-        for j, pair in ys.items():
-            _add_scaled(xs, j, -coeff, pair)
-    return _closed_spread(env, n, x0, xs, 1)
+        for j, pair in zs.items():
+            vec_axpy(xs.setdefault(j, {}), coeff, pair)
+    return _closed_spread(env, n, x0, xs)
 
 
-def _closed_spread(env: EnvelopePA, n: int, x0: Vec, xs: dict, sign: int) -> Spread:
-    """The spread x0 + sign * sum_j T_j [xs[j]] over n slots.  x0 is copied.
-    With sign 1 the nonzero xs[j] become the terms themselves; with sign -1
-    they are negated into fresh dicts, so they may be kept values."""
+def _closed_spread(env: EnvelopePA, n: int, x0: Vec, xs: dict) -> Spread:
+    """The spread x0 + sum_j T_j [xs[j]] over n slots.  x0 is copied; the
+    nonzero xs[j] become the terms themselves, which kept values may be."""
     terms = {(0,) * (n - 1): env.from_a(x0)} if x0 else {}
     units = _unit_exps(n)
     for j, pair in xs.items():
         if pair:
-            terms[units[j - 1]] = CElement({}, pair if sign == 1 else {k: -v for k, v in pair.items()})
+            terms[units[j - 1]] = CElement({}, pair)
     return Spread.of_terms(env, n, terms)
 
 
@@ -469,7 +458,7 @@ def closed_form_on_tuples(env: EnvelopePA, p: MultilinearPoly) -> Iterator[tuple
             for (shape, sigma), coeff in p.terms.items()]
     for idx in itertools.product(range(d), repeat=n):
         yield idx, _closed_sum(env, n, [
-            (coeff, _closed_twist(env, *_closed_mono_a(env, shape, pick(idx), values), sigma, inv))
+            (coeff, _closed_twist(env, *_closed_join(env, shape, pick(idx), values), sigma, inv))
             for coeff, shape, pick, sigma, inv in plan])
 
 
@@ -478,15 +467,6 @@ def _unit_exps(n: int) -> tuple:
     """The exponents of T_1, ..., T_{n-1} in a spread over n slots."""
     zero = (0,) * (n - 1)
     return tuple(zero[:j] + (1,) + zero[j + 1:] for j in range(n - 1))
-
-
-def _add_scaled(acc: dict, key, coeff, vec: dict) -> None:
-    """acc[key] += coeff * vec, where a first term is copied, not added."""
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = {k: coeff * v for k, v in vec.items()}
-    else:
-        vec_axpy(cur, coeff, vec)
 
 
 def oracle_sweep(env: EnvelopePA, max_arity: int, one_pair) -> tuple[str | None, int]:
@@ -608,13 +588,13 @@ def extend_hom(env: EnvelopePA, phi: Sequence, target: PseudoAlgebra) -> Extende
         raise InputError(f"phi is not a dialgebra homomorphism ({symbol} at {i},{j})")
     checks["dialgebra-hom"] = True
 
+    pair_images = {}  # (i, j) -> minus the T_1 coefficient of phi(e_i)*phi(e_j)
     for i, j in itertools.product(range(d), repeat=2):
-        if any(exps[0] > 1 for exps in product(tgt, phi[i], phi[j]).terms):
+        prod = product(tgt, phi[i], phi[j])
+        if any(exps[0] > 1 for exps in prod.terms):
             raise InputError(f"phi({a.labels[i]})*phi({a.labels[j]}) has slot-1 degree > 1")
+        pair_images[i, j] = tgt.scale(prod.coefficient((1,)), -1)
     checks["degree-bound"] = True
-
-    pair_images = {(i, j): tgt.scale(n_product(tgt, phi[i], phi[j], 1), -1)
-                   for i in range(d) for j in range(d)}
     hom = ExtendedHom(env, tgt, list(phi), pair_images, checks)
 
     for row in env.rel.rows():

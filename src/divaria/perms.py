@@ -33,6 +33,7 @@ Partition = tuple[int, ...]
 # permutations
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 

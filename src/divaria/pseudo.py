@@ -11,16 +11,17 @@ A pseudo-algebra implements the element protocol of PseudoAlgebra:
 EnvelopePA (envelope module) and CurrentPA (current module) do.  The
 protocol reads the coefficient products |- and -| off the base product; an
 algebra with a closed form for them overrides both.  This module holds
-what works for any of them: spreads, the expanded pseudo-product, the
-recursive word evaluator eval_term, which keeps every subword of the
-shape it is on under the leaf keys of shared generators (leaf_key), with
-the plan of each slot twist beside them, and its entry for a polynomial
-on every argument tuple
-(eval_term_on_tuples), the evaluator of dialgebra
-polynomials in the coefficient dialgebra, the identity check on
-generators, and the map layer: the linear extension of basis images
-(lin_comb) and the one check that such a map carries both dialgebra
-products to the coefficient products (hom_failure).
+what works for any of them: spreads, the expanded pseudo-product, the slot
+twist act_spread, the recursive word evaluator eval_term, which keeps
+every subword of the shape it is on under the leaf keys of shared
+generators (leaf_key), and its entry for a polynomial on every argument
+tuple (eval_term_on_tuples), the evaluator of dialgebra polynomials in the
+coefficient dialgebra, the identity check on generators, and the map
+layer: the linear extension of basis images (lin_comb) and the one check
+that such a map carries both dialgebra products to the coefficient
+products (hom_failure).  The normalization tables (_slot_table,
+_product_table) and the twist plans (_twist_plan) depend on their keys
+alone, so each is an lru_cache kept for the process.
 """
 
 from __future__ import annotations
@@ -250,6 +251,7 @@ def pseudo_product(alg, f: Spread, g: Spread) -> Spread:
     return Spread.of_terms(alg, k + m, acc)
 
 
+@lru_cache(maxsize=None)
 def _twist_plan(exps: tuple, sigma, n: int) -> tuple:
     """The twist of T^exps over n slots by sigma: T_i -> T_{i*sigma}, then
     slot n removed, as (target exponents, T-power, coefficient) triples by
@@ -264,23 +266,13 @@ def _twist_plan(exps: tuple, sigma, n: int) -> tuple:
                  for off, power, coeff in _slot_table(moved[-1], n))
 
 
-def act_spread(alg, f: Spread, sigma, plans: dict | None = None) -> Spread:
-    """Slot relabeling T_i -> T_{i*sigma} followed by renormalization.
-
-    Each term is spread through its plan (_twist_plan), read from plans
-    under (exponents, sigma) or made and put there.  plans belongs to the
-    caller, which drops it with its table for the shape (eval_term) or at
-    the end of its call (eval_term_on_tuples), so no plan outlives the
-    slot table it was read from; without plans, they last for this call."""
+def act_spread(alg, f: Spread, sigma) -> Spread:
+    """Slot relabeling T_i -> T_{i*sigma} followed by renormalization: each
+    term is spread through its plan (_twist_plan)."""
     n = f.n
-    if plans is None:
-        plans = {}
     acc: dict = {}
     for exps, elem in f.terms.items():
-        plan = plans.get((exps, sigma))
-        if plan is None:
-            plan = plans[exps, sigma] = _twist_plan(exps, sigma, n)
-        _spread_into(alg, acc, elem, plan)
+        _spread_into(alg, acc, elem, _twist_plan(exps, sigma, n))
     return Spread.of_terms(alg, n, acc)
 
 
@@ -300,24 +292,21 @@ def eval_term(alg, t, args: Sequence) -> Spread:
     permuted = [args[s - 1] for s in sigma]
     keys = tuple(map(alg.leaf_key, permuted))
     if None in keys:
-        ident, values, plans, keys = perms.identity(n), {}, None, tuple(sigma)
+        values, keys = {}, tuple(sigma)
     else:
-        ident, values = _shape_table(alg, shape)
-        plans = alg._plans
+        values = _shape_table(alg, shape)
     plain = _eval_plain(alg, shape, permuted, keys, values)
-    return plain if sigma == ident else act_spread(alg, plain, sigma, plans)
+    return plain if sigma == perms.identity(n) else act_spread(alg, plain, sigma)
 
 
-def _shape_table(alg, shape: Shape) -> tuple:
-    """(identity of the shape's arity, values): alg's table for shape.  It
-    holds one shape, and a word of another shape replaces it, and with it
-    the twist plans of act_spread kept beside it in alg._plans.  The values
-    are terms, not spreads, which would make a reference cycle through alg."""
+def _shape_table(alg, shape: Shape) -> dict:
+    """The values of alg's table for shape.  It holds one shape, and a word
+    of another shape replaces it.  The values are terms, not spreads, which
+    would make a reference cycle through alg."""
     table = getattr(alg, "_plain", None)
     if table is None or table[0] is not shape:
-        table = alg._plain = (shape, perms.identity(shape.arity), {})
-        alg._plans = {}
-    return table[1:]
+        table = alg._plain = (shape, {})
+    return table[1]
 
 
 def _eval_plain(alg, shape: Shape, args, keys: tuple, values: dict) -> Spread:
@@ -345,21 +334,19 @@ def eval_term_on_tuples(alg, p: MultilinearPoly, args: Sequence) -> Iterator[tup
     The pseudo-product is bilinear, so the plain values of p's words come
     from the join of words.nonzero_words on the nonzero spreads alone: each
     proper subword shape keeps a table of its nonzero plain values, for this
-    call only, and so do the twist plans of act_spread.  Each word's value
-    is twisted by each monomial of its shape and added into the accumulator
-    of the tuple it belongs to, which is dropped when it cancels; kept
-    spreads are never changed.
+    call only.  Each word's value is twisted by each monomial of its shape
+    and added into the accumulator of the tuple it belongs to, which is
+    dropped when it cancels; kept spreads are never changed.
     """
     n, g = p.arity, len(args)
     guard_tuples(g ** n, f"{g}^{n} generator tuples")
     leaves = [leaf_spread(alg, x) for x in args]
     products = (partial(pseudo_product, alg),)
     ident = perms.identity(n)
-    plans: dict = {}
     acc: dict = {}
     for monos, at, value in nonzero_words(p, leaves, products, {}):
         for coeff, sigma, place in monos:
-            twisted = value if sigma == ident else act_spread(alg, value, sigma, plans)
+            twisted = value if sigma == ident else act_spread(alg, value, sigma)
             idx = place(at)
             cur = acc.setdefault(idx, {})
             for exps, elem in twisted.terms.items():
@@ -373,11 +360,6 @@ def eval_term_on_tuples(alg, p: MultilinearPoly, args: Sequence) -> Iterator[tup
 def product(alg, x, y) -> Spread:
     """The 2-slot spread x*y."""
     return pseudo_product(alg, leaf_spread(alg, x), leaf_spread(alg, y))
-
-
-def n_product(alg, x, y, n: int):
-    """x o_n y: the T_1^n coefficient of the normalized product x*y."""
-    return product(alg, x, y).coefficient((n,))
 
 
 def lin_comb(alg, images, vec: dict):

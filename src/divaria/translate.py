@@ -65,10 +65,21 @@ def _orbit_key(p: DiPoly) -> tuple:
     A relabeling keeps each shape and composes each perm with sigma, so the
     least key starts with ((least shape key, identity), 1), which only
     sigma = perm^-1 reaches, for a term (shape, perm) of least shape key:
-    the least key over those candidates, at most one per term, is the key."""
+    the least key over those candidates, at most one per term, is the key.
+    Each candidate's key begins with its terms of least shape key, as many
+    for every candidate, so candidates are compared on those first, and
+    only the tied ones are relabeled in full."""
     least = min(shape.key for shape, _ in p.terms)
-    return min(p.act(perms.inverse(perm)).scale(Fraction(1, c)).sort_key()
-               for (shape, perm), c in p.terms.items() if shape.key == least)
+    heads = [(perm, c) for (shape, perm), c in p.terms.items() if shape.key == least]
+    best, tied = None, []
+    for perm, c in heads:
+        sigma, scale = perms.inverse(perm), Fraction(1, c)
+        head = sorted((perms.compose(q, sigma), scale * d) for q, d in heads)
+        if best is None or head < best:
+            best, tied = head, []
+        if head == best:
+            tied.append((sigma, scale))
+    return min(p.act(sigma).scale(scale).sort_key() for sigma, scale in tied)
 
 
 @dataclass(frozen=True)

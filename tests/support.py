@@ -24,6 +24,8 @@ never calls them, so they live here and not in the package.
   basis tuple at a time and the ideal spanned from their values, the
   per-tuple references of envelope.closed_form_on_tuples and the ideal of
   envelope.build_var_quotient;
+- recursive_ideal, the same ideal spanned from the recursive evaluator's
+  tuple entry, pseudo.eval_term_on_tuples, which reads no closed form;
 - from_vec, the inverse of words.to_vec;
 - round_trip_compose_mono, the operad composite of monomials computed by
   reordering the partition by sigma^{-1} and composing through
@@ -57,7 +59,7 @@ from divaria.fd import FDAlgebra, Witness
 from divaria.linalg import RowSpace, vec_axpy
 from divaria.operads import consequence_generators
 from divaria.perms import Perm
-from divaria.pseudo import CoefficientDialgebra, Spread, accumulate, eval_term
+from divaria.pseudo import CoefficientDialgebra, Spread, accumulate, eval_term, eval_term_on_tuples
 from divaria.translate import derive_variety, zero_dialgebra_axioms
 from divaria.varieties import builtin_identity_set
 from divaria.words import (DiPoly, DiShape, LEAF, LPROD, RPROD, Shape, TensorPoly,
@@ -252,6 +254,19 @@ def closed_form_rows(env, sigma) -> RowSpace:
             if not env.is_zero(spread.constant()):
                 raise InputError(f"degree-zero part of {t} at basis tuple {idx} is nonzero; "
                                  f"the identity fails on A")
+            for exps, elem in spread.terms.items():
+                if any(exps):
+                    rows.add(dict(elem.c1))
+    return rows
+
+
+def recursive_ideal(env, sigma) -> RowSpace:
+    """The span of the tensor parts of the T-coefficients of every identity
+    of sigma on every tuple of A basis elements, from eval_term_on_tuples."""
+    basis = [env.basis_a(i) for i in range(env.A.dim)]
+    rows = RowSpace()
+    for t in sigma:
+        for _idx, spread in eval_term_on_tuples(env, t, basis):
             for exps, elem in spread.terms.items():
                 if any(exps):
                     rows.add(dict(elem.c1))

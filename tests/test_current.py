@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from divaria.current import CurrentPA, pm_unit
-from divaria.pseudo import (CoefficientDialgebra, PseudoAlgebra, leaf_spread, n_product,
+from divaria.pseudo import (CoefficientDialgebra, PseudoAlgebra, leaf_spread, product,
                             pseudo_product)
 from divaria.translate import derive_variety, zero_dialgebra_axioms
 from divaria.varieties import builtin_identity_set
@@ -51,8 +51,8 @@ def test_current_n_products_concentrate():
     cur = CurrentPA(2)
     x = pm_unit(0, 1)
     y = pm_unit(1, 0)
-    assert cur.eq(n_product(cur, x, y, 0), pm_unit(0, 0))
-    assert cur.is_zero(n_product(cur, x, y, 1))
+    assert cur.eq(product(cur, x, y).coefficient((0,)), pm_unit(0, 0))
+    assert cur.is_zero(product(cur, x, y).coefficient((1,)))
     # with T powers the product climbs the expected slot degrees
     tx = cur.t_act(x)
     prod = pseudo_product(cur, leaf_spread(cur, tx), leaf_spread(cur, y))

@@ -12,7 +12,7 @@ from divaria.envelope import (BasisElement, CElement, EnvelopePA, PairElement, _
                               build_envelope, build_var_quotient, closed_form_eval, extend_hom,
                               oracle_sweep)
 from divaria.pseudo import (CoefficientDialgebra, Spread, accumulate, act_spread,
-                            check_var_pseudo, eval_term, leaf_spread, n_product, product,
+                            check_var_pseudo, eval_term, leaf_spread, product,
                             pseudo_product)
 from divaria.conformal import build_rho
 from divaria.current import CurrentPA
@@ -325,8 +325,8 @@ def test_kept_values_equal_fresh_evaluation():
                     permuted = [args[s - 1] for s in perm]
                     if k:  # the first permutation filled both tables
                         keys = tuple(map(env.leaf_key, permuted))
-                        assert (shape, keys) in env._plain[2]
-                        assert all((shape, basis) in env._closed[2]
+                        assert (shape, keys) in env._plain[1]
+                        assert all((shape, basis) in env._closed[1]
                                    for basis in _basis_keys(env, keys))
                     value = eval_term(env, (shape, perm), args)
                     fresh = eval_shape_tree(shape, [leaf_spread(env, x) for x in permuted], fold)
@@ -334,13 +334,13 @@ def test_kept_values_equal_fresh_evaluation():
                     closed = closed_form_eval(env, (shape, perm), args)
                     assert closed.eq(closed_form_eval(env, (shape, perm), list(map(_unshared, args))))
                     assert closed.eq(value)
-            assert all(_basis_only(keys) for _sub, keys in env._closed[2]), shape
+            assert all(_basis_only(keys) for _sub, keys in env._closed[1]), shape
 
 
 def test_shared_basis_paths_equal_the_unshared_ones():
     # shared basis elements take the direct closed path and eval_term's
-    # planned twists; equal unshared copies take the multilinear expansion
-    # and a table for the call alone, which keeps no plans
+    # table for the shape; equal unshared copies take the multilinear
+    # expansion and a table for the call alone
     for _name, a in corpus():
         env = build_envelope(a)
         for n in range(1, 4):
@@ -390,11 +390,11 @@ def _with_wrong_hits(module, attr: str, wrong, chosen):
     real = getattr(module, TABLES[attr])
 
     def table(owner, shape):
-        first, values = real(owner, shape)
+        values = real(owner, shape)
         if type(values) is dict:
             values = _WrongHits(functools.partial(wrong, owner), chosen)
-            setattr(owner, attr, (shape, first, values))
-        return first, values
+            setattr(owner, attr, (shape, values))
+        return values
     return table
 
 
@@ -422,8 +422,8 @@ def _wrong_t_coefficients(env, shape, value):
     _word_values and the plain x0 are kept."""
     if isinstance(value, list):
         return value
-    ys, pair = value[1], {env.c1_basis[0]: 1}
-    return value[0], {j: _plus(ys.get(j, {}), pair) for j in range(1, shape.arity)}
+    zs, pair = value[1], {env.c1_basis[0]: 1}
+    return value[0], {j: _plus(zs.get(j, {}), pair) for j in range(1, shape.arity)}
 
 
 def _basis_only(keys) -> bool:
@@ -497,15 +497,15 @@ def test_tables_hold_one_shape_after_a_sweep():
     last = all_shapes(4)[-1]
     generators = set(range(d)) | set(env.c1_basis)
     for attr in ("_plain", "_closed"):
-        shape, _first, values = getattr(env, attr)
+        shape, values = getattr(env, attr)
         assert shape is last
         assert values, attr
         for sub, keys in values:
             assert sub in _subtrees(last) and len(keys) == sub.arity, (attr, sub, keys)
             assert set(keys) <= generators and sum(type(k) is tuple for k in keys) <= 1
     # the recursive side keeps one-pair subwords; the closed side keeps basis keys only
-    assert any(not _basis_only(keys) for _sub, keys in env._plain[2])
-    assert all(_basis_only(keys) for _sub, keys in env._closed[2])
+    assert any(not _basis_only(keys) for _sub, keys in env._plain[1])
+    assert all(_basis_only(keys) for _sub, keys in env._closed[1])
 
 
 def test_tensor_and_current_arguments_bypass_the_tables(env2):
@@ -536,8 +536,8 @@ def test_tensor_and_current_arguments_bypass_the_tables(env2):
         assert eval_term(env, word, args).eq(closed_form_eval(env, word, args)), x
     eval_term(env, word, [env.t_act(e0), e1])
     assert getattr(env, "_plain", None) is None
-    assert env._closed[0] is B2 and env._closed[2]
-    assert all(type(keys) is tuple and _basis_only(keys) for _sub, keys in env._closed[2])
+    assert env._closed[0] is B2 and env._closed[1]
+    assert all(type(keys) is tuple and _basis_only(keys) for _sub, keys in env._closed[1])
     cur = CurrentPA(2)
     gens = [g for _, g in cur.generators()]
     eval_term(cur, word, gens[:2])
@@ -792,9 +792,9 @@ def test_pairs_keep_their_reduced_value():
 
 def test_n_products(env2):
     e1 = env2.basis_a(0)
-    assert env2.eq(n_product(env2, e1, e1, 0), env2.basis_a(1))
-    assert env2.eq(n_product(env2, e1, e1, 1), env2.scale(env2.pair(0, 0), -1))
-    assert env2.is_zero(n_product(env2, e1, e1, 5))
+    assert env2.eq(product(env2, e1, e1).coefficient((0,)), env2.basis_a(1))
+    assert env2.eq(product(env2, e1, e1).coefficient((1,)), env2.scale(env2.pair(0, 0), -1))
+    assert env2.is_zero(product(env2, e1, e1).coefficient((5,)))
 
 
 def test_n_product_shift_relations(env2):
@@ -803,13 +803,14 @@ def test_n_product_shift_relations(env2):
         x = env2.t_pow(env2.from_a(a_vec(Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))),
                        rng.randint(0, 1))
         y = env2.from_a(a_vec(Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2))))
+        xy = product(env2, x, y)
         for n in range(4):
-            lhs = n_product(env2, env2.t_act(x), y, n)
-            rhs = n_product(env2, x, y, n - 1) if n else env2.zero()
+            lhs = product(env2, env2.t_act(x), y).coefficient((n,))
+            rhs = xy.coefficient((n - 1,)) if n else env2.zero()
             assert env2.eq(lhs, rhs)
-            lhs = n_product(env2, x, env2.t_act(y), n)
-            rhs = env2.add(env2.t_act(n_product(env2, x, y, n)),
-                           env2.scale(n_product(env2, x, y, n - 1) if n else env2.zero(), -1))
+            lhs = product(env2, x, env2.t_act(y)).coefficient((n,))
+            rhs = env2.add(env2.t_act(xy.coefficient((n,))),
+                           env2.scale(xy.coefficient((n - 1,)) if n else env2.zero(), -1))
             assert env2.eq(lhs, rhs)
 
 

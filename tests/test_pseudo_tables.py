@@ -6,7 +6,7 @@ pseudo_product and act_spread with that unfused expansion, which is kept
 here as the reference, and check that the tables stay within
 DEGREE_BOUND.  act_spread reads each twist through a plan made from
 _slot_table; the plans are checked against the unfused expansion too, and
-they live in an envelope's table for one shape, never in the process.
+like the tables they are kept for the process by an lru_cache.
 """
 
 import itertools
@@ -23,7 +23,6 @@ from divaria.fd import corpus
 from divaria.hopf import coproduct_splits
 from divaria.perms import symmetric_group
 from divaria.pseudo import Spread, accumulate, act_spread, pseudo_product
-from divaria.words import all_shapes
 
 CORPUS = dict(corpus())
 ALGEBRAS = ["leibniz3", "sl2", "bar-unit", "current2"]
@@ -219,16 +218,18 @@ def test_flipped_table_coefficient_is_a_mismatch(monkeypatch, name):
     # coefficient with its sign flipped shows in the sweep
     env = build_envelope(CORPUS["leibniz2"])
     assert oracle_sweep(env, 3, lambda n: [])[0] is None
-    table, products = getattr(pseudo, name), pseudo._product_table
+    table, products, plans = getattr(pseudo, name), pseudo._product_table, pseudo._twist_plan
 
     def flipped(*key):
         *rest, (off, power, coeff) = table(*key)
         return (*rest, (off, power, -coeff))
     monkeypatch.setattr(pseudo, name, flipped)
+    plans.cache_clear()  # kept plans were made from the unflipped slot tables
     try:
         bad, _checked = oracle_sweep(build_envelope(CORPUS["leibniz2"]), 3, lambda n: [])
-    finally:  # product tables made meanwhile read the flipped slot tables
+    finally:  # product tables and plans made meanwhile read the flipped slot tables
         products.cache_clear()
+        plans.cache_clear()
     assert bad is not None
 
 
@@ -238,19 +239,21 @@ def test_flipped_table_coefficient_is_a_mismatch(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ALGEBRAS)
 def test_planned_twists_match_the_unfused_expansion(name):
-    # one plan dict for every spread and permutation, as eval_term_on_tuples
-    # keeps it: the second pass reads every plan back
+    # the second pass reads every plan back from _twist_plan
     alg = _algebra(name)
     rng = random.Random(13)
-    plans: dict = {}
+    plans = pseudo._twist_plan
     spreads = [random_spread(alg, rng, n) for n in range(1, 5) for _ in range(2)]
     for _ in range(2):
+        before = plans.cache_info()
         for f in spreads:
             for sigma in symmetric_group(f.n):
-                got = act_spread(alg, f, sigma, plans)
+                got = act_spread(alg, f, sigma)
                 assert same(alg, got, unfused_act(alg, f, sigma)), sigma
-    assert {(exps, sigma) for exps, sigma in plans} == {
-        (exps, sigma) for f in spreads for exps in f.terms for sigma in symmetric_group(f.n)}
+    after = plans.cache_info()
+    assert after.misses == before.misses
+    assert after.hits - before.hits == sum(len(f.terms) * len(symmetric_group(f.n))
+                                           for f in spreads)
 
 
 def _sweep(env, max_arity):
@@ -260,47 +263,39 @@ def _sweep(env, max_arity):
                                                     tuple(rng.randrange(d) for _ in range(n - 1)))])
 
 
-def _plan_keys(env, words, args) -> set:
-    for word in words:
-        pseudo.eval_term(env, word, args)
-    return set(env._plans)
+def test_a_second_sweep_makes_no_plan(monkeypatch):
+    # a plan depends on its key alone: a fresh envelope swept again reads
+    # every plan back, and each kept plan is the one its key makes
+    plans, keys = pseudo._twist_plan, set()
 
-
-def test_plans_hold_the_last_shape_only():
-    env = build_envelope(CORPUS["sl2"])
-    assert _sweep(env, 4)[0] is None
-    last = all_shapes(4)[-1]
-    assert env._plain[0] is last
-    assert env._plans and all(len(sigma) == 4 and len(exps) == 3 for exps, sigma in env._plans)
-    tops = {exps for (shape, _keys), terms in env._plain[2].items() if shape is last
-            for exps in terms}
-    assert {exps for exps, _sigma in env._plans} <= tops
-    # a word of another shape of the same arity starts plans of its own
-    first, second = all_shapes(3)
-    args = [env.basis_a(i) for i in (0, 1, 2)]
-    sigma = (3, 1, 2)
-    alone = _plan_keys(build_envelope(CORPUS["sl2"]), [(second, sigma)], args)
-    assert _plan_keys(build_envelope(CORPUS["sl2"]), [(first, sigma)], args) - alone
-    after = _plan_keys(build_envelope(CORPUS["sl2"]), [(first, sigma), (second, sigma)], args)
-    assert after == alone
+    def recording(*key):
+        keys.add(key)
+        return plans(*key)
+    monkeypatch.setattr(pseudo, "_twist_plan", recording)
+    assert _sweep(build_envelope(CORPUS["sl2"]), 4)[0] is None
+    misses = plans.cache_info().misses
+    assert _sweep(build_envelope(CORPUS["sl2"]), 4)[0] is None
+    assert plans.cache_info().misses == misses
+    assert any(len(sigma) == 4 for _exps, sigma, _n in keys)
+    assert all(plans(*key) == plans.__wrapped__(*key) for key in keys)
 
 
 def test_a_fresh_envelope_reads_a_patched_slot_table(monkeypatch):
-    # plans live in the envelope, not in the process: a fresh envelope swept
-    # after the slot table changes builds its plans from the changed table
+    # plans are made from the slot table of their time: with the plan and
+    # product tables cleared, a fresh envelope swept after the slot table
+    # changes builds its plans from the changed table
     assert _sweep(build_envelope(CORPUS["leibniz2"]), 3)[0] is None
-    table, products = pseudo._slot_table, pseudo._product_table
+    table, products, plans = pseudo._slot_table, pseudo._product_table, pseudo._twist_plan
 
     def flipped(*key):
         *rest, (off, power, coeff) = table(*key)
         return (*rest, (off, power, -coeff))
     monkeypatch.setattr(pseudo, "_slot_table", flipped)
-    env = build_envelope(CORPUS["leibniz2"])
+    products.cache_clear()
+    plans.cache_clear()
     try:
-        bad, _checked = _sweep(env, 3)
+        bad, _checked = _sweep(build_envelope(CORPUS["leibniz2"]), 3)
         assert bad is not None
-        n = env._plain[0].arity
-        assert env._plans and all(plan == pseudo._twist_plan(exps, sigma, n)
-                                  for (exps, sigma), plan in env._plans.items())
-    finally:  # product tables made meanwhile read the flipped slot tables
+    finally:  # product tables and plans made meanwhile read the flipped slot tables
         products.cache_clear()
+        plans.cache_clear()

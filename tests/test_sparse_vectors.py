@@ -61,7 +61,7 @@ def test_results_hold_no_zero():
 def _comparable(table, terms: bool):
     """The table with shape keys for shapes and, if it keeps spread terms,
     each CElement as its (c0, c1) pair, sharing its dicts."""
-    shape, _first, values = table
+    shape, values = table
     return shape.key, {(sub.key, keys): ({exps: (e.c0, e.c1) for exps, e in value.items()}
                                          if terms else value)
                        for (sub, keys), value in values.items()}

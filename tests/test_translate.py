@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -186,6 +188,27 @@ def test_orbit_key_relabels_at_most_once_per_term(monkeypatch):
     calls = keyed_candidates(monkeypatch, sigma)
     assert len(calls) == 8
     assert all(0 < n <= len(p.terms) for p, n in calls)
+
+
+def _ten_distinct_monomials(a: int) -> str:
+    """A sum of ten distinct monomials in xa, xa+1, xa+2."""
+    monos = []
+    for x, y, z in itertools.permutations(f"x{i}" for i in range(a, a + 3)):
+        monos += [f"({x}*{y})*{z}", f"{x}*({y}*{z})"]
+    return "(" + " + ".join(monos[:10]) + ")"
+
+
+def test_orbit_key_compares_least_shape_terms_first():
+    # 1,000 distinct monomials at arity 9: each of the 9 candidates of derive
+    # has up to 50 terms of least shape, and relabeling all 1,000 terms once
+    # for each of them takes longer than the bound
+    line = "*".join(_ten_distinct_monomials(3 * i + 1) for i in range(3))
+    (t,) = parse_variety(f"variety long\nidentity {line}\n")
+    assert t.arity == 9 and len(t.terms) == 1000
+    start = time.perf_counter()
+    derived = derive_variety(IdentitySet("long", (t,))).derived
+    assert time.perf_counter() - start < 1.5
+    assert len(derived) == 9
 
 
 def test_derive_alternative_exactly_four():
