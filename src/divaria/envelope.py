@@ -250,11 +250,30 @@ def build_envelope(a: FDDialgebra) -> EnvelopePA:
 # closed forms (the independent oracle)
 # ---------------------------------------------------------------------------
 
+class _ZeroLabelings(list):
+    """The labelings of a word whose every labeling is zero: n empty dicts
+    (one dict, never changed), and false, so that a word with this word as
+    a child is known to be zero without a product."""
+
+    __slots__ = ()
+
+    def __bool__(self):
+        return False
+
+
+_ZERO_FORM = ({}, {})  # the closed form of a zero word; kept values are never changed
+
+
 def _word_values(env: EnvelopePA, shape: Shape, keys: tuple, values: dict) -> list:
     """Dialgebra values of the word on the basis elements keys of A, labeled
     toward each leaf position in turn (the section_dishape labelings), from
     one bottom-up fold; kept, with those of its subwords, in values under
-    (shape, keys)."""
+    (shape, keys).
+
+    -| and |- are bilinear, so a labeling with a zero factor is zero and
+    its product is never made, and a word with a child whose every labeling
+    is zero has every labeling zero.  A word with every labeling zero keeps
+    a false _ZeroLabelings."""
     got = values.get((shape, keys))
     if got is None:
         if shape.is_leaf:
@@ -263,8 +282,14 @@ def _word_values(env: EnvelopePA, shape: Shape, keys: tuple, values: dict) -> li
             m = shape.left.arity
             left = _word_values(env, shape.left, keys[:m], values)
             right = _word_values(env, shape.right, keys[m:], values)
-            r1, lm = right[0], left[-1]
-            got = [env.A.lprod(x, r1) for x in left] + [env.A.rprod(lm, y) for y in right]
+            got = _ZeroLabelings([{}] * shape.arity)
+            if left and right:
+                r1, lm = right[0], left[-1]
+                lprod, rprod = env.A.lprod, env.A.rprod
+                labelings = ([lprod(x, r1) if x and r1 else {} for x in left]
+                             + [rprod(lm, y) if lm and y else {} for y in right])
+                if any(labelings):
+                    got = labelings
         values[shape, keys] = got
     return got
 
@@ -272,26 +297,36 @@ def _word_values(env: EnvelopePA, shape: Shape, keys: tuple, values: dict) -> li
 def _closed_join(env: EnvelopePA, shape: Shape, keys: tuple, values: dict):
     """(y0, {i: pair dict z_i}) for the value y0 + sum_i T_i [z_i] of a plain
     word on the basis elements keys of A, from the _word_values of its two
-    sides, which are kept in values."""
+    sides, which are kept in values.
+
+    |- and tensor_pair are bilinear, so the join of a side that is zero (a
+    false _word_values list) is the zero form, made without a product, and
+    no product or tensor is made with a zero factor."""
     if shape.is_leaf:
         return {keys[0]: 1}, {}
     m = shape.left.arity
     left = _word_values(env, shape.left, keys[:m], values)
     right = _word_values(env, shape.right, keys[m:], values)
+    if not (left and right):
+        return _ZERO_FORM
     x0l, y0 = left[-1], right[-1]
     minus_y0 = {k: -v for k, v in y0.items()}
     zs: dict = {}
-    for i, li in enumerate(left, start=1):
-        pair = env.tensor_pair(li, minus_y0)
-        if pair:
-            zs[i] = pair
-    for j, rj in enumerate(right[:-1], start=m + 1):
-        diff = dict(minus_y0)
-        vec_axpy(diff, 1, rj)
-        pair = env.tensor_pair(x0l, diff)
-        if pair:
-            zs[j] = pair
-    return env.A.rprod(x0l, y0), zs
+    if y0:
+        for i, li in enumerate(left, start=1):
+            if li:
+                pair = env.tensor_pair(li, minus_y0)
+                if pair:
+                    zs[i] = pair
+    if x0l:
+        for j, rj in enumerate(right[:-1], start=m + 1):
+            diff = dict(minus_y0)
+            vec_axpy(diff, 1, rj)
+            if diff:
+                pair = env.tensor_pair(x0l, diff)
+                if pair:
+                    zs[j] = pair
+    return (env.A.rprod(x0l, y0) if x0l and y0 else {}), zs
 
 
 def _closed_twist(env: EnvelopePA, y0: Vec, zs: dict, sigma, inv) -> tuple[Vec, dict]:
@@ -368,9 +403,10 @@ def closed_form_eval(env: EnvelopePA, t, args: Sequence[CElement]) -> Spread:
         raise InputError("arity mismatch")
     if all(type(x) is BasisElement for x in args):
         keys = tuple(args[g - 1].index for g in sigma)
-        x0, xs = _closed_twist(env, *_closed_plain(env, shape, keys, _closed_table(env, shape)),
-                               sigma, _inverse(sigma))
-        return _closed_spread(env, n, x0, xs)
+        y0, zs = _closed_plain(env, shape, keys, _closed_table(env, shape))
+        if not (y0 or zs):
+            return Spread.of_terms(env, n, {})
+        return _closed_spread(env, n, *_closed_twist(env, y0, zs, sigma, _inverse(sigma)))
     items, slots = [], []
     for pos, x in enumerate(args, start=1):
         item = env.leaf_key(x)
@@ -412,7 +448,8 @@ def _basis_combos(items: list) -> list:
 
 
 def _closed_plain(env: EnvelopePA, shape: Shape, keys: tuple, values: dict):
-    """_closed_join of the word, kept in values under (shape, keys)."""
+    """_closed_join of the word, kept in values under (shape, keys); a word
+    with a zero side keeps the one shared zero form."""
     plain = values.get((shape, keys))  # the word itself, not a proper subword
     if plain is None:
         plain = values[shape, keys] = _closed_join(env, shape, keys, values)
@@ -449,7 +486,12 @@ def closed_form_on_tuples(env: EnvelopePA, p: MultilinearPoly) -> Iterator[tuple
 
     The _word_values of each proper subword are kept, for this call only,
     under (interned shape, basis indices of its leaves); kept values are
-    never changed, as the monomials add into fresh accumulators.
+    never changed, as the monomials add into fresh accumulators.  -|, |- and
+    tensor_pair are bilinear, so a monomial whose word has a child with
+    every labeling zero has the zero _closed_join: no tensor is reduced, no
+    twist made and nothing added for it.  Nothing else is kept, neither a
+    join of a top word nor an accumulator past its tuple, so the memory of
+    a call is its subword table.
     """
     n, d = p.arity, env.A.dim
     guard_tuples(d ** n, f"{d}^{n} basis tuples")
@@ -458,8 +500,8 @@ def closed_form_on_tuples(env: EnvelopePA, p: MultilinearPoly) -> Iterator[tuple
             for (shape, sigma), coeff in p.terms.items()]
     for idx in itertools.product(range(d), repeat=n):
         yield idx, _closed_sum(env, n, [
-            (coeff, _closed_twist(env, *_closed_join(env, shape, pick(idx), values), sigma, inv))
-            for coeff, shape, pick, sigma, inv in plan])
+            (coeff, _closed_twist(env, *form, sigma, inv)) for coeff, shape, pick, sigma, inv in plan
+            if (form := _closed_join(env, shape, pick(idx), values))[0] or form[1]])
 
 
 @lru_cache(maxsize=None)

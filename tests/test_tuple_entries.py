@@ -191,7 +191,7 @@ def test_recursive_span_equals_the_ideal():
     # that evaluator sees it
     cases = [(name, build_envelope(a), sigma) for name, a in corpus() for sigma in identity_sets()]
     cases += [(f"gl{n}", build_envelope(leibniz_to_dialgebra(gl(n))), builtin_identity_set("lie"))
-              for n in (2, 3, 4)]
+              for n in (2, 3, 4, 5)]
     built = 0
     for name, env, sigma in cases:
         try:
@@ -200,7 +200,7 @@ def test_recursive_span_equals_the_ideal():
             continue
         assert vq.ideal == recursive_ideal(env, sigma), (name, sigma.name)
         built += 1
-    assert built == 20 + 3
+    assert built == 20 + 4
 
 
 def test_build_var_quotient_names_the_first_failing_basis_tuple(monkeypatch):
