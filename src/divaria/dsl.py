@@ -302,6 +302,8 @@ def parse_variety(text: str) -> IdentitySet:
         if head.kind == "name" and head.text == "variety":
             if len(ts) != 3 or ts[1].kind != "name":
                 raise ParseError("expected: variety <name>", ln, head.col)
+            if name is not None:
+                raise ParseError("a second variety header", ln, head.col)
             name = ts[1].text
         elif head.kind == "name" and head.text == "vars":
             for t in ts[1:-1]:

@@ -32,7 +32,7 @@ def _as_cell(v, dim: int) -> tuple:
 
 
 def _labels(labels: Sequence[str] | None, dim: int) -> tuple:
-    if not labels:
+    if labels is None:
         return tuple(f"b{i + 1}" for i in range(dim))
     if not isinstance(labels, (list, tuple)) or not all(isinstance(x, str) for x in labels):
         raise InputError("labels must be a list of strings")

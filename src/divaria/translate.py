@@ -9,13 +9,15 @@ that psi_section below is a section of psi.
 
 The section direction labels a word so that every product sign points at
 the center leaf, which reproduces the standard dialgebra identity tables
-for the associative, commutative, alternative, Lie and Jordan varieties.
+for the associative, commutative, alternative, Lie and Jordan varieties
+once each candidate in the orbit of an earlier one under relabeling and
+scalars is dropped; _same_orbit is that test, and it also finds the
+(anti-)commutation rule that single-operation rewriting needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import perms
 from .errors import InputError
@@ -58,28 +60,24 @@ def zero_dialgebra_axioms() -> tuple[DiPoly, DiPoly]:
             DiPoly.monomial(rl, id3) - DiPoly.monomial(rr, id3))
 
 
-def _orbit_key(p: DiPoly) -> tuple:
-    """Canonical key of a nonzero identity modulo relabeling and scalars:
-    the least sort_key of p.act(sigma) scaled to leading coefficient 1.
+def _same_orbit(p: DiPoly, q: DiPoly) -> bool:
+    """Is q = c * p.act(sigma) for some relabeling sigma and scalar c?
 
     A relabeling keeps each shape and composes each perm with sigma, so the
-    least key starts with ((least shape key, identity), 1), which only
-    sigma = perm^-1 reaches, for a term (shape, perm) of least shape key:
-    the least key over those candidates, at most one per term, is the key.
-    Each candidate's key begins with its terms of least shape key, as many
-    for every candidate, so candidates are compared on those first, and
-    only the tied ones are relabeled in full."""
-    least = min(shape.key for shape, _ in p.terms)
-    heads = [(perm, c) for (shape, perm), c in p.terms.items() if shape.key == least]
-    best, tied = None, []
-    for perm, c in heads:
-        sigma, scale = perms.inverse(perm), Fraction(1, c)
-        head = sorted((perms.compose(q, sigma), scale * d) for q, d in heads)
-        if best is None or head < best:
-            best, tied = head, []
-        if head == best:
-            tied.append((sigma, scale))
-    return min(p.act(sigma).scale(scale).sort_key() for sigma, scale in tied)
+    first term (shape, perm) of q is the image of a term (shape, pp) of p,
+    and that term fixes sigma = pp^-1 perm and c; each such candidate is
+    checked term by term up to the first mismatch."""
+    if len(p.terms) != len(q.terms):
+        return False
+    (shape, perm), d = next(iter(q.terms.items()))
+    for (s, pp), c in p.terms.items():
+        if s is not shape:
+            continue
+        sigma = perms.compose(perms.inverse(pp), perm)
+        if all(c * q.terms.get((t, perms.compose(tp, sigma)), 0) == d * e
+               for (t, tp), e in p.terms.items()):
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -95,23 +93,17 @@ class DerivedVariety:
         return self.zero_axioms + self.derived
 
     def commutation_rule(self):
-        """Detect a (anti-)commutation identity c*(x-|y) = (y|-x).
+        """Detect a (anti-)commutation identity, one in the orbit of
+        x1-|x2 - lam x2|-x1 for lam = 1 or -1.
 
         Returns the scalar lam with  a -| b = lam * (b |- a), or None.
         """
-        l2 = dinode(LPROD, DILEAF, DILEAF)
-        r2 = dinode(RPROD, DILEAF, DILEAF)
+        x1_x2 = DiPoly.monomial(dinode(LPROD, DILEAF, DILEAF), (1, 2))
+        x2_x1 = DiPoly.monomial(dinode(RPROD, DILEAF, DILEAF), (2, 1))
         for p in self.identities:
-            if p.arity != 2 or len(p.terms) != 2:
-                continue
-            for sigma in perms.symmetric_group(2):
-                swapped = perms.compose(sigma, (2, 1))
-                cl = p.terms.get((l2, sigma))
-                cr = p.terms.get((r2, swapped))
-                if cl and cr:
-                    lam = Fraction(-cr, cl)
-                    if lam in (1, -1):
-                        return lam
+            for lam in (1, -1):
+                if _same_orbit(x1_x2 - lam * x2_x1, p):
+                    return lam
         return None
 
 
@@ -125,18 +117,13 @@ def derive_variety(sigma: IdentitySet) -> DerivedVariety:
     """
     derived: list[DiPoly] = []
     prov: list[tuple[int, int]] = []
-    seen: set = set()
     for t_idx, t in enumerate(sigma):
         n = t.arity
         for i in range(1, n + 1):
             tens = TensorPoly(n, {(shape, perm, i): c for (shape, perm), c in t.terms.items()})
             cand = psi_section(tens)
-            if cand.is_zero():
+            if cand.is_zero() or any(_same_orbit(earlier, cand) for earlier in derived):
                 continue
-            key = _orbit_key(cand)
-            if key in seen:
-                continue
-            seen.add(key)
             derived.append(cand)
             prov.append((t_idx, i))
     return DerivedVariety(zero_dialgebra_axioms(), tuple(derived), tuple(prov))

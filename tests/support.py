@@ -36,8 +36,9 @@ never calls them, so they live here and not in the package.
   built as a polynomial and then mapped to coordinates, the reference of
   operads.consequence_space, which permutes coordinates instead;
 - relabeled_orbit_key, the least scaled sort key over all n! relabelings,
-  the reference of translate._orbit_key, which tries one candidate
-  relabeling per term of least shape;
+  the reference of translate._same_orbit, which tries one candidate
+  relabeling per matching term: two identities are in one orbit exactly
+  when their keys are equal;
 - generated_basis and generated_subspace_failure, a basis of the subspace
   S that the images of rho generate, and the 5 identities of
   embed_associative evaluated on every triple of it, the references of

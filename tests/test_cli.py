@@ -170,9 +170,15 @@ LEIBNIZ2 = {"dim": 2, "labels": ["e1", "e2"], "bracket": [[[0, 1], [0, 0]], [[0,
     ({**LEIBNIZ2, "bracket": [[1, 2], [3, 4]]}, "cells must be lists of rationals"),
     ({**LEIBNIZ2, "labels": 5}, "labels must be a list of strings"),
     ({**LEIBNIZ2, "labels": [1, 2]}, "labels must be a list of strings"),
+    ({**LEIBNIZ2, "labels": 0}, "labels must be a list of strings"),
+    ({**LEIBNIZ2, "labels": False}, "labels must be a list of strings"),
+    ({**LEIBNIZ2, "labels": ""}, "labels must be a list of strings"),
+    ({**LEIBNIZ2, "labels": {}}, "labels must be a list of strings"),
+    ({**LEIBNIZ2, "labels": []}, "0 labels for dimension 2"),
     ({"dim": True, "bracket": [[[0]]]}, "'dim' must be a positive integer"),
 ], ids=["zero-denominator", "not-a-number", "array", "label-count", "table-cells",
-        "labels-not-a-list", "labels-not-strings", "dim-bool"])
+        "labels-not-a-list", "labels-not-strings", "labels-zero", "labels-false",
+        "labels-empty-string", "labels-empty-object", "labels-empty-list", "dim-bool"])
 def test_malformed_dialgebra_exits_2(tmp_path, capsys, data, message):
     f = tmp_path / "d.json"
     f.write_text(json.dumps(data))

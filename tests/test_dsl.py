@@ -109,6 +109,12 @@ def test_variety_header_required():
         parse_variety("identity x1*x2 - x2*x1\n")
 
 
+def test_second_variety_header_refused():
+    with pytest.raises(ParseError) as err:
+        parse_variety("variety v\nidentity x1*x2 - x2*x1\nvariety w\n")
+    assert str(err.value) == "line 3, column 1: a second variety header"
+
+
 def test_variety_must_be_single_product():
     with pytest.raises(InputError):
         parse_variety("variety bad\nidentity x1|-x2 - x2-|x1\n")

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from divaria import translate
+from divaria import perms
 from divaria.dsl import parse_variety
 from divaria.errors import InputError
 from divaria.operads import ALGSE, DIALGS, IdentitySet
 from divaria.perms import random_partition, random_perm, symmetric_group
-from divaria.translate import (_orbit_key, derive_variety, psi_section, rewrite_single_op,
+from divaria.translate import (_same_orbit, derive_variety, psi_section, rewrite_single_op,
                                zero_dialgebra_axioms)
 from divaria.varieties import builtin_identity_set
 from divaria.words import (DiPoly, DILEAF, LEAF, LPROD, RPROD, TensorPoly,
@@ -131,63 +131,70 @@ def test_commutation_rule_is_exact(variety, lam):
     assert got == lam and type(got) in (int, Fraction)
 
 
-def test_orbit_key_divides_exactly():
+def test_same_orbit_divides_exactly():
     # integer coefficients whose quotients 3/5 and 5/3 have no exact float
     p = DP("3 x1|-x2 + 5 x2-|x1")
-    key = _orbit_key(p)
-    assert key == _orbit_key(p.scale(Fraction(2, 7)))
-    assert all(type(c) in (int, Fraction) for _, c in key)
+    assert _same_orbit(p, p.scale(Fraction(2, 7)))
+    assert _same_orbit(p, DP("x2|-x1 + 5/3 x1-|x2"))
+    assert not _same_orbit(p, DP(f"x2|-x1 + {5 * 10 ** 20 + 1}/{3 * 10 ** 20} x1-|x2"))
+    assert not _same_orbit(p, DP("5 x1|-x2 + 3 x2-|x1"))
 
 
-def keyed_candidates(monkeypatch, sigma) -> list:
-    """[(p, n)] for every candidate p that derive_variety(sigma) keys, n the
-    number of DiPoly.act calls its key made."""
-    act, orbit_key = DiPoly.act, translate._orbit_key
-    acts, out = [], []
-
-    def counted_act(self, perm):
-        acts.append(perm)
-        return act(self, perm)
-
-    def counted_key(p):
-        before = len(acts)
-        key = orbit_key(p)
-        out.append((p, len(acts) - before))
-        return key
-
-    monkeypatch.setattr(DiPoly, "act", counted_act)
-    monkeypatch.setattr(translate, "_orbit_key", counted_key)
-    derive_variety(sigma)
-    monkeypatch.undo()
+def builtin_candidates() -> list:
+    """The section candidate of every builtin identity at every center."""
+    out = []
+    for name in ("associative", "commutative", "alternative", "lie", "jordan"):
+        for t in builtin_identity_set(name):
+            for i in range(1, t.arity + 1):
+                cand = psi_section(TensorPoly(t.arity, {
+                    (shape, perm, i): c for (shape, perm), c in t.terms.items()}))
+                if not cand.is_zero():
+                    out.append(cand)
     return out
 
 
-def test_orbit_key_equals_the_key_over_all_relabelings(monkeypatch):
+def test_same_orbit_agrees_with_the_key_over_all_relabelings():
     rng = random.Random(22)
+    coeffs = (-3, -1, Fraction(1, 2), 1, 2)
     polys = []
     while len(polys) < 400:
-        n = rng.randint(2, 5)
-        p = DiPoly(n, {DiPoly.random_mono(n, rng): rng.choice((-3, -1, Fraction(1, 2), 1, 2))
-                       for _ in range(rng.randint(1, 6))})
+        n = rng.randint(2, 4)
+        p = DiPoly(n, {DiPoly.random_mono(n, rng): rng.choice(coeffs)
+                       for _ in range(rng.randint(1, 4))})
         if not p.is_zero():
-            polys.append(p)
-    for name in ("associative", "commutative", "alternative", "lie", "jordan"):
-        polys += [p for p, _ in keyed_candidates(monkeypatch, builtin_identity_set(name))]
-    for p in polys:
-        assert _orbit_key(p) == relabeled_orbit_key(p), p
+            # a relabeled and scaled copy, so that pairs in one orbit occur
+            polys += [p, p.act(random_perm(n, rng)).scale(rng.choice(coeffs))]
+    polys += builtin_candidates()
+    keys = [relabeled_orbit_key(p) for p in polys]
+    same = 0
+    for p, kp in zip(polys, keys):
+        for q, kq in zip(polys, keys):
+            assert _same_orbit(p, q) == (kp == kq), (p, q)
+            same += kp == kq
+    assert same > 2 * len(polys)
 
 
-def test_orbit_key_relabels_at_most_once_per_term(monkeypatch):
-    right = "x8"
-    for i in range(7, 0, -1):
-        right = f"x{i}*({right})"
-    left = "x1"
-    for i in range(2, 9):
-        left = f"({left})*x{i}"
-    sigma = parse_variety(f"variety arity8\nidentity {right} - {left}\n")
-    calls = keyed_candidates(monkeypatch, sigma)
-    assert len(calls) == 8
-    assert all(0 < n <= len(p.terms) for p, n in calls)
+def test_derive_bounds_its_work_on_a_symmetric_identity(monkeypatch):
+    # x1 F0 F1 F2, each F_k ten monomials of the one shape ((a*b)*c)*d at
+    # arity 4: every candidate has 1,000 terms, and many relabelings map its
+    # terms of least shape among themselves
+    factors = []
+    for k in range(3):
+        xs = [f"x{i}" for i in range(4 * k + 2, 4 * k + 6)]
+        monos = itertools.islice(itertools.permutations(xs), 10)
+        factors.append("(" + " + ".join(f"(({a}*{b})*{c})*{d}" for a, b, c, d in monos) + ")")
+    (t,) = parse_variety(f"variety symmetric\nidentity x1*{'*'.join(factors)}\n")
+    assert t.arity == 13 and len(t.terms) == 1000
+    compose, calls = perms.compose, []
+
+    def counted_compose(s, u):
+        calls.append(None)
+        return compose(s, u)
+
+    monkeypatch.setattr(perms, "compose", counted_compose)
+    derived = derive_variety(IdentitySet("symmetric", (t,))).derived
+    assert len(derived) == 13
+    assert len(calls) <= 100_000
 
 
 def _ten_distinct_monomials(a: int) -> str:
