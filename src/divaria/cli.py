@@ -157,17 +157,12 @@ def cmd_derive(args) -> int:
     dv = derive_variety(sigma)
     rep = Report("derive")
     rep.data["variety"] = sigma.name
-    rep.data["identities"] = [str(p) for p in dv.identities]
-    rep.line(f"variety {sigma.name}")
-    rep.line("derived dialgebra identities:")
-    for p in dv.identities:
-        rep.line(f"  {p}")
+    rep.data["identities"] = texts = [str(p) for p in dv.identities]
+    rep.lines += [f"variety {sigma.name}", "derived dialgebra identities:",
+                  *(f"  {text}" for text in texts)]
     if args.single_op:
-        ops = rewrite_single_op(dv)
-        rep.data["single_op"] = [str(p) for p in ops]
-        rep.line("single-operation identities:")
-        for p in ops:
-            rep.line(f"  {p}")
+        rep.data["single_op"] = texts = [str(p) for p in rewrite_single_op(dv)]
+        rep.lines += ["single-operation identities:", *(f"  {text}" for text in texts)]
     return rep.emit(args.json)
 
 

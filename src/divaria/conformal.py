@@ -73,7 +73,6 @@ class LeibnizData:
             self._check_module_axiom()
         else:
             raise InputError(f"unknown module choice {module!r} (trivial or adjoint)")
-        self.module = module
 
     def l_bracket(self, x: Vec, y: Vec) -> Vec:
         return self.squares.reduce(self.g.product(x, y))

@@ -3,7 +3,7 @@
 Grammar (ASCII, left-associative chains, '|-' and '-|' are the two
 dialgebra products, '*' the single product):
 
-    file     := header line*
+    file     := (comment | blank)* header line*
     header   := 'variety' name
     line     := 'vars' var+ | 'identity' expr | comment | blank
     expr     := ['-'] term (('+'|'-') term)*
@@ -305,6 +305,8 @@ def parse_variety(text: str) -> IdentitySet:
             if name is not None:
                 raise ParseError("a second variety header", ln, head.col)
             name = ts[1].text
+        elif name is None:
+            raise ParseError("the variety header must come first", ln, head.col)
         elif head.kind == "name" and head.text == "vars":
             for t in ts[1:-1]:
                 if t.kind != "var":

@@ -186,12 +186,11 @@ class EnvelopePA(PseudoAlgebra):
 
     def base_product(self, x: CElement, y: CElement) -> list:
         buckets: dict = {}
-        a = self.A
         for (k, i), cx in x.c0.items():
-            xi_right = a.right[i]
+            xi_right = self.A.right_cells[i]
             for (l, j), cy in y.c0.items():
                 c = cx * cy
-                prod = {(0, s): c * t for s, t in enumerate(xi_right[j]) if t}
+                prod = {(0, s): c * t for s, t in xi_right[j].items()}
                 if prod:
                     accumulate(self, buckets, (k, l), CElement(prod, {}))
                 accumulate(self, buckets, (k + 1, l), CElement({}, self._reduce({(i, j): -c})))

@@ -8,11 +8,13 @@ operad that computes the same center; it cross-checks the two and checks
 that psi_section below is a section of psi.
 
 The section direction labels a word so that every product sign points at
-the center leaf, which reproduces the standard dialgebra identity tables
-for the associative, commutative, alternative, Lie and Jordan varieties
-once each candidate in the orbit of an earlier one under relabeling and
-scalars is dropped; _same_orbit is that test, and it also finds the
-(anti-)commutation rule that single-operation rewriting needs.
+the center leaf; psi_section(t, i), the section of t (x) e_i, labels each
+shape of t once per position of x_i.  The sections reproduce the standard
+dialgebra identity tables for the associative, commutative, alternative,
+Lie and Jordan varieties once each candidate in the orbit of an earlier one
+under relabeling and scalars is dropped; _same_orbit is that test, and it
+also finds the (anti-)commutation rule that single-operation rewriting
+needs.
 """
 
 from __future__ import annotations
@@ -24,25 +26,24 @@ from .errors import InputError
 from .linalg import add_term
 from .operads import IdentitySet
 from .words import (DiPoly, DiShape, DILEAF, LEAF, LPROD, MultilinearPoly, RPROD,
-                    Shape, TensorPoly, dinode, node, section_dishape)
+                    Shape, dinode, node, section_dishape)
 
 
 # ---------------------------------------------------------------------------
 # the section of the forgetful functor
 # ---------------------------------------------------------------------------
 
-def psi_section_monomial(mono) -> tuple:
-    """Canonical preimage of a tensor monomial: all signs point at the center."""
-    shape, sigma, center = mono
-    p = perms.inverse(sigma)[center - 1]
-    return (section_dishape(shape, p), sigma)
-
-
-def psi_section(q: TensorPoly) -> DiPoly:
+def psi_section(t: MultilinearPoly, center: int) -> DiPoly:
+    """Canonical preimage of t (x) e_center: in each monomial every sign
+    points at the leaf of x_center."""
+    labeled: dict = {}  # (shape, center position) -> its labeling, made once
     out: dict = {}
-    for mono, coeff in q.terms.items():
-        add_term(out, psi_section_monomial(mono), coeff)
-    return DiPoly(q.arity, out)
+    for (shape, perm), c in t.terms.items():
+        key = (shape, perm.index(center) + 1)
+        if key not in labeled:
+            labeled[key] = section_dishape(*key)
+        out[labeled[key], perm] = c
+    return DiPoly(t.arity, out)
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +119,8 @@ def derive_variety(sigma: IdentitySet) -> DerivedVariety:
     derived: list[DiPoly] = []
     prov: list[tuple[int, int]] = []
     for t_idx, t in enumerate(sigma):
-        n = t.arity
-        for i in range(1, n + 1):
-            tens = TensorPoly(n, {(shape, perm, i): c for (shape, perm), c in t.terms.items()})
-            cand = psi_section(tens)
+        for i in range(1, t.arity + 1):
+            cand = psi_section(t, i)
             if cand.is_zero() or any(_same_orbit(earlier, cand) for earlier in derived):
                 continue
             derived.append(cand)

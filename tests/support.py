@@ -45,7 +45,9 @@ never calls them, so they live here and not in the package.
   the two facts about S that embed_associative reads off the images (S
   begins with them when they have rank d; S's top T-degree is theirs) and
   of its check on the matrix units of the current algebra;
-- parse_expression, one identity read by the parser of variety files.
+- parse_expression, one identity read by the parser of variety files;
+- symmetric_variety, a variety file whose one identity has 10^k terms of
+  a single shape, the input of the work bounds on derive.
 """
 
 import itertools
@@ -70,6 +72,18 @@ from divaria.words import (DiPoly, DiShape, LEAF, LPROD, RPROD, Shape, TensorPol
 
 def parse_expression(text: str):
     return parse_identity(tokenize(text))
+
+
+def symmetric_variety(factors: int) -> str:
+    """The variety file of x1 F_0 ... F_{factors-1}, each F_k ten monomials
+    of the one shape ((a*b)*c)*d in x_{4k+2}..x_{4k+5}: 10^factors terms
+    of arity 4 factors + 1, all of one shape."""
+    sums = []
+    for k in range(factors):
+        xs = [f"x{i}" for i in range(4 * k + 2, 4 * k + 6)]
+        monos = itertools.islice(itertools.permutations(xs), 10)
+        sums.append("(" + " + ".join(f"(({a}*{b})*{c})*{d}" for a, b, c, d in monos) + ")")
+    return f"variety symmetric\nidentity x1*{'*'.join(sums)}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from divaria.perms import from_cycles, random_partition, random_perm, sym_compos
 from divaria.pseudo import CoefficientDialgebra, check_var_pseudo
 from divaria.translate import derive_variety, psi_section, rewrite_single_op, zero_dialgebra_axioms
 from divaria.varieties import builtin_identity_set
-from divaria.words import DiPoly, all_dishapes
+from divaria.words import DiPoly, MultilinearPoly, all_dishapes
 from support import alpha_center, parse_expression, psi
 
 DP = parse_expression
@@ -150,7 +150,8 @@ def test_criterion_07_translation_suite():
         sigma = random_perm(n, rng)
         ok = ok and psi(p.act(sigma)) == psi(p).act(sigma)          # equivariance
         q = psi(p)
-        ok = ok and psi(psi_section(q)) == q                        # section
+        (word, perm, center), = q.terms
+        ok = ok and psi(psi_section(MultilinearPoly.monomial(word, perm), center)) == q  # section
         alpha_center(mono)                                          # center vs recursion
     for _ in range(500):
         n = rng.randint(1, 3)

@@ -15,8 +15,8 @@ from divaria.cli import main
 from divaria.envelope import EnvelopePA
 from divaria.fd import sl2
 from divaria.operads import OPERAD_ARITY_BOUND
-from divaria.words import DiPoly, all_dishapes
-from support import gl, parse_expression
+from divaria.words import DiPoly, TermPoly, all_dishapes
+from support import gl, parse_expression, symmetric_variety
 
 
 def run(capsys, *args):
@@ -288,6 +288,16 @@ def test_deeply_nested_identity_exits_2(tmp_path, capsys):
     assert len(json.loads(capsys.readouterr().out)["identities"]) == 2 + 100
 
 
+@pytest.mark.parametrize("first", ["identity x1*x2 - x2*x1", "vars x1 x2"])
+def test_line_before_the_variety_header_exits_2(tmp_path, capsys, first):
+    f = tmp_path / "late.var"
+    f.write_text(f"# a comment\n{first}\nvariety w\nidentity x1*x2 - x2*x1\n")
+    assert main(["derive", "--variety", str(f)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: line 2, column 1: the variety header must come first\n"
+
+
 def _ten_monomials(a: int, b: int) -> str:
     """A sum of ten monomials in xa, xb that equals xa*xb + xb*xa."""
     return f"(x{a}*x{b} + x{b}*x{a}" + f" - x{a}*x{b} + x{a}*x{b}" * 4 + ")"
@@ -548,11 +558,55 @@ GOLDEN_SHA256 = {
 }
 
 
+# the same for derive --json on the 1,000-term identity symmetric_variety(3)
+SYMMETRIC_SHA256 = "0126936f98b29f81815b8a393d88e5a11845750bb06f180ab69d764ab3625eb0"
+
+
 @pytest.mark.parametrize("argv", sorted(GOLDEN_SHA256))
 def test_json_reports_are_byte_identical(capsys, argv):
     code, out = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[argv]
+
+
+def test_symmetric_derive_report_is_byte_identical(tmp_path, capsys):
+    f = tmp_path / "symmetric.var"
+    f.write_text(symmetric_variety(3))
+    code, out = run(capsys, "derive", "--variety", str(f), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SYMMETRIC_SHA256
+
+
+@pytest.mark.parametrize("variety,options", [("SYMMETRIC", []), ("lie", ["--single-op"])],
+                         ids=["symmetric", "lie-single-op"])
+def test_derive_renders_each_identity_once(tmp_path, capsys, monkeypatch, variety, options):
+    # the JSON lists and the text lines are read from one rendering
+    f = tmp_path / "symmetric.var"
+    f.write_text(symmetric_variety(3))
+    render, calls = TermPoly.__str__, []
+
+    def counted_render(p):
+        calls.append(None)
+        return render(p)
+
+    monkeypatch.setattr(TermPoly, "__str__", counted_render)
+    variety = str(f) if variety == "SYMMETRIC" else variety
+    code, out = run(capsys, "derive", "--variety", variety, *options, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert len(calls) == len(data["identities"]) + len(data.get("single_op", []))
+
+
+@pytest.mark.parametrize("variety", ["commutative", "lie", "jordan"])
+def test_derive_text_lists_the_json_identities(capsys, variety):
+    data = json.loads(run(capsys, "derive", "--variety", variety, "--single-op", "--json")[1])
+    code, out = run(capsys, "derive", "--variety", variety, "--single-op")
+    assert code == 0
+    assert out.splitlines() == [
+        f"variety {variety}", "derived dialgebra identities:",
+        *(f"  {text}" for text in data["identities"]),
+        "single-operation identities:", *(f"  {text}" for text in data["single_op"]),
+        "status: pass"]
 
 
 @pytest.mark.parametrize("argv", [["derive", "--variety", "associative", "--json"],

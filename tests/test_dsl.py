@@ -109,6 +109,14 @@ def test_variety_header_required():
         parse_variety("identity x1*x2 - x2*x1\n")
 
 
+@pytest.mark.parametrize("first,col", [("identity x1*x2 - x2*x1", 1), ("vars x1 x2", 1),
+                                       ("  vars x1", 3)])
+def test_line_before_the_variety_header_refused(first, col):
+    with pytest.raises(ParseError) as err:
+        parse_variety(f"{first}\nvariety w\nidentity x1*x2 - x2*x1\n")
+    assert str(err.value) == f"line 1, column {col}: the variety header must come first"
+
+
 def test_second_variety_header_refused():
     with pytest.raises(ParseError) as err:
         parse_variety("variety v\nidentity x1*x2 - x2*x1\nvariety w\n")

@@ -22,9 +22,10 @@ from divaria.fd import (FDDialgebra, abelian, corpus, diagonal_lift, dual_number
 from divaria.linalg import vec_axpy
 from divaria.operads import IdentitySet
 from divaria.perms import random_perm, symmetric_group
+from divaria.translate import psi_section
 from divaria.varieties import builtin_identity_set
-from divaria.words import (DiPoly, LEAF, TensorPoly, all_dishapes, all_shapes,
-                           eval_shape_tree, node, section_dishape)
+from divaria.words import (DiPoly, LEAF, all_dishapes, all_shapes, eval_shape_tree, node,
+                           section_dishape)
 from support import epsilon_eval, eval_poly, parse_expression, poly_value, psi
 
 LIE = builtin_identity_set("lie")
@@ -678,9 +679,7 @@ def test_d_form_matches_substitution_formula(env2):
                     flat.extend([d.basis(pr[0]), d.basis(pr[1])])
                 else:
                     flat.append(d.basis(next(others)))
-            from divaria.translate import psi_section
-            hi = psi_section(TensorPoly(4, {(s, p, slot + 1): c for (s, p), c in f.terms.items()}))
-            lo = psi_section(TensorPoly(4, {(s, p, slot): c for (s, p), c in f.terms.items()}))
+            hi, lo = psi_section(f, slot + 1), psi_section(f, slot)
             want = difference(eval_poly(d, hi, flat), eval_poly(d, lo, flat))
             assert env2.eq(env2.t_act(x), env2.from_a(want))
 

@@ -12,7 +12,7 @@ from divaria.fd import (FDAlgebra, FDDialgebra, _left_leibniz_poly, abelian, bar
 from divaria.linalg import add_term
 from divaria.translate import derive_variety, psi_section, zero_dialgebra_axioms
 from divaria.varieties import BUILTIN, builtin_identity_set
-from divaria.words import DiPoly, all_dishapes, eval_on_tuples
+from divaria.words import DiPoly, MultilinearPoly, all_dishapes, eval_on_tuples
 from divaria.perms import random_perm, symmetric_group
 from support import eval_poly, first_lex_witness, gl, psi
 
@@ -123,7 +123,8 @@ def test_kernel_elements_vanish_on_zero_dialgebras():
         n = rng.randint(2, 3)
         mono = (rng.choice(all_dishapes(n)), random_perm(n, rng))
         p = DiPoly.monomial(*mono)
-        f = p - psi_section(psi(p))
+        (word, perm, center), = psi(p).terms
+        f = p - psi_section(MultilinearPoly.monomial(word, perm), center)
         assert psi(f).is_zero()
         for name, d in members:
             assert eval_identity(d, f) is None, name

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from divaria import perms
+from divaria import perms, words
 from divaria.dsl import parse_variety
 from divaria.errors import InputError
 from divaria.operads import ALGSE, DIALGS, IdentitySet
@@ -13,9 +13,10 @@ from divaria.perms import random_partition, random_perm, symmetric_group
 from divaria.translate import (_same_orbit, derive_variety, psi_section, rewrite_single_op,
                                zero_dialgebra_axioms)
 from divaria.varieties import builtin_identity_set
-from divaria.words import (DiPoly, DILEAF, LEAF, LPROD, RPROD, TensorPoly,
-                           all_dishapes, all_shapes, dinode, node)
-from support import alpha_center, parse_expression, psi, relabeled_orbit_key
+from divaria.words import (DiPoly, DILEAF, LEAF, LPROD, MultilinearPoly, RPROD,
+                           TensorPoly, all_dishapes, all_shapes, dinode, node)
+from support import (alpha_center, parse_expression, psi, relabeled_orbit_key,
+                     symmetric_variety)
 
 B2D_L = dinode(LPROD, DILEAF, DILEAF)
 B2D_R = dinode(RPROD, DILEAF, DILEAF)
@@ -46,12 +47,11 @@ def test_psi_section_examples():
     lc = node(node(LEAF, LEAF), LEAF)
     rc = node(LEAF, node(LEAF, LEAF))
     id3 = (1, 2, 3)
-    assert psi_section(TensorPoly.monomial(lc, id3, 1) - TensorPoly.monomial(rc, id3, 1)) \
-        == DP("(x1-|x2)-|x3 - x1-|(x2-|x3)")
-    assert psi_section(TensorPoly.monomial(lc, id3, 3) - TensorPoly.monomial(rc, id3, 3)) \
-        == DP("(x1|-x2)|-x3 - x1|-(x2|-x3)")
+    assoc = MultilinearPoly.monomial(lc, id3) - MultilinearPoly.monomial(rc, id3)
+    assert psi_section(assoc, 1) == DP("(x1-|x2)-|x3 - x1-|(x2-|x3)")
+    assert psi_section(assoc, 3) == DP("(x1|-x2)|-x3 - x1|-(x2|-x3)")
     # word x2x1 with center variable x1 labels toward the second leaf
-    assert psi_section(TensorPoly.monomial(node(LEAF, LEAF), (2, 1), 1)) == DP("x2|-x1")
+    assert psi_section(MultilinearPoly.monomial(node(LEAF, LEAF), (2, 1)), 1) == DP("x2|-x1")
 
 
 def test_section_is_a_section_everywhere():
@@ -62,7 +62,7 @@ def test_section_is_a_section_everywhere():
             for sigma in group[:6]:
                 for center in range(1, n + 1):
                     q = TensorPoly.monomial(shape, sigma, center)
-                    assert psi(psi_section(q)) == q
+                    assert psi(psi_section(MultilinearPoly.monomial(shape, sigma), center)) == q
 
 
 def test_psi_equivariance():
@@ -146,8 +146,7 @@ def builtin_candidates() -> list:
     for name in ("associative", "commutative", "alternative", "lie", "jordan"):
         for t in builtin_identity_set(name):
             for i in range(1, t.arity + 1):
-                cand = psi_section(TensorPoly(t.arity, {
-                    (shape, perm, i): c for (shape, perm), c in t.terms.items()}))
+                cand = psi_section(t, i)
                 if not cand.is_zero():
                     out.append(cand)
     return out
@@ -178,12 +177,7 @@ def test_derive_bounds_its_work_on_a_symmetric_identity(monkeypatch):
     # x1 F0 F1 F2, each F_k ten monomials of the one shape ((a*b)*c)*d at
     # arity 4: every candidate has 1,000 terms, and many relabelings map its
     # terms of least shape among themselves
-    factors = []
-    for k in range(3):
-        xs = [f"x{i}" for i in range(4 * k + 2, 4 * k + 6)]
-        monos = itertools.islice(itertools.permutations(xs), 10)
-        factors.append("(" + " + ".join(f"(({a}*{b})*{c})*{d}" for a, b, c, d in monos) + ")")
-    (t,) = parse_variety(f"variety symmetric\nidentity x1*{'*'.join(factors)}\n")
+    (t,) = parse_variety(symmetric_variety(3))
     assert t.arity == 13 and len(t.terms) == 1000
     compose, calls = perms.compose, []
 
@@ -195,6 +189,22 @@ def test_derive_bounds_its_work_on_a_symmetric_identity(monkeypatch):
     derived = derive_variety(IdentitySet("symmetric", (t,))).derived
     assert len(derived) == 13
     assert len(calls) <= 100_000
+
+
+def test_derive_labels_each_shape_once_per_center_position(monkeypatch):
+    # the 1,000 terms of x1 F0 F1 F2 share one shape of 25 nodes, so each
+    # center labels it once per position of its variable (325,000 node
+    # visits when every term was labeled on its own)
+    (t,) = parse_variety(symmetric_variety(3))
+    label, calls = words._section, []
+
+    def counted_label(*args):
+        calls.append(None)
+        return label(*args)
+
+    monkeypatch.setattr(words, "_section", counted_label)
+    derive_variety(IdentitySet("symmetric", (t,)))
+    assert 0 < len(calls) <= 5_000
 
 
 def _ten_distinct_monomials(a: int) -> str:
