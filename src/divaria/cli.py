@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import time
-from fractions import Fraction
 from importlib import resources
 
 from . import __version__
@@ -36,60 +34,28 @@ OPERADS = (SYM, E, ALGS, DIALGS, ALGSE)
 # structure-constant ingestion
 # ---------------------------------------------------------------------------
 
-def _fraction(x) -> Fraction:
-    """An int, or a "p", "p/q" or decimal string, as a Fraction.
-
-    Exponent notation is refused ("1e999999999" would build 10^999999999),
-    and so is a run of more digits than Python converts (sys.get_int_max_str_digits)."""
-    if isinstance(x, bool):
-        raise InputError(f"bad rational {x!r}")
-    if isinstance(x, str):
-        if "e" in x.lower():
-            raise InputError(f"bad rational {x!r} (no exponent notation)")
-        limit = sys.get_int_max_str_digits()
-        if limit and any(len(run) > limit for run in re.findall(r"\d+", x)):
-            raise InputError(f"bad rational {x[:20]!r}... (more than {limit} digits)")
-    if isinstance(x, (int, str)):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"bad rational {x!r}") from None
-    raise InputError(f"bad rational {x!r} (use ints or 'p/q' strings)")
-
-
-def _load_table(raw, dim):
-    if (not isinstance(raw, list) or len(raw) != dim
-            or any(not isinstance(row, list) or len(row) != dim for row in raw)):
-        raise InputError("structure table is not dim x dim")
-    if not all(isinstance(cell, list) for row in raw for cell in row):
-        raise InputError("structure table cells must be lists of rationals")
-    return [[[_fraction(c) for c in cell] for cell in row] for row in raw]
-
-
-def _dim(data: dict) -> int:
+def _table(data: dict, name: str) -> list:
+    """The table data[name], once its length is checked to be the declared 'dim'."""
     dim = data.get("dim")
     if type(dim) is not int or dim < 1:  # a bool is an int too, but not a dimension
         raise InputError("'dim' must be a positive integer")
-    return dim
+    if not isinstance(data[name], list) or len(data[name]) != dim:
+        raise InputError("structure table is not dim x dim")
+    return data[name]
 
 
 def load_dialgebra_data(data: dict) -> FDDialgebra:
-    dim = _dim(data)
-    labels = data.get("labels")
     if "bracket" in data:
-        bracket = FDAlgebra(_load_table(data["bracket"], dim), labels)
-        return leibniz_to_dialgebra(bracket)
+        return leibniz_to_dialgebra(load_leibniz_data(data))
     if "left" not in data or "right" not in data:
         raise InputError("need 'left' and 'right' tables (or a 'bracket' table)")
-    return FDDialgebra(_load_table(data["left"], dim),
-                       _load_table(data["right"], dim), labels)
+    return FDDialgebra(_table(data, "left"), data["right"], data.get("labels"))
 
 
 def load_leibniz_data(data: dict) -> FDAlgebra:
-    dim = _dim(data)
     if "bracket" not in data:
         raise InputError("a Leibniz algebra file needs a 'bracket' table")
-    return FDAlgebra(_load_table(data["bracket"], dim), data.get("labels"))
+    return FDAlgebra(_table(data, "bracket"), data.get("labels"))
 
 
 def _read_json(path: str) -> dict:

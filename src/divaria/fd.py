@@ -1,9 +1,9 @@
 """Finite-dimensional (di)algebras given by structure constants over Q.
 
-Structure tables: ``table[i][j]`` is the dense coordinate tuple of the
-product of basis elements i and j (0-based indices; an entry is an int
-when integral, a Fraction otherwise).  Each table is kept beside a copy
-of its cells as zero-free ``{k: t}`` dicts, which the products walk.
+Structure tables come in dense, ``table[i][j]`` the coordinate list of the
+product of basis elements i and j (0-based), and read_table, their one
+reader, keeps only the cells: zero-free ``{k: t}`` dicts, keys ascending,
+each t an int when integral and a Fraction otherwise.  The products walk them.
 Elements are sparse vectors (``linalg.Vec``).  Identity checks enumerate
 basis tuples, which suffices by multilinearity; the d^n cost is guarded.
 
@@ -15,7 +15,11 @@ the roles of |- and -| up to sign.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InputError, guard_tuples
@@ -24,11 +28,47 @@ from .translate import derive_variety, zero_dialgebra_axioms
 from .words import LEAF, MultilinearPoly, TermPoly, eval_on_tuples, node
 
 
-def _as_cell(v, dim: int) -> tuple:
-    t = tuple(rational(x) for x in v)
-    if len(t) != dim:
-        raise InputError(f"vector of length {len(t)}, expected {dim}")
-    return t
+_ENTRY = re.compile(r"\s*[+-]?(\d+(/0*[1-9]\d*|\.\d*)?|\.\d+)\s*", re.ASCII)
+
+
+def _entry(x):
+    """An int, a Fraction, or a "p", "p/q" (q nonzero) or decimal string of
+    ASCII digits, as an exact rational: an int when integral, else a Fraction.
+    Exponent notation is refused ("1e999999999" would build 10^999999999),
+    and so is a run of more digits than Python converts (sys.get_int_max_str_digits)."""
+    if type(x) is int:  # not isinstance: a bool is an int too, but not an entry
+        return x
+    if isinstance(x, str):
+        if "e" in x.lower():
+            raise InputError(f"bad rational {x!r} (no exponent notation)")
+        limit = sys.get_int_max_str_digits()
+        if limit and any(len(run) > limit for run in re.findall(r"\d+", x)):
+            raise InputError(f"bad rational {x[:20]!r}... (more than {limit} digits)")
+        if not _ENTRY.fullmatch(x):
+            raise InputError(f"bad rational {x!r}")
+    elif type(x) is not Fraction:
+        raise InputError(f"bad rational {x!r} (use ints or 'p/q' strings)")
+    return rational(x)
+
+
+def read_table(raw, dim: int) -> tuple:
+    """The cells of a dense dim x dim table of coordinate lists, checked and
+    read in one pass: cells[i][j] = {k: t} for the nonzero entries t of
+    raw[i][j], k ascending.  Lists and tuples are both taken."""
+    if (not isinstance(raw, (list, tuple)) or len(raw) != dim
+            or not all(isinstance(row, (list, tuple)) for row in raw)):
+        raise InputError("structure table is not dim x dim")
+    rows = []
+    for row in raw:
+        if len(row) != dim:
+            raise InputError(f"structure table row of length {len(row)}, expected {dim}")
+        cells = []
+        for cell in row:
+            if not isinstance(cell, (list, tuple)) or len(cell) != dim:
+                raise InputError(f"structure table cells must be lists of rationals, {dim} each")
+            cells.append({k: t for k, t in enumerate(map(_entry, cell)) if t})
+        rows.append(tuple(cells))
+    return tuple(rows)
 
 
 def _labels(labels: Sequence[str] | None, dim: int) -> tuple:
@@ -39,19 +79,6 @@ def _labels(labels: Sequence[str] | None, dim: int) -> tuple:
     if len(labels) != dim:
         raise InputError(f"{len(labels)} labels for dimension {dim}")
     return tuple(labels)
-
-
-def _table(raw, dim: int):
-    for row in raw:
-        if len(row) != dim:
-            raise InputError(f"structure table row of length {len(row)}, expected {dim}")
-    return tuple(tuple(_as_cell(cell, dim) for cell in row) for row in raw)
-
-
-def _sparse(table) -> tuple:
-    """The cells of a dense table as zero-free {k: t} dicts."""
-    return tuple(tuple({k: t for k, t in enumerate(cell) if t} for cell in row)
-                 for row in table)
 
 
 def _bilinear(cells, x: Vec, y: Vec) -> Vec:
@@ -82,9 +109,14 @@ class FDAlgebra:
 
     def __init__(self, table, labels: Sequence[str] | None = None):
         self.dim = len(table)
-        self.table = _table(table, self.dim)
-        self.cells = _sparse(self.table)
+        self.cells = read_table(table, self.dim)
         self.labels = _labels(labels, self.dim)
+
+    @cached_property
+    def table(self) -> tuple:
+        """The dense table, built from the cells on first read (for perfbench only)."""
+        return tuple(tuple(tuple(cell.get(k, 0) for k in range(self.dim)) for cell in row)
+                     for row in self.cells)
 
     def basis(self, i: int) -> Vec:
         return {i: 1}
@@ -103,13 +135,17 @@ class FDDialgebra:
 
     def __init__(self, left, right, labels: Sequence[str] | None = None):
         self.dim = len(left)
-        if len(right) != self.dim:
-            raise InputError("left/right tables disagree on dimension")
-        self.left = _table(left, self.dim)
-        self.right = _table(right, self.dim)
-        self.left_cells = _sparse(self.left)
-        self.right_cells = _sparse(self.right)
+        self.left_cells, self.right_cells = read_table(left, self.dim), read_table(right, self.dim)
         self.labels = _labels(labels, self.dim)
+
+    @classmethod
+    def of_cells(cls, left_cells, right_cells, labels) -> "FDDialgebra":
+        """The dialgebra with these cells and labels, taken as they are: each
+        cell a zero-free {k: t} dict with its keys ascending."""
+        out = object.__new__(cls)
+        out.dim, out.labels = len(left_cells), labels
+        out.left_cells, out.right_cells = left_cells, right_cells
+        return out
 
     def basis(self, i: int) -> Vec:
         return {i: 1}
@@ -182,10 +218,9 @@ def leibniz_to_dialgebra(bracket: FDAlgebra) -> FDDialgebra:
     w = eval_identity(bracket, _left_leibniz_poly())
     if w is not None:
         raise InputError(f"not a left Leibniz algebra: {w.describe(bracket.labels)}")
-    d = bracket.dim
-    right = [[bracket.table[i][j] for j in range(d)] for i in range(d)]
-    left = [[tuple(-c for c in bracket.table[j][i]) for j in range(d)] for i in range(d)]
-    return FDDialgebra(left, right, bracket.labels)
+    left = tuple(tuple({k: -t for k, t in cell.items()} for cell in column)
+                 for column in zip(*bracket.cells))
+    return FDDialgebra.of_cells(left, bracket.cells, bracket.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +229,7 @@ def leibniz_to_dialgebra(bracket: FDAlgebra) -> FDDialgebra:
 
 def diagonal_lift(alg: FDAlgebra) -> FDDialgebra:
     """Both products equal to the given one; always a zero-dialgebra."""
-    return FDDialgebra(alg.table, alg.table, alg.labels)
+    return FDDialgebra.of_cells(alg.cells, alg.cells, alg.labels)
 
 
 def _z(d):
@@ -254,8 +289,7 @@ def abelian(d: int) -> FDDialgebra:
 def bar_unit(weights: Sequence) -> FDDialgebra:
     """a|-b = eps(a) b, a-|b = a eps(b) for the functional eps; a 0-dialgebra
     for any weights with distinct left and right products."""
-    w = [rational(x) for x in weights]
-    d = len(w)
+    w, d = weights, len(weights)
     right = [[tuple(w[i] if k == j else 0 for k in range(d)) for j in range(d)] for i in range(d)]
     left = [[tuple(w[j] if k == i else 0 for k in range(d)) for j in range(d)] for i in range(d)]
     return FDDialgebra(left, right)

@@ -7,7 +7,8 @@ never calls them, so they live here and not in the package.
   symmetric-group operad (alpha_center, which asserts that they agree);
 - epsilon_eval, the counit collapse of a tensor element evaluated in a
   pseudo-algebra;
-- gl, the commutator Lie algebra of the n x n matrix units;
+- gl, the commutator Lie algebra of the n x n matrix units, and
+  gl_table, its dense bracket table as nested lists;
 - eval_poly and first_lex_witness, a polynomial folded monomial by
   monomial at one argument tuple of a structure-constant (di)algebra, and
   the identity check that scans the basis tuples with it, the per-tuple
@@ -26,6 +27,8 @@ never calls them, so they live here and not in the package.
   envelope.build_var_quotient;
 - recursive_ideal, the same ideal spanned from the recursive evaluator's
   tuple entry, pseudo.eval_term_on_tuples, which reads no closed form;
+- lie_ideal_from_bracket, the span read off a Lie bracket alone that the
+  ideal of its Lie quotient is observed to equal;
 - from_vec, the inverse of words.to_vec;
 - round_trip_compose_mono, the operad composite of monomials computed by
   reordering the partition by sigma^{-1} and composing through
@@ -59,7 +62,7 @@ from divaria.dsl import parse_identity, tokenize
 from divaria.envelope import closed_form_eval
 from divaria.errors import InputError
 from divaria.fd import FDAlgebra, Witness
-from divaria.linalg import RowSpace, vec_axpy
+from divaria.linalg import RowSpace, add_term, vec_axpy
 from divaria.operads import consequence_generators
 from divaria.perms import Perm
 from divaria.pseudo import CoefficientDialgebra, Spread, accumulate, eval_term, eval_term_on_tuples
@@ -181,8 +184,9 @@ def epsilon_eval(alg, f, args) -> object:
     return out
 
 
-def gl(n: int) -> FDAlgebra:
-    """The commutator Lie algebra of the n x n matrix units E_ij."""
+def gl_table(n: int) -> list:
+    """The dense bracket table, as nested lists, of the commutator Lie
+    algebra of the n x n matrix units E_ij, in the order E_11, E_12, ..."""
     units = [(i, j) for i in range(n) for j in range(n)]
     table = [[[0] * n * n for _ in units] for _ in units]
     for a, (i, j) in enumerate(units):
@@ -191,7 +195,12 @@ def gl(n: int) -> FDAlgebra:
                 table[a][b][i * n + l] += 1
             if l == i:
                 table[a][b][k * n + j] -= 1
-    return FDAlgebra(table, [f"E{i + 1}{j + 1}" for i, j in units])
+    return table
+
+
+def gl(n: int) -> FDAlgebra:
+    """The commutator Lie algebra of the n x n matrix units E_ij."""
+    return FDAlgebra(gl_table(n), [f"E{i + 1}{j + 1}" for i in range(n) for j in range(n)])
 
 
 def eval_poly(alg, p, args) -> dict:
@@ -285,6 +294,27 @@ def recursive_ideal(env, sigma) -> RowSpace:
             for exps, elem in spread.terms.items():
                 if any(exps):
                     rows.add(dict(elem.c1))
+    return rows
+
+
+def lie_ideal_from_bracket(g) -> RowSpace:
+    """The span K of a(x)b - b(x)a and [x,a](x)b + a(x)[x,b] over basis
+    elements x, a and b of g, in the (i, j) coordinates of an envelope's
+    tensor part, read off g.cells alone: no pseudo-product, no closed form.
+
+    On a Lie algebra g, the dialgebra of g is diagonal, its defects vanish
+    and the tensor part is all of g (x) g.  That K is then the ideal of the
+    Lie quotient is an observation, checked on the Lie algebras of
+    test_the_lie_ideal_is_read_off_the_bracket; it is not proved here."""
+    d = g.dim
+    rows = RowSpace({(a, b): 1, (b, a): -1} for a in range(d) for b in range(a + 1, d))
+    for x, a, b in itertools.product(range(d), repeat=3):
+        row: dict = {}
+        for k, t in g.cells[x][a].items():
+            add_term(row, (k, b), t)
+        for k, t in g.cells[x][b].items():
+            add_term(row, (a, k), t)
+        rows.add(row)
     return rows
 
 

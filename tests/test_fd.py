@@ -1,9 +1,13 @@
+import functools
 import itertools
+import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from divaria.cli import load_leibniz_data, main
 from divaria.errors import InputError
 from divaria.fd import (FDAlgebra, FDDialgebra, _left_leibniz_poly, abelian, bar_unit, corpus,
                         diagonal_lift, eval_identity,
@@ -14,7 +18,7 @@ from divaria.translate import derive_variety, psi_section, zero_dialgebra_axioms
 from divaria.varieties import BUILTIN, builtin_identity_set
 from divaria.words import DiPoly, MultilinearPoly, all_dishapes, eval_on_tuples
 from divaria.perms import random_perm, symmetric_group
-from support import eval_poly, first_lex_witness, gl, psi
+from support import eval_poly, first_lex_witness, gl, gl_table, psi
 
 LIE = builtin_identity_set("lie")
 ASSOC = builtin_identity_set("associative")
@@ -167,16 +171,105 @@ def _dense_walk(table, x: dict, y: dict) -> dict:
     return out
 
 
+# [a, a] = b, [a, b] = c: a left Leibniz bracket that is not antisymmetric
+NULL_FILIFORM = [[[0, 1, 0], [0, 0, 1], [0, 0, 0]], [[0, 0, 0]] * 3, [[0, 0, 0]] * 3]
+
+
+def _negated_transpose(table) -> list:
+    return [[[-t for t in table[j][i]] for j in range(len(table))] for i in range(len(table))]
+
+
 def test_sparse_cells_match_the_dense_walk():
-    gl3 = gl(3)
-    for name, d in corpus() + [("gl3", leibniz_to_dialgebra(gl3))]:
-        vecs = [{i: 1} for i in range(d.dim)] + [{0: 1, d.dim - 1: Fraction(-1, 2)}]
-        for x, y in itertools.product(vecs, repeat=2):
-            assert d.lprod(x, y) == _dense_walk(d.left, x, y), (name, x, y)
-            assert d.rprod(x, y) == _dense_walk(d.right, x, y), (name, x, y)
-    for i, j in itertools.product(range(gl3.dim), repeat=2):
-        x, y = gl3.basis(i), gl3.basis(j)
-        assert gl3.product(x, y) == _dense_walk(gl3.table, x, y)
+    # each product is compared with a walk over a dense table that the test holds itself
+    cases = []  # (name, dimension, [(product, the dense table of that product)])
+    for k, (left, right) in enumerate(_random_tables(5, 12)):
+        d = FDDialgebra(left, right)
+        cases.append((f"random{k}", 2, [(d.lprod, left), (d.rprod, right)]))
+    for name, table in (("gl3", gl_table(3)), ("null-filiform", NULL_FILIFORM)):
+        g = FDAlgebra(table)
+        d, lift = leibniz_to_dialgebra(g), diagonal_lift(g)
+        cases.append((name, g.dim, [(g.product, table), (d.lprod, _negated_transpose(table)),
+                                    (d.rprod, table), (lift.lprod, table), (lift.rprod, table)]))
+    for name, dim, products in cases:
+        vecs = [{i: 1} for i in range(dim)] + [{0: 1, dim - 1: Fraction(-1, 2)}]
+        for (product, table), x, y in itertools.product(products, vecs, vecs):
+            assert product(x, y) == _dense_walk(table, x, y), (name, x, y)
+
+
+def test_cells_are_zero_free_with_ascending_keys():
+    tables = [gl_table(3), NULL_FILIFORM, [[[0, "1/2", "0", 0]] * 4] * 4]
+    cells = [FDAlgebra(t).cells for t in tables]
+    cells.append(leibniz_to_dialgebra(FDAlgebra(NULL_FILIFORM)).left_cells)
+    assert cells[2][0][0] == {1: Fraction(1, 2)}
+    for table in cells:
+        for cell in (c for row in table for c in row):
+            assert all(cell.values()) and list(cell) == sorted(cell)
+
+
+# the entries and tables that test_cli.py's malformed inputs put in a bracket table,
+# with the messages the command line prints for them
+BAD_TABLES = [([[[0, entry], [0, 0]], [[0, 0], [0, 0]]], message) for entry, message in [
+    ("1/0", "bad rational '1/0'"),
+    ("abc", "bad rational 'abc'"),
+    ("1_000", "bad rational '1_000'"),
+    ("\u0663", "bad rational '\u0663'"),
+    ("1e4000", "bad rational '1e4000' (no exponent notation)"),
+    (None, "bad rational None (use ints or 'p/q' strings)"),
+    (0.5, "bad rational 0.5 (use ints or 'p/q' strings)"),
+    (True, "bad rational True (use ints or 'p/q' strings)"),
+]] + [([[1, 2], [3, 4]], "structure table cells must be lists of rationals")]
+
+
+@pytest.mark.parametrize("table,message", BAD_TABLES, ids=[
+    "zero-denominator", "not-a-number", "underscore", "arabic-indic-digit", "exponent", "null",
+    "float", "bool", "table-cells"])
+def test_the_python_api_refuses_what_the_command_line_refuses(tmp_path, capsys, table, message):
+    with pytest.raises(InputError) as api:
+        FDAlgebra(table)
+    assert message in str(api.value)
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps({"dim": 2, "bracket": table}))
+    assert main(["check", "--dialgebra", str(f), "--variety", "lie"]) == 2
+    assert capsys.readouterr().err == f"error: {api.value}\n"
+
+
+def _traced(build) -> tuple:
+    """build() and the size that tracemalloc traced while it ran, (kept, peak) in MiB."""
+    tracemalloc.start()
+    try:
+        out = build()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept / 2 ** 20, peak / 2 ** 20
+
+
+@functools.lru_cache(maxsize=None)
+def _gl7() -> tuple:
+    """gl(7) as a bracket file decodes, and as an FDAlgebra; the symbolic
+    caches of the Leibniz check are filled on gl(2) first."""
+    leibniz_to_dialgebra(gl(2))
+    return json.loads(json.dumps({"dim": 49, "bracket": gl_table(7)})), gl(7)
+
+
+def test_loading_gl7_keeps_no_dense_copy():
+    data, _g = _gl7()
+    g, _kept, peak = _traced(lambda: load_leibniz_data(data))
+    assert g.dim == 49 and peak <= 1  # the parent peaked at 7.76 MiB
+
+
+def test_diagonal_lift_of_gl7_shares_the_cells():
+    _data, g = _gl7()
+    lift, _kept, peak = _traced(lambda: diagonal_lift(g))
+    assert lift.left_cells is lift.right_cells is g.cells
+    assert peak <= 0.1  # the parent allocated 2.55 MiB
+
+
+def test_leibniz_import_of_gl7_keeps_its_left_cells_only():
+    _data, g = _gl7()
+    d, kept, _peak = _traced(lambda: leibniz_to_dialgebra(g))
+    assert d.right_cells is g.cells
+    assert kept <= 1  # the parent kept 2.63 MiB
 
 
 def _proper_subshapes(s) -> set:

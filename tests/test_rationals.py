@@ -28,11 +28,11 @@ def rescaled(d: FDDialgebra) -> FDDialgebra:
     f_i * f_j = sum_k (lam_i lam_j / lam_k) c_ij^k f_k."""
     lam = LAMBDAS[:d.dim]
 
-    def table(t):
-        return [[[lam[i] * lam[j] / lam[k] * t[i][j][k] for k in range(d.dim)]
+    def table(cells):
+        return [[[lam[i] * lam[j] / lam[k] * cells[i][j].get(k, 0) for k in range(d.dim)]
                  for j in range(d.dim)] for i in range(d.dim)]
 
-    return FDDialgebra(table(d.left), table(d.right), d.labels)
+    return FDDialgebra(table(d.left_cells), table(d.right_cells), d.labels)
 
 
 def _is_exact(c) -> bool:
@@ -64,9 +64,11 @@ def _evaluations(env, max_arity: int):
 @pytest.mark.parametrize("name", sorted(VARIETY))
 def test_rescaled_algebra_has_fraction_constants(name):
     d = rescaled(CORPUS[name])
-    entries = [c for t in (d.left, d.right) for row in t for cell in row for c in cell]
+    entries = [c for t in (d.left_cells, d.right_cells) for row in t for cell in row
+               for c in cell.values()]
     assert any(type(c) is Fraction for c in entries)
     assert all(_is_exact(c) for c in entries)
+    assert all(type(c) is int for c in entries if c.denominator == 1)
 
 
 @pytest.mark.parametrize("name", sorted(VARIETY))

@@ -17,12 +17,13 @@ from divaria.envelope import (EnvelopePA, ExtendedHom, build_envelope, build_var
                               closed_form_on_tuples, extend_hom)
 from divaria.errors import InputError, ResourceError
 from divaria.conformal import build_rho
-from divaria.fd import corpus, leibniz_to_dialgebra
+from divaria.fd import FDAlgebra, corpus, leibniz_to_dialgebra, sl2
 from divaria.operads import IdentitySet
 from divaria.pseudo import check_var_pseudo, eval_term_on_tuples, product
 from divaria.varieties import builtin_identity_set
 from support import (basis_tuple_values, closed_form_rows, first_generator_witness,
-                     generator_tuple_values, gl, parse_expression, recursive_ideal)
+                     generator_tuple_values, gl, lie_ideal_from_bracket, parse_expression,
+                     recursive_ideal)
 
 VARIETIES = ("associative", "commutative", "alternative", "lie", "jordan")
 # two proper subwords of different shapes on the same leaves x1, x2, x3:
@@ -60,6 +61,26 @@ def quotients() -> tuple:
                 continue
             out.append((f"{name}/{sigma.name}", vq.quotient, sigma))
     return tuple(out)
+
+
+# the Lie algebras whose Lie quotient is compared with reference spans
+LIE_ALGEBRAS = {
+    "sl2": sl2, "gl2": lambda: gl(2), "gl3": lambda: gl(3), "gl4": lambda: gl(4),
+    "gl5": lambda: gl(5),
+    "abelian3": lambda: FDAlgebra([[[0, 0, 0]] * 3] * 3),
+    # the Heisenberg algebra h3: [x, y] = z = -[y, x]
+    "h3": lambda: FDAlgebra([[[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+                             [[0, 0, -1], [0, 0, 0], [0, 0, 0]], [[0, 0, 0]] * 3]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def lie_quotient(name: str) -> tuple:
+    """(bracket, envelope, Lie quotient) of the Leibniz import of the Lie
+    algebra LIE_ALGEBRAS[name], built once for the tests that read it."""
+    g = LIE_ALGEBRAS[name]()
+    env = build_envelope(leibniz_to_dialgebra(g))
+    return g, env, build_var_quotient(env, builtin_identity_set("lie"))
 
 
 def same_values(got, want) -> bool:
@@ -189,18 +210,28 @@ def test_recursive_span_equals_the_ideal():
     # the closed forms span the ideal; a check of the quotient with the
     # recursive evaluator misses an ideal that is too large, and a span from
     # that evaluator sees it
-    cases = [(name, build_envelope(a), sigma) for name, a in corpus() for sigma in identity_sets()]
-    cases += [(f"gl{n}", build_envelope(leibniz_to_dialgebra(gl(n))), builtin_identity_set("lie"))
-              for n in (2, 3, 4, 5)]
-    built = 0
-    for name, env, sigma in cases:
-        try:
-            vq = build_var_quotient(env, sigma)
-        except InputError:
-            continue
+    cases = []
+    for name, a in corpus():
+        env = build_envelope(a)
+        for sigma in identity_sets():
+            try:
+                cases.append((name, env, sigma, build_var_quotient(env, sigma)))
+            except InputError:
+                continue
+    for name in ("gl2", "gl3", "gl4", "gl5"):
+        _g, env, vq = lie_quotient(name)
+        cases.append((name, env, builtin_identity_set("lie"), vq))
+    for name, env, sigma, vq in cases:
         assert vq.ideal == recursive_ideal(env, sigma), (name, sigma.name)
-        built += 1
-    assert built == 20 + 4
+    assert len(cases) == 20 + 4
+
+
+def test_the_lie_ideal_is_read_off_the_bracket():
+    # K, read off the bracket with neither evaluator, spans the printed ideal
+    # on every Lie algebra here; see support.lie_ideal_from_bracket
+    for name in LIE_ALGEBRAS:
+        g, _env, vq = lie_quotient(name)
+        assert lie_ideal_from_bracket(g) == vq.ideal, name
 
 
 def test_build_var_quotient_names_the_first_failing_basis_tuple(monkeypatch):
